@@ -26,8 +26,8 @@ from .interior import (ChangedAlgebra, ClosedPart, InteriorOperator, al_approx,
 from .morphism import (DensityCertificate, MorphismSpec, check_applicative,
                        check_comp_dense, check_condition2_equiv, compose,
                        identity_morphism, two_cell_leq, verify_certificate)
-from .order import (ExplicitLattice, FiniteLattice, MonotoneMap,
-                    PowersetLattice, upward_closure, validate_lattice)
+from .order import (ExplicitLattice, FiniteLattice, PowersetLattice,
+                    upward_closure, validate_lattice)
 from .report import CheckResult, Report
 from .specfile import SpecDocument, Workspace, document_for, emit_spec, parse_spec
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
+from .errors import UnknownElement
 from .order import bits
 from .report import Report
 
@@ -54,21 +55,17 @@ class AbstractKrivineStructure:
         return "{" + " ".join(self.names[i] for i in bits(mask)) + "}"
 
     def index_of(self, name: str) -> int:
-        return self.names.index(name)
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise UnknownElement(name, "the carrier") from None
 
-
-@dataclass(frozen=True)
-class PolaritySubsets:
-    """A left set of terms paired with a right set of stacks."""
-
-    left: int
-    right: int
-
-    def terms_perp_to_right(self, aks) -> int:
-        return perp_left(aks, self.right)
-
-    def stacks_perp_to_left(self, aks) -> int:
-        return perp_right(aks, self.left)
+    @cached_property
+    def separator_masks(self) -> tuple[int, ...]:
+        """The separator of the realizability algebra, in ascending order:
+        every subset that some quasi-proof is orthogonal to."""
+        return tuple(m for m in range(1 << self.pi_size)
+                     if perp_left(self, m) & self.qp)
 
 
 def perp_left(aks: AbstractKrivineStructure, right_mask: int) -> int:
@@ -151,52 +148,24 @@ def validate_aks(aks: AbstractKrivineStructure) -> Report:
     rep.check("aks.compatibility", witness is None, witness)
     rep.flag("strong-compatibility", strong and witness is None)
 
-    witness = None
-    for t in bits(aks.qp):
-        for s in bits(aks.qp):
-            if not aks.qp >> aks.app[t][s] & 1:
-                witness = f"(t={nm(t)}, s={nm(s)})"
-                break
-        if witness:
-            break
+    witness = next((f"(t={nm(t)}, s={nm(s)})" for t in bits(aks.qp) for s in bits(aks.qp)
+                    if not aks.qp >> aks.app[t][s] & 1), None)
     rep.check("aks.qp-application-closed", witness is None, witness)
     has_k = bool(aks.qp >> aks.k_elem & 1)
     rep.check("aks.qp-has-k", has_k, None if has_k else nm(aks.k_elem))
     has_s = bool(aks.qp >> aks.s_elem & 1)
     rep.check("aks.qp-has-s", has_s, None if has_s else nm(aks.s_elem))
 
-    witness = None
-    for t in range(n):
-        for pi in bits(aks.perp_rows[t]):
-            for s in range(n):
-                stack = aks.push[t][aks.push[s][pi]]
-                if not aks.perp(aks.k_elem, stack):
-                    witness = f"(t={nm(t)}, s={nm(s)}, pi={nm(pi)})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next((f"(t={nm(t)}, s={nm(s)}, pi={nm(pi)})"
+                    for t in range(n) for pi in bits(aks.perp_rows[t]) for s in range(n)
+                    if not aks.perp(aks.k_elem, aks.push[t][aks.push[s][pi]])), None)
     rep.check("aks.k-axiom", witness is None, witness)
 
-    witness = None
-    for t in range(n):
-        for u in range(n):
-            tu = aks.app[t][u]
-            for s in range(n):
-                su = aks.app[s][u]
-                lhs = aks.app[tu][su]
-                for pi in bits(aks.perp_rows[lhs]):
-                    stack = aks.push[t][aks.push[s][aks.push[u][pi]]]
-                    if not aks.perp(aks.s_elem, stack):
-                        witness = f"(t={nm(t)}, s={nm(s)}, u={nm(u)}, pi={nm(pi)})"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next((f"(t={nm(t)}, s={nm(s)}, u={nm(u)}, pi={nm(pi)})"
+                    for t in range(n) for u in range(n) for s in range(n)
+                    for pi in bits(aks.perp_rows[aks.app[aks.app[t][u]][aks.app[s][u]]])
+                    if not aks.perp(aks.s_elem, aks.push[t][aks.push[s][aks.push[u][pi]]])),
+                   None)
     rep.check("aks.s-axiom", witness is None, witness)
     return rep
 
@@ -289,7 +258,7 @@ def mine_aks(pi_size, perp_pairs, *, max_results=1, app_combo_cap=4096,
         if not k_cands:
             continue
 
-        cells = [sorted(bits(cand[t][s])) for t in range(n) for s in range(n)]
+        cells = [list(bits(cand[t][s])) for t in range(n) for s in range(n)]
         combos = 0
         for app_flat in product(*cells):
             combos += 1

@@ -38,7 +38,6 @@ class FunctorImageIA:
 @dataclass
 class FunctorImageAKS:
     aks: AbstractKrivineStructure
-    source_algebra: ImplicativeAlgebra
 
 
 def algebra_of(obj) -> ImplicativeAlgebra:
@@ -69,8 +68,7 @@ def functor_A_obj(aks: AbstractKrivineStructure, *, validate=True) -> FunctorIma
         lattice,
         lambda p, q: aksmod.imp_sets(aks, p, q),
         app=lambda p, q: aksmod.app_sets(aks, p, q))
-    separator = frozenset(
-        m for m in range(lattice.size) if aksmod.perp_left(aks, m) & aks.qp)
+    separator = frozenset(aks.separator_masks)
     k = aks.perp_rows[aks.k_elem]
     s = aks.perp_rows[aks.s_elem]
     return FunctorImageIA(ImplicativeAlgebra(structure, separator, k, s), aks)
@@ -100,8 +98,7 @@ def functor_K_obj(algebra, *, validate=True) -> FunctorImageAKS:
     qp = sum(1 << x for x in algebra.separator)
     return FunctorImageAKS(
         AbstractKrivineStructure(names, perp_rows, push, app, qp,
-                                 algebra.k, algebra.s),
-        algebra)
+                                 algebra.k, algebra.s))
 
 
 def functor_A_mor(f: MorphismSpec, *, validate=True) -> MorphismSpec:
@@ -172,14 +169,10 @@ def transport_density_K(f: MorphismSpec, cert: DensityCertificate,
     """
     from .morphism import check_applicative_aks
 
-    B = f.target
     if image is None:
         image = functor_K_mor(f, validate=False)
     h = cert.h_map
-    table = {}
-    for m in range(1 << B.lattice.size):
-        if any(all(B.lattice.leq(t, x) for x in bits(m)) for t in B.separator):
-            table[m] = sum(1 << h[p] for p in bits(m))
+    table = {m: sum(1 << h[p] for p in bits(m)) for m in image.target.separator_masks}
     return DensityCertificate.make(
         cert.t, table, check_applicative_aks(image).data["realizer"])
 
@@ -205,14 +198,9 @@ def composite_AK_check(algebra) -> Report:
                 out |= 1 << algebra.imp(c, d)
         return out
 
-    witness = None
-    for c_mask in range(1 << n):
-        for d_mask in range(1 << n):
-            if composite.imp(c_mask, d_mask) != closed_imp(c_mask, d_mask):
-                witness = f"(C={L.name_set(bits(c_mask))}, D={L.name_set(bits(d_mask))})"
-                break
-        if witness:
-            break
+    witness = next((f"(C={L.name_set(bits(c_mask))}, D={L.name_set(bits(d_mask))})"
+                    for c_mask in range(1 << n) for d_mask in range(1 << n)
+                    if composite.imp(c_mask, d_mask) != closed_imp(c_mask, d_mask)), None)
     rep.check("composite.ak.implication", witness is None, witness)
 
     k_up = sum(1 << x for x in upward_closure(L, [algebra.k]))
@@ -240,29 +228,17 @@ def composite_KA_check(aks: AbstractKrivineStructure) -> Report:
     size = 1 << aks.pi_size
     nm = aks.name_mask
 
-    witness = None
-    for p in range(size):
-        expected = sum(1 << q for q in range(size) if q & p == q)
-        if composite.perp_rows[p] != expected:
-            witness = nm(p)
-            break
+    witness = next((nm(p) for p in range(size)
+                    if composite.perp_rows[p] != sum(1 << q for q in range(size) if q & p == q)),
+                   None)
     rep.check("composite.ka.polarity", witness is None, witness)
 
-    witness = None
-    for p in range(size):
-        for q in range(size):
-            if composite.push[p][q] != aksmod.imp_sets(aks, p, q):
-                witness = f"(P={nm(p)}, Q={nm(q)})"
-                break
-            if composite.app[p][q] != aksmod.app_sets(aks, p, q):
-                witness = f"(P={nm(p)}, Q={nm(q)})"
-                break
-        if witness:
-            break
+    witness = next((f"(P={nm(p)}, Q={nm(q)})" for p in range(size) for q in range(size)
+                    if composite.push[p][q] != aksmod.imp_sets(aks, p, q)
+                    or composite.app[p][q] != aksmod.app_sets(aks, p, q)), None)
     rep.check("composite.ka.push-app", witness is None, witness)
 
-    qp_expected = sum(
-        1 << p for p in range(size) if aksmod.perp_left(aks, p) & aks.qp)
+    qp_expected = sum(1 << p for p in aks.separator_masks)
     rep.check("composite.ka.quasi-proofs", composite.qp == qp_expected)
     rep.check("composite.ka.k", composite.k_elem == aks.perp_rows[aks.k_elem])
     rep.check("composite.ka.s", composite.s_elem == aks.perp_rows[aks.s_elem])
@@ -298,19 +274,13 @@ class AdjunctionData:
         skk = aks.app[aks.app[aks.s_elem][aks.k_elem]][aks.k_elem]
         witness = aks.perp_rows[skk]
         h = {}
-        for fam in _masks_in_separator(composite):
+        for fam in composite.separator_masks:
             union = 0
             for member in bits(fam):
                 union |= member
             h[fam] = union
         cert = DensityCertificate.make(witness, h, witness)
         return eta, cert
-
-
-def _masks_in_separator(aks: AbstractKrivineStructure):
-    for m in range(1 << aks.pi_size):
-        if aksmod.perp_left(aks, m) & aks.qp:
-            yield m
 
 
 def check_adjunction_instance(algebra, aks, ia_test_morphisms=(),
@@ -334,41 +304,27 @@ def check_adjunction_instance(algebra, aks, ia_test_morphisms=(),
 
     # triangle on the algebra side: singleton then meet is the identity
     L = algebra.lattice
-    witness = None
-    for a in L.elements():
-        if eps(1 << a) != a:
-            witness = L.name(a)
-            break
+    witness = next((L.name(a) for a in L.elements() if eps(1 << a) != a), None)
     rep.check("adjunction.triangle-K", witness is None, witness)
 
     # triangle on the Krivine side: pointwise singletons then union
-    witness = None
     eps_ak, _ = AdjunctionData.counit_at(functor_A_obj(aks).algebra)
-    for p in range(1 << aks.pi_size):
-        fam = sum(1 << (1 << pi) for pi in bits(p))
-        if eps_ak(fam) != p:
-            witness = aks.name_mask(p)
-            break
+    witness = next((aks.name_mask(p) for p in range(1 << aks.pi_size)
+                    if eps_ak(sum(1 << (1 << pi) for pi in bits(p))) != p), None)
     rep.check("adjunction.triangle-A", witness is None, witness)
 
     for f in ia_test_morphisms:
         eps_src, _ = AdjunctionData.counit_at(f.source)
         eps_tgt, _ = AdjunctionData.counit_at(f.target)
         n = f.source.lattice.size
-        witness = None
-        for m in range(1 << n):
-            if f(eps_src(m)) != eps_tgt(f.image_mask(m)):
-                witness = f.source.lattice.name_set(bits(m))
-                break
+        witness = next((f.source.lattice.name_set(bits(m)) for m in range(1 << n)
+                        if f(eps_src(m)) != eps_tgt(f.image_mask(m))), None)
         rep.check(f"adjunction.naturality-counit[{f.name}]", witness is None, witness)
 
     for g in aks_test_morphisms:
         eta_src, _ = AdjunctionData.unit_at(g.source)
         eta_tgt, _ = AdjunctionData.unit_at(g.target)
-        witness = None
-        for pi in range(g.source.pi_size):
-            if g.image_mask(eta_src(pi)) != eta_tgt(g(pi)):
-                witness = g.source.name(pi)
-                break
+        witness = next((g.source.name(pi) for pi in range(g.source.pi_size)
+                        if g.image_mask(eta_src(pi)) != eta_tgt(g(pi))), None)
         rep.check(f"adjunction.naturality-unit[{g.name}]", witness is None, witness)
     return rep

@@ -233,18 +233,23 @@ def _dispatch(args) -> int:
             raise SpecFileError("expected exactly one morphism document")
         name, spec = specs[0]
         reports = [check_applicative(spec)]
-        dense_ok = True
         if args.dense:
-            cert = check_comp_dense(spec, ws.morphism_hints.get(name))
+            hint = ws.morphism_hints.get(name)
+            if hint is None:
+                cert = check_comp_dense(spec)
+                cert_rep = None if cert is None else morphism.verify_certificate(spec, cert)
+            else:
+                # a hinted certificate is verified search-free, once
+                cert_rep = morphism.verify_certificate(spec, hint)
+                cert = hint if cert_rep.ok else None
             rep = Report(f"dense({name})")
             rep.check("morphism.computationally-dense", cert is not None,
                       None if cert else "no certificate found")
             if cert is not None:
-                rep.extend(morphism.verify_certificate(spec, cert))
-            dense_ok = rep.ok
+                rep.extend(cert_rep)
             reports.append(rep)
         _print_reports(reports, args.as_json)
-        return 0 if all(r.ok for r in reports) and dense_ok else 1
+        return 0 if all(r.ok for r in reports) else 1
 
     if args.command == "interior":
         ws = _load([args.file, args.opfile])
@@ -268,7 +273,7 @@ def _dispatch(args) -> int:
         algebra = algebra_of(base)
         changed = interior.change_implication(algebra, op)
         reports = [changed.report]
-        (inc, inc_cert), (cor, cor_cert) = interior.density_certificates(algebra, op)
+        (inc, inc_cert), (cor, cor_cert) = changed.density_certificates()
         reports.append(morphism.verify_certificate(inc, inc_cert))
         reports.append(morphism.verify_certificate(cor, cor_cert))
         _print_reports(reports, args.as_json)
@@ -280,6 +285,8 @@ def _dispatch(args) -> int:
         return 0 if all(r.ok for r in reports) else 1
 
     if args.command == "enumerate":
+        if args.size < 0:
+            raise KrlError(f"--size must not be negative, got {args.size}")
         if args.kind == "lattice":
             count = 0
             for lattice in enumerate_lattices(args.size):

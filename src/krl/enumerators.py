@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .implicative import ImplicativeStructure
-from .interior import ClosedPart, InteriorOperator, theta_inv
+from .interior import ClosedPart, InteriorOperator, _join_interior
 from .order import ExplicitLattice, FiniteLattice, bits
 
 
@@ -28,15 +27,7 @@ def enumerate_lattices(n: int):
             if chosen:
                 up[i] |= 1 << j
         # transitivity
-        ok = True
-        for i in range(n):
-            for j in bits(up[i]):
-                if up[i] | up[j] != up[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(up[i] | up[j] != up[i] for i in range(n) for j in bits(up[i])):
             continue
         lattice = ExplicitLattice(names, tuple(up))
         if _is_complete(lattice):
@@ -76,17 +67,9 @@ def enumerate_implications(lattice: FiniteLattice):
     rows = list(monotone_selfmaps(lattice))
     n = lattice.size
     for combo in product(range(len(rows)), repeat=n):
-        ok = True
-        for a in range(n):
-            for a2 in range(n):
-                if a != a2 and lattice.leq(a2, a):
-                    ra, ra2 = rows[combo[a]], rows[combo[a2]]
-                    if not all(lattice.leq(ra[b], ra2[b]) for b in range(n)):
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
+        if all(lattice.leq(x, y)
+               for a in range(n) for a2 in range(n) if a != a2 and lattice.leq(a2, a)
+               for x, y in zip(rows[combo[a]], rows[combo[a2]])):
             yield tuple(rows[combo[a]] for a in range(n))
 
 
@@ -102,7 +85,7 @@ def enumerate_interiors(lattice: FiniteLattice):
         members = frozenset(elems[i] for i in bits(m))
         part = ClosedPart(lattice, members, "P_c")
         if part.validate().ok:
-            yield theta_inv(part)
+            yield _join_interior(part)
 
 
 def enumerate_interior_tables(lattice: FiniteLattice):
@@ -115,15 +98,8 @@ def enumerate_interior_tables(lattice: FiniteLattice):
             continue
         if not all(table[table[a]] == table[a] for a in range(n)):
             continue
-        monotone = True
-        for a in range(n):
-            for b in range(n):
-                if lattice.leq(a, b) and not lattice.leq(table[a], table[b]):
-                    monotone = False
-                    break
-            if not monotone:
-                break
-        if monotone:
+        if all(lattice.leq(table[a], table[b])
+               for a in range(n) for b in range(n) if lattice.leq(a, b)):
             yield InteriorOperator(lattice, table)
 
 
@@ -133,6 +109,3 @@ def enumerate_alexandroff(lattice: FiniteLattice):
         if ClosedPart(lattice, members, "P_c_infty").validate().ok:
             yield op
 
-
-def structure_from_table(lattice: FiniteLattice, table) -> ImplicativeStructure:
-    return ImplicativeStructure(lattice, table)

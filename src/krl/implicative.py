@@ -114,25 +114,14 @@ def validate_structure(structure: ImplicativeStructure) -> Report:
     nm = L.name
     rep = Report("implicative-structure")
 
-    witness = None
-    for a in L.elements():
-        for a2 in L.elements():
-            if not L.leq(a2, a):
-                continue
-            for b in L.elements():
-                for b2 in L.elements():
-                    if L.leq(b, b2) and not L.leq(structure.imp(a, b), structure.imp(a2, b2)):
-                        witness = f"(a'={nm(a2)}, a={nm(a)}, b={nm(b)}, b'={nm(b2)})"
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    elems = list(L.elements())
+    witness = next((f"(a'={nm(a2)}, a={nm(a)}, b={nm(b)}, b'={nm(b2)})"
+                    for a in elems for a2 in elems if L.leq(a2, a)
+                    for b in elems for b2 in elems
+                    if L.leq(b, b2) and not L.leq(structure.imp(a, b), structure.imp(a2, b2))),
+                   None)
     rep.check("imp.variance", witness is None, witness)
 
-    elems = list(L.elements())
     meets = subset_meets(L, elems)
     witness = empty_witness = None
     for a in L.elements():
@@ -277,24 +266,13 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
     rep = validate_structure(st)
     rep.name = "implicative-algebra"
 
-    witness = None
-    for a in sep:
-        for b in L.elements():
-            if L.leq(a, b) and b not in sep:
-                witness = f"({nm(a)} <= {nm(b)})"
-                break
-        if witness:
-            break
+    elems = L.elements()
+    witness = next((f"({nm(a)} <= {nm(b)})" for a in sep for b in elems
+                    if L.leq(a, b) and b not in sep), None)
     rep.check("separator.upward-closed", witness is None, witness)
 
-    witness = None
-    for a in sep:
-        for b in L.elements():
-            if st.imp(a, b) in sep and b not in sep:
-                witness = f"(a={nm(a)}, b={nm(b)})"
-                break
-        if witness:
-            break
+    witness = next((f"(a={nm(a)}, b={nm(b)})" for a in sep for b in elems
+                    if st.imp(a, b) in sep and b not in sep), None)
     rep.check("separator.modus-ponens", witness is None, witness)
 
     rep.check("separator.has-k", algebra.k in sep,
@@ -309,29 +287,14 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
     rep.check("s.bound", L.leq(algebra.s, s_bound),
               None if L.leq(algebra.s, s_bound) else f"s={nm(algebra.s)} > {nm(s_bound)}")
 
-    witness = None
-    for a in L.elements():
-        for b in L.elements():
-            if not L.leq(st.apply_chain(algebra.k, a, b), a):
-                witness = f"({nm(a)}, {nm(b)})"
-                break
-        if witness:
-            break
+    witness = next((f"({nm(a)}, {nm(b)})" for a in elems for b in elems
+                    if not L.leq(st.apply_chain(algebra.k, a, b), a)), None)
     rep.check("law.k-applied", witness is None, witness)
 
-    witness = None
-    for a in L.elements():
-        for b in L.elements():
-            for c in L.elements():
-                lhs = st.apply_chain(algebra.s, a, b, c)
-                rhs = st.application(st.application(a, c), st.application(b, c))
-                if not L.leq(lhs, rhs):
-                    witness = f"({nm(a)}, {nm(b)}, {nm(c)})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next((f"({nm(a)}, {nm(b)}, {nm(c)})" for a in elems for b in elems for c in elems
+                    if not L.leq(st.apply_chain(algebra.s, a, b, c),
+                                 st.application(st.application(a, c),
+                                                st.application(b, c)))), None)
     rep.check("law.s-applied", witness is None, witness)
 
     rep.flag("classical", combinator_cc(st) in sep)

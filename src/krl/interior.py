@@ -34,17 +34,14 @@ class InteriorOperator:
     def opens(self) -> tuple[int, ...]:
         return tuple(a for a in self.lattice.elements() if self.table[a] == a)
 
-    @property
-    def klass(self) -> str:
-        if is_alexandroff(self)[0]:
-            return "alexandroff"
-        if is_topological(self)[0]:
-            return "topological"
-        return "plain"
-
 
 def is_topological(op: InteriorOperator):
-    """Binary meet commutation plus a fixed top."""
+    """Binary meet commutation plus a fixed top.
+
+    On a finite lattice every meet is a fold of binary meets or the empty
+    meet, so this always agrees with :func:`is_alexandroff`; only the
+    witness differs.
+    """
     L = op.lattice
     if op.table[L.top] != L.top:
         return False, f"top: {L.name(op.table[L.top])}"
@@ -68,7 +65,8 @@ def is_alexandroff(op: InteriorOperator):
 
 
 def validate_interior(op: InteriorOperator) -> Report:
-    """The three operator axioms plus the computed class flags."""
+    """The three operator axioms plus the computed class flags; the class
+    is "alexandroff" or "plain"."""
     L = op.lattice
     nm = L.name
     rep = Report("interior")
@@ -77,21 +75,15 @@ def validate_interior(op: InteriorOperator) -> Report:
     witness = next((nm(a) for a in L.elements()
                     if op.table[op.table[a]] != op.table[a]), None)
     rep.check("interior.idempotent", witness is None, witness)
-    witness = None
-    for a in L.elements():
-        for b in L.elements():
-            if L.leq(a, b) and not L.leq(op.table[a], op.table[b]):
-                witness = f"({nm(a)}, {nm(b)})"
-                break
-        if witness:
-            break
+    witness = next((f"({nm(a)}, {nm(b)})" for a in L.elements() for b in L.elements()
+                    if L.leq(a, b) and not L.leq(op.table[a], op.table[b])), None)
     rep.check("interior.monotone", witness is None, witness)
     if rep.ok:
         topo, w_topo = is_topological(op)
         rep.flag("topological", topo, None if topo else f"witness {w_topo}")
         alex, w_alex = is_alexandroff(op)
         rep.flag("alexandroff", alex, None if alex else f"witness family {w_alex}")
-        rep.data["class"] = op.klass
+        rep.data["class"] = "alexandroff" if alex else "plain"
     return rep
 
 
@@ -106,6 +98,12 @@ def closure_from_interior(op: InteriorOperator) -> tuple[int, ...]:
     alex, witness = is_alexandroff(op)
     if not alex:
         raise NotAlexandroff(f"meet commutation fails at family {witness}")
+    return _alexandroff_closure(op)
+
+
+def _alexandroff_closure(op: InteriorOperator) -> tuple[int, ...]:
+    """:func:`closure_from_interior` for an operator already known to be
+    Alexandroff."""
     L = op.lattice
     opens = op.opens()
     table = tuple(
@@ -129,20 +127,16 @@ class ClosedPart:
         L = self.lattice
         rep = Report("closed-part")
         members = sorted(self.members)
-        witness = None
-        for m in range(1 << len(members)):
-            sub = [members[i] for i in bits(m)]
-            if L.join(sub) not in self.members:
-                witness = L.name_set(sub)
-                break
+
+        def subsets():
+            return ([members[i] for i in bits(m)] for m in range(1 << len(members)))
+
+        witness = next((L.name_set(sub) for sub in subsets()
+                        if L.join(sub) not in self.members), None)
         rep.check("closed.join-closed", witness is None, witness)
         if self.flavor == "P_c_infty":
-            witness = None
-            for m in range(1 << len(members)):
-                sub = [members[i] for i in bits(m)]
-                if L.meet(sub) not in self.members:
-                    witness = L.name_set(sub)
-                    break
+            witness = next((L.name_set(sub) for sub in subsets()
+                            if L.meet(sub) not in self.members), None)
             rep.check("closed.meet-closed", witness is None, witness)
         return rep
 
@@ -160,8 +154,13 @@ def theta_inv(part: ClosedPart) -> InteriorOperator:
     it; inverse to :func:`theta`."""
     rep = part.validate()
     if not rep.ok:
-        raise InvalidClosedPart(rep.failures()[0].clause + " at " +
-                                str(rep.failures()[0].witness))
+        first = rep.failures()[0]
+        raise InvalidClosedPart(f"{first.clause} at {first.witness}")
+    return _join_interior(part)
+
+
+def _join_interior(part: ClosedPart) -> InteriorOperator:
+    """:func:`theta_inv` for a part already known to be join-closed."""
     L = part.lattice
     table = tuple(
         L.join([b for b in part.members if L.leq(b, a)]) for a in L.elements())
@@ -173,24 +172,18 @@ def al_approx(op: InteriorOperator) -> InteriorOperator:
 
     On a powerset backend the approximation acts by unioning the
     interiors of singletons; in general the opens are closed under
-    ambient joins and meets and the correspondence inverted.  Where both
-    routes apply they are compared and must agree.
+    ambient joins and meets and the correspondence inverted.
     """
     L = op.lattice
-    general = _al_approx_general(op)
-    if isinstance(L, PowersetLattice):
-        table = []
-        for p in L.elements():
-            acc = 0
-            for x in bits(p):
-                acc |= op.table[1 << x]
-            table.append(acc)
-        fast = InteriorOperator(L, tuple(table))
-        if fast.table != general.table:
-            raise VerificationFailed(
-                "singleton-union approximation disagrees with the closure route")
-        return fast
-    return general
+    if not isinstance(L, PowersetLattice):
+        return _al_approx_general(op)
+    table = []
+    for p in L.elements():
+        acc = 0
+        for x in bits(p):
+            acc |= op.table[1 << x]
+        table.append(acc)
+    return InteriorOperator(L, tuple(table))
 
 
 def _al_approx_general(op: InteriorOperator) -> InteriorOperator:
@@ -222,12 +215,14 @@ class ChangedAlgebra:
     the induced algebra on the re-indexed open carrier.  The attached
     report records the construction-time verification: the changed
     structure validates, and its application is the closure of the
-    original application on every open pair.
+    original application on every open pair.  ``i_comb`` and ``nu`` are
+    the base algebra's identity and composition combinators.
     """
 
     def __init__(self, base: ImplicativeAlgebra, iota: InteriorOperator,
                  opens, algebra: ImplicativeAlgebra, closure,
-                 strong_imp_condition: bool, report: Report):
+                 strong_imp_condition: bool, report: Report,
+                 i_comb: int, nu: int):
         self.base = base
         self.iota = iota
         self.opens = tuple(opens)
@@ -235,6 +230,8 @@ class ChangedAlgebra:
         self.closure = tuple(closure)
         self.strong_imp_condition = strong_imp_condition
         self.report = report
+        self.i_comb = i_comb
+        self.nu = nu
         self.to_sub = {b: i for i, b in enumerate(self.opens)}
 
     @property
@@ -252,6 +249,35 @@ class ChangedAlgebra:
     def imp_iota(self, a: int, b: int) -> int:
         """The changed implication on base element ids."""
         return self.opens[self.algebra.imp(self.to_sub[a], self.to_sub[b])]
+
+    def density_certificates(self):
+        """The two computationally dense maps around the changed algebra.
+
+        Returns ``((inclusion, cert), (corestriction, cert))`` with the
+        literal witnesses: the inclusion uses the identity combinator as
+        both realizers and the operator itself as the section; the
+        corestricted map uses the interiors of the identity combinator and
+        of the composition-combinator square.
+        """
+        if not self.strong_imp_condition:
+            raise HypothesisFailed("imp-invariance",
+                                   "interior does not leave implications unchanged")
+        base, iota, to_sub = self.base, self.iota, self.to_sub
+        st = base.structure
+        i_comb = self.i_comb
+        inclusion = MorphismSpec("ia", self.algebra, base, self.opens, "inclusion")
+        inc_h = {b: to_sub[iota.table[b]] for b in base.separator}
+        inc_cert = DensityCertificate.make(i_comb, inc_h, i_comb)
+
+        corestriction = MorphismSpec(
+            "ia", base, self.algebra,
+            tuple(to_sub[iota.table[a]] for a in base.lattice.elements()), "interior-map")
+        nu_i = st.application(self.nu, i_comb)
+        r_elem = iota.table[st.application(nu_i, nu_i)]
+        cor_h = {i: self.opens[i] for i in self.algebra.separator}
+        cor_cert = DensityCertificate.make(
+            to_sub[iota.table[i_comb]], cor_h, to_sub[r_elem])
+        return (inclusion, inc_cert), (corestriction, cor_cert)
 
 
 def change_implication(base: ImplicativeAlgebra, iota: InteriorOperator) -> ChangedAlgebra:
@@ -272,14 +298,8 @@ def change_implication(base: ImplicativeAlgebra, iota: InteriorOperator) -> Chan
         if iota.table[s] not in base.separator:
             raise HypothesisFailed("compatibility", L.name(s))
 
-    strong = True
-    for a in L.elements():
-        for b in L.elements():
-            if st.imp(iota.table[a], b) != st.imp(a, b):
-                strong = False
-                break
-        if not strong:
-            break
+    strong = all(st.imp(iota.table[a], b) == st.imp(a, b)
+                 for a in L.elements() for b in L.elements())
 
     i_comb = combinator_i(st)
     if not strong:
@@ -303,51 +323,19 @@ def change_implication(base: ImplicativeAlgebra, iota: InteriorOperator) -> Chan
     algebra = ImplicativeAlgebra(sub_structure, sub_separator,
                                  to_sub[k_iota], to_sub[s_iota])
 
-    closure = closure_from_interior(iota)
+    closure = _alexandroff_closure(iota)
     report = validate_algebra(algebra)
     report.name = "changed-algebra"
-    witness = None
-    for a in opens:
-        for b in opens:
-            changed = opens[algebra.application(to_sub[a], to_sub[b])]
-            if changed != closure[st.application(a, b)]:
-                witness = f"({L.name(a)}, {L.name(b)})"
-                break
-        if witness:
-            break
+    witness = next((f"({L.name(a)}, {L.name(b)})" for a in opens for b in opens
+                    if opens[algebra.application(to_sub[a], to_sub[b])]
+                    != closure[st.application(a, b)]), None)
     report.check("change.application-is-closure", witness is None, witness)
     report.flag("imp-invariance", strong)
-    return ChangedAlgebra(base, iota, opens, algebra, closure, strong, report)
+    return ChangedAlgebra(base, iota, opens, algebra, closure, strong, report,
+                          i_comb, nu)
 
 
 def density_certificates(base: ImplicativeAlgebra, iota: InteriorOperator):
-    """The two computationally dense maps around a changed algebra.
-
-    Returns ``((inclusion, cert), (corestriction, cert))`` with the
-    literal witnesses: the inclusion uses the identity combinator as both
-    realizers and the operator itself as the section; the corestricted
-    map uses the interiors of the identity combinator and of the
-    composition-combinator square.
-    """
-    ch = change_implication(base, iota)
-    L = base.lattice
-    st = base.structure
-    i_comb = combinator_i(st)
-
-    inclusion = MorphismSpec("ia", ch.algebra, base, ch.opens, "inclusion")
-    inc_h = {b: ch.to_sub[iota.table[b]] for b in base.separator}
-    inc_cert = DensityCertificate.make(i_comb, inc_h, i_comb)
-
-    if not ch.strong_imp_condition:
-        raise HypothesisFailed("imp-invariance",
-                               "interior does not leave implications unchanged")
-    corestriction = MorphismSpec(
-        "ia", base, ch.algebra,
-        tuple(ch.to_sub[iota.table[a]] for a in L.elements()), "interior-map")
-    nu = combinator_nu(base)
-    nu_i = st.application(nu, i_comb)
-    r_elem = iota.table[st.application(nu_i, nu_i)]
-    cor_h = {i: ch.opens[i] for i in ch.algebra.separator}
-    cor_cert = DensityCertificate.make(
-        ch.to_sub[iota.table[i_comb]], cor_h, ch.to_sub[r_elem])
-    return (inclusion, inc_cert), (corestriction, cor_cert)
+    """The two computationally dense maps around the algebra changed along
+    ``iota``; see :meth:`ChangedAlgebra.density_certificates`."""
+    return change_implication(base, iota).density_certificates()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
-from .errors import ComposabilityError, SearchBudgetExceeded, VerificationFailed
+from .errors import ComposabilityError, KrlError, SearchBudgetExceeded, VerificationFailed
 from .order import bits, subset_meets
 from .report import Report
 
@@ -26,7 +26,12 @@ DEFAULT_SEARCH_BUDGET = 500_000
 
 def search_budget() -> int:
     value = os.environ.get("KRL_SEARCH_BUDGET")
-    return int(value) if value else DEFAULT_SEARCH_BUDGET
+    if not value:
+        return DEFAULT_SEARCH_BUDGET
+    try:
+        return int(value)
+    except ValueError:
+        raise KrlError(f"KRL_SEARCH_BUDGET must be an integer, got '{value}'") from None
 
 
 @dataclass
@@ -98,11 +103,8 @@ def check_applicative_ia(f: MorphismSpec) -> Report:
     elems = list(la.elements())
     src_meets = subset_meets(la, elems)
     img_meets = subset_meets(lb, [f(x) for x in elems])
-    witness = None
-    for m in range(len(src_meets)):
-        if f(src_meets[m]) != img_meets[m]:
-            witness = la.name_set(elems[i] for i in bits(m))
-            break
+    witness = next((la.name_set(elems[i] for i in bits(m)) for m in range(len(src_meets))
+                    if f(src_meets[m]) != img_meets[m]), None)
     rep.check("morphism.meet-preservation", witness is None, witness)
 
     realizer = None
@@ -240,15 +242,10 @@ def verify_certificate_ia(f: MorphismSpec, cert: DensityCertificate) -> Report:
     rep.check("cert.r-in-separator", ok,
               None if ok else "missing" if cert.r is None else lb.name(cert.r))
     if cert.r is not None:
-        witness = None
-        for s in sorted(A.separator):
-            for a in la.elements():
-                lhs = B.apply_chain(cert.r, f(s), f(a))
-                if not lb.leq(lhs, f(A.application(s, a))):
-                    witness = f"(s={la.name(s)}, a={la.name(a)})"
-                    break
-            if witness:
-                break
+        witness = next((f"(s={la.name(s)}, a={la.name(a)})"
+                        for s in sorted(A.separator) for a in la.elements()
+                        if not lb.leq(B.apply_chain(cert.r, f(s), f(a)),
+                                      f(A.application(s, a)))), None)
         rep.check("cert.r-uniform", witness is None, witness)
 
     missing = sorted(b for b in B.separator if b not in h)
@@ -257,21 +254,12 @@ def verify_certificate_ia(f: MorphismSpec, cert: DensityCertificate) -> Report:
     stray = sorted(b for b in h if h[b] not in A.separator)
     rep.check("cert.h-into-source-separator", not stray,
               lb.name_set(stray) if stray else None)
-    witness = None
-    for b1 in h:
-        for b2 in h:
-            if lb.leq(b1, b2) and not la.leq(h[b1], h[b2]):
-                witness = f"({lb.name(b1)} <= {lb.name(b2)})"
-                break
-        if witness:
-            break
+    witness = next((f"({lb.name(b1)} <= {lb.name(b2)})" for b1 in h for b2 in h
+                    if lb.leq(b1, b2) and not la.leq(h[b1], h[b2])), None)
     rep.check("cert.h-monotone", witness is None, witness)
     if not missing:
-        witness = None
-        for b in sorted(B.separator):
-            if not lb.leq(B.application(cert.t, f(h[b])), b):
-                witness = lb.name(b)
-                break
+        witness = next((lb.name(b) for b in sorted(B.separator)
+                        if not lb.leq(B.application(cert.t, f(h[b])), b)), None)
         rep.check("cert.density", witness is None, witness)
     return rep
 
@@ -279,9 +267,29 @@ def verify_certificate_ia(f: MorphismSpec, cert: DensityCertificate) -> Report:
 # --------------------------------------------------------------- AKS side
 
 
-def _aks_separator(aks: AbstractKrivineStructure) -> list[int]:
-    return [m for m in range(1 << aks.pi_size)
-            if aksmod.perp_left(aks, m) & aks.qp]
+def _uniform_family(f: MorphismSpec):
+    """Yield (P', P, realizers) for every pair of source subsets whose
+    implication P' -> P lies in the source separator, in scan order;
+    ``realizers`` are the target terms orthogonal to
+    f(P' -> P) -> f(P') -> f(P)."""
+    A: AbstractKrivineStructure = f.source
+    B: AbstractKrivineStructure = f.target
+    sep_a = set(A.separator_masks)
+    for p2 in range(1 << A.pi_size):
+        fp2 = f.image_mask(p2)
+        for p in range(1 << A.pi_size):
+            src_imp = aksmod.imp_sets(A, p2, p)
+            if src_imp not in sep_a:
+                continue
+            tgt = aksmod.imp_sets(
+                B, f.image_mask(src_imp), aksmod.imp_sets(B, fp2, f.image_mask(p)))
+            yield p2, p, aksmod.perp_left(B, tgt)
+
+
+def _density_realizers(f: MorphismSpec, s_mask: int, b_mask: int) -> int:
+    """The target terms orthogonal to f(S) -> B, as a mask."""
+    B = f.target
+    return aksmod.perp_left(B, aksmod.imp_sets(B, f.image_mask(s_mask), b_mask))
 
 
 def check_applicative_aks(f: MorphismSpec) -> Report:
@@ -292,28 +300,16 @@ def check_applicative_aks(f: MorphismSpec) -> Report:
     B: AbstractKrivineStructure = f.target
     rep = Report(f"applicative({f.name})")
 
-    witness = None
-    for p in range(1 << A.pi_size):
-        if aksmod.perp_left(A, p) & A.qp and not (
-                aksmod.perp_left(B, f.image_mask(p)) & B.qp):
-            witness = A.name_mask(p)
-            break
+    sep_b = set(B.separator_masks)
+    witness = next((A.name_mask(p) for p in A.separator_masks
+                    if f.image_mask(p) not in sep_b), None)
     rep.check("morphism.quasi-proof-preservation", witness is None, witness)
 
     acc = B.qp
     indexed = False
-    for p2 in range(1 << A.pi_size):
-        for p in range(1 << A.pi_size):
-            src_imp = aksmod.imp_sets(A, p2, p)
-            if not (aksmod.perp_left(A, src_imp) & A.qp):
-                continue
-            indexed = True
-            tgt = aksmod.imp_sets(
-                B, f.image_mask(src_imp),
-                aksmod.imp_sets(B, f.image_mask(p2), f.image_mask(p)))
-            acc &= aksmod.perp_left(B, tgt)
-            if not acc:
-                break
+    for _, _, realizers in _uniform_family(f):
+        indexed = True
+        acc &= realizers
         if not acc:
             break
     rep.check("morphism.uniform-realizer", bool(acc),
@@ -336,18 +332,15 @@ def check_comp_dense_aks(f: MorphismSpec, hint: DensityCertificate | None = None
     if not app_rep.ok:
         return None
     r = app_rep.data["realizer"]
-    sep_b = _aks_separator(B)
-    sep_a = _aks_separator(A)
 
     def leq_b(x, y):
         return y & x == y
 
-    sep_b_sorted = _sorted_by_height(sep_b, leq_b)
-    sep_a_sorted = _sorted_by_height(sep_a, leq_b)
-    for t in sorted(bits(B.qp)):
-        def admissible(s_mask, r_mask, t=t):
-            return bool(aksmod.perp_left(
-                B, aksmod.imp_sets(B, f.image_mask(s_mask), r_mask)) >> t & 1)
+    sep_b_sorted = _sorted_by_height(B.separator_masks, leq_b)
+    sep_a_sorted = _sorted_by_height(A.separator_masks, leq_b)
+    for t in bits(B.qp):
+        def admissible(s_mask, b_mask, t=t):
+            return bool(_density_realizers(f, s_mask, b_mask) >> t & 1)
         table = _monotone_table_search(sep_b_sorted, sep_a_sorted, leq_b, leq_b,
                                        admissible, budget)
         if table is not None:
@@ -359,8 +352,7 @@ def verify_certificate_aks(f: MorphismSpec, cert: DensityCertificate) -> Report:
     A, B = f.source, f.target
     rep = Report(f"certificate({f.name})")
     h = cert.h_map
-    sep_b = set(_aks_separator(B))
-    sep_a = set(_aks_separator(A))
+    sep_a = set(A.separator_masks)
 
     ok = bool(B.qp >> cert.t & 1)
     rep.check("cert.t-is-quasi-proof", ok, None if ok else B.name(cert.t))
@@ -368,44 +360,23 @@ def verify_certificate_aks(f: MorphismSpec, cert: DensityCertificate) -> Report:
     rep.check("cert.r-is-quasi-proof", ok,
               None if ok else "missing" if cert.r is None else B.name(cert.r))
     if cert.r is not None:
-        witness = None
-        for p2 in range(1 << A.pi_size):
-            for p in range(1 << A.pi_size):
-                src_imp = aksmod.imp_sets(A, p2, p)
-                if not (aksmod.perp_left(A, src_imp) & A.qp):
-                    continue
-                tgt = aksmod.imp_sets(
-                    B, f.image_mask(src_imp),
-                    aksmod.imp_sets(B, f.image_mask(p2), f.image_mask(p)))
-                if not (aksmod.perp_left(B, tgt) >> cert.r & 1):
-                    witness = f"(P'={A.name_mask(p2)}, P={A.name_mask(p)})"
-                    break
-            if witness:
-                break
+        witness = next((f"(P'={A.name_mask(p2)}, P={A.name_mask(p)})"
+                        for p2, p, realizers in _uniform_family(f)
+                        if not realizers >> cert.r & 1), None)
         rep.check("cert.r-uniform", witness is None, witness)
 
-    missing = sorted(b for b in sep_b if b not in h)
+    missing = [b for b in B.separator_masks if b not in h]
     rep.check("cert.h-total", not missing,
               B.name_mask(missing[0]) if missing else None)
     stray = sorted(b for b in h if h[b] not in sep_a)
     rep.check("cert.h-into-source-separator", not stray,
               B.name_mask(stray[0]) if stray else None)
-    witness = None
-    for b1 in h:
-        for b2 in h:
-            if b2 & b1 == b2 and not (h[b2] & h[b1] == h[b2]):
-                witness = f"({B.name_mask(b1)} <= {B.name_mask(b2)})"
-                break
-        if witness:
-            break
+    witness = next((f"({B.name_mask(b1)} <= {B.name_mask(b2)})" for b1 in h for b2 in h
+                    if b2 & b1 == b2 and not (h[b2] & h[b1] == h[b2])), None)
     rep.check("cert.h-monotone", witness is None, witness)
     if not missing:
-        witness = None
-        for b in sorted(sep_b):
-            tgt = aksmod.imp_sets(B, f.image_mask(h[b]), b)
-            if not (aksmod.perp_left(B, tgt) >> cert.t & 1):
-                witness = B.name_mask(b)
-                break
+        witness = next((B.name_mask(b) for b in B.separator_masks
+                        if not _density_realizers(f, h[b], b) >> cert.t & 1), None)
         rep.check("cert.density", witness is None, witness)
     return rep
 
@@ -471,9 +442,8 @@ def _complete_composed_certificate(gf: MorphismSpec, h: dict) -> DensityCertific
     rep = check_applicative_aks(gf)
     if not rep.ok:
         return None
-    for t in sorted(bits(B.qp)):
-        if all(aksmod.perp_left(B, aksmod.imp_sets(B, gf.image_mask(h[b]), b)) >> t & 1
-               for b in h):
+    for t in bits(B.qp):
+        if all(_density_realizers(gf, h[b], b) >> t & 1 for b in h):
             return DensityCertificate.make(t, h, rep.data["realizer"])
     return None
 

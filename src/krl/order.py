@@ -9,8 +9,6 @@ scanning lower bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import LatticeError
 from .report import Report
 
@@ -262,31 +260,6 @@ class PowersetLattice(FiniteLattice):
         return hash(self.base_names)
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
-    """A table-backed map between lattices, checked for monotonicity."""
-
-    source: FiniteLattice
-    target: FiniteLattice
-    table: tuple[int, ...]
-
-    def __call__(self, a: int) -> int:
-        return self.table[a]
-
-    def validate(self) -> Report:
-        rep = Report("monotone-map")
-        witness = None
-        for a in self.source.elements():
-            for b in self.source.elements():
-                if self.source.leq(a, b) and not self.target.leq(self.table[a], self.table[b]):
-                    witness = f"({self.source.name(a)}, {self.source.name(b)})"
-                    break
-            if witness:
-                break
-        rep.check("map.monotone", witness is None, witness)
-        return rep
-
-
 def subset_meets(lattice: FiniteLattice, values) -> list[int]:
     """meets[m] = meet of {values[i] : bit i of m}, for every bitmask m.
 
@@ -330,41 +303,21 @@ def validate_lattice(lattice: FiniteLattice) -> Report:
     witness = next((nm(a) for a in lattice.elements() if not lattice.leq(a, a)), None)
     rep.check("order.reflexive", witness is None, witness)
 
-    witness = None
-    for a in lattice.elements():
-        for b in lattice.elements():
-            if a != b and lattice.leq(a, b) and lattice.leq(b, a):
-                witness = f"({nm(a)}, {nm(b)})"
-                break
-        if witness:
-            break
+    elems = lattice.elements()
+    witness = next((f"({nm(a)}, {nm(b)})" for a in elems for b in elems
+                    if a != b and lattice.leq(a, b) and lattice.leq(b, a)), None)
     rep.check("order.antisymmetric", witness is None, witness)
 
-    witness = None
-    for a in lattice.elements():
-        for b in lattice.elements():
-            if not lattice.leq(a, b):
-                continue
-            for c in lattice.elements():
-                if lattice.leq(b, c) and not lattice.leq(a, c):
-                    witness = f"({nm(a)}, {nm(b)}, {nm(c)})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = next((f"({nm(a)}, {nm(b)}, {nm(c)})"
+                    for a in elems for b in elems if lattice.leq(a, b)
+                    for c in elems if lattice.leq(b, c) and not lattice.leq(a, c)), None)
     rep.check("order.transitive", witness is None, witness)
 
     # completeness: all binary meets plus a greatest element suffice on a
     # finite carrier (the empty meet is the top, folds give the rest)
-    witness = None
-    for a in lattice.elements():
-        for b in range(a + 1, lattice.size):
-            if lattice._greatest(lattice.down[a] & lattice.down[b]) is None:
-                witness = lattice.name_set((a, b))
-                break
-        if witness:
-            break
+    witness = next((lattice.name_set((a, b))
+                    for a in elems for b in range(a + 1, lattice.size)
+                    if lattice._greatest(lattice.down[a] & lattice.down[b]) is None), None)
     if witness is None and lattice._greatest(lattice._full) is None:
         witness = "{} (no top element)"
     rep.check("order.complete", witness is None, witness)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .aks import AbstractKrivineStructure
-from .bridge import FunctorImageIA, algebra_of, functor_A_obj
+from .bridge import FunctorImageIA, aks_of, algebra_of, functor_A_obj
 from .errors import IncompleteTable, ParseError, SpecFileError, UnknownElement
 from .implicative import ImplicativeAlgebra, ImplicativeStructure
 from .interior import InteriorOperator
@@ -308,11 +308,30 @@ def emit_spec(doc: SpecDocument) -> str:
 
 
 def _element_resolver(obj):
-    """Name -> id and id -> name for any carrier-bearing object."""
+    """Name -> id and id -> name for any carrier-bearing object, plus the
+    carrier size."""
     if isinstance(obj, AbstractKrivineStructure):
-        return (lambda tok: obj.names.index(tok)), obj.name
+        return obj.index_of, obj.name, obj.pi_size
     lattice = obj.lattice if not isinstance(obj, (ExplicitLattice, PowersetLattice)) else obj
-    return lattice.index_of, lattice.name
+    return lattice.index_of, lattice.name, lattice.size
+
+
+def _read_map(doc: SpecDocument, source, target) -> tuple[int, ...]:
+    """The ``map:`` section as a table on the source carrier.  Names
+    resolve through the carriers, a repeated row is an error, and missing
+    rows are reported by name."""
+    src_idx, src_name, size = _element_resolver(source)
+    tgt_idx, _, _ = _element_resolver(target)
+    table = {}
+    for a, _, b in doc.section("map"):
+        ia = src_idx(a)
+        if ia in table:
+            raise ParseError(f"duplicate map entry for {a}")
+        table[ia] = tgt_idx(b)
+    missing = [src_name(x) for x in range(size) if x not in table]
+    if missing:
+        raise IncompleteTable("map", missing)
+    return tuple(table[x] for x in range(size))
 
 
 def build_lattice(doc: SpecDocument) -> ExplicitLattice:
@@ -369,42 +388,21 @@ def lattice_of(obj):
 
 def build_interior(doc: SpecDocument, base_obj) -> InteriorOperator:
     lattice = lattice_of(base_obj)
-    idx = lattice.index_of
-    table = {}
-    for a, _, b in doc.section("map"):
-        ia = idx(a)
-        if ia in table:
-            raise ParseError(f"duplicate map entry for {a}")
-        table[ia] = idx(b)
-    missing = [lattice.name(a) for a in lattice.elements() if a not in table]
-    if missing:
-        raise IncompleteTable("map", missing)
-    return InteriorOperator(lattice, tuple(table[a] for a in lattice.elements()))
+    return InteriorOperator(lattice, _read_map(doc, lattice, lattice))
 
 
 def build_morphism(doc: SpecDocument, source_obj, target_obj):
     """Returns the morphism together with any hinted certificate."""
     if doc.subkind == "ia":
         src, tgt = algebra_of(source_obj), algebra_of(target_obj)
-        src_idx, _ = _element_resolver(src.lattice)
-        tgt_idx, _ = _element_resolver(tgt.lattice)
-        size = src.lattice.size
     else:
-        from .bridge import aks_of
         src, tgt = aks_of(source_obj), aks_of(target_obj)
-        src_idx, tgt_idx = src.names.index, tgt.names.index
-        size = src.pi_size
-    table = {}
-    for a, _, b in doc.section("map"):
-        table[src_idx(a)] = tgt_idx(b)
-    missing = [a for a in range(size) if a not in table]
-    if missing:
-        raise IncompleteTable("map", [str(m) for m in missing])
-    spec = MorphismSpec(doc.subkind, src, tgt,
-                        tuple(table[a] for a in range(size)), doc.name)
+    spec = MorphismSpec(doc.subkind, src, tgt, _read_map(doc, src, tgt), doc.name)
 
     hint = None
     if doc.section("hint-t"):
+        src_idx, _, _ = _element_resolver(src)
+        tgt_idx, _, _ = _element_resolver(tgt)
         if doc.subkind == "ia":
             h_src, h_tgt = tgt_idx, src_idx
         else:
@@ -469,8 +467,8 @@ def document_for(obj, name: str, **meta) -> SpecDocument:
                             _normalize_sections("interior", sections),
                             base=name)
     if isinstance(obj, MorphismSpec):
-        _, src_name = _element_resolver(obj.source)
-        _, tgt_name = _element_resolver(obj.target)
+        _, src_name, _ = _element_resolver(obj.source)
+        _, tgt_name, _ = _element_resolver(obj.target)
         sections = {"map": [(src_name(a), "->", tgt_name(obj.carrier[a]))
                             for a in range(len(obj.carrier))]}
         cert = meta.get("cert")

@@ -3,10 +3,11 @@ and the fixture miner."""
 
 import pytest
 
-from krl.aks import (AbstractKrivineStructure, PolaritySubsets, app_sets,
+from krl.aks import (AbstractKrivineStructure, app_sets,
                      bar_closure, full_polarity_aks, hat_closure, imp_sets,
                      mine_aks, perp_left, perp_right, spec_preorder,
                      validate_aks)
+from krl.errors import UnknownElement
 from krl.fixtures import AKS2_PERP, AKS3_PERP, aks2, aks3, mined_corpus, polarity3
 from krl.implicative import ImplicativeStructure, check_adjunction, validate_structure
 from krl.order import PowersetLattice, bits
@@ -41,12 +42,6 @@ def test_perp_left_diagonal_pair_is_empty():
 def test_perp_left_matches_oracle(aks):
     for mask in range(1 << aks.pi_size):
         assert perp_left(aks, mask) == oracle_perp_left(aks, mask)
-
-
-def test_polarity_subsets_helpers():
-    pol = PolaritySubsets(left=0b001, right=0b011)
-    assert pol.terms_perp_to_right(P3) == perp_left(P3, 0b011)
-    assert pol.stacks_perp_to_left(P3) == perp_right(P3, 0b001)
 
 
 def test_bar_closure_examples():
@@ -208,3 +203,9 @@ def test_miner_finds_nothing_for_unsatisfiable_polarity():
 def test_mined_structures_validate():
     for found in mine_aks(3, AKS3_PERP, max_results=4, app_combo_cap=64):
         assert validate_aks(found).ok
+
+
+def test_index_of_unknown_name_raises_unknown_element():
+    assert aks3().index_of("c") == 2
+    with pytest.raises(UnknownElement):
+        aks3().index_of("zz")

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from krl import implicative, interior
 from krl.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -166,3 +167,66 @@ def test_search_budget_env(capsys, monkeypatch):
     code, out, _ = run(capsys, "morphism", "check", "--dense",
                        ident, FIX / "l2.krl")
     assert code == 0  # hinted as well
+
+
+def test_interior_change_builds_the_changed_algebra_once(capsys, count_calls):
+    counts = count_calls(interior.change_implication, implicative.validate_algebra,
+                         implicative.combinator_nu, interior.is_alexandroff)
+    code, out, _ = run(capsys, "interior", "change",
+                       FIX / "aks3.krl", FIX / "aks3-hat.kop")
+    assert code == 0 and "report changed-algebra: PASS" in out
+    assert counts == {"change_implication": 1, "validate_algebra": 1,
+                      "combinator_nu": 1, "is_alexandroff": 2}
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+def test_unknown_name_in_aks_morphism_is_a_usage_error(capsys, tmp_path):
+    kmap = _write(tmp_path, "bad.kmap", 'morphism aks "f" from "aks3" to "aks3"\n'
+                  "map: a -> a ; b -> zz ; c -> c\n")
+    code, out, err = run(capsys, "morphism", "check", kmap, FIX / "aks3.krl")
+    assert code == 2 and out == ""
+    assert err == "error: unknown element 'zz' in the carrier\n"
+
+
+def test_unknown_hint_name_in_aks_morphism_is_a_usage_error(capsys, tmp_path):
+    kmap = _write(tmp_path, "bad.kmap", 'morphism aks "f" from "aks3" to "aks3"\n'
+                  "map: a -> a ; b -> b ; c -> c\nhint-t: zz\n")
+    code, _, err = run(capsys, "morphism", "check", "--dense", kmap, FIX / "aks3.krl")
+    assert code == 2 and err.startswith("error: unknown element 'zz'")
+
+
+def test_duplicate_morphism_rows_are_rejected(capsys, tmp_path):
+    kmap = _write(tmp_path, "dup.kmap",
+                  'morphism ia "dup" from "L2-classical" to "L2-classical"\n'
+                  "map: e0 -> e0 ; e1 -> e1 ; e1 -> e0\n")
+    code, _, err = run(capsys, "morphism", "check", kmap, FIX / "l2.krl")
+    assert code == 2 and "duplicate map entry for e1" in err
+
+
+def test_missing_morphism_rows_are_named(capsys, tmp_path):
+    kmap = _write(tmp_path, "short.kmap",
+                  'morphism ia "short" from "L2-classical" to "L2-classical"\n'
+                  "map: e0 -> e0\n")
+    code, _, err = run(capsys, "morphism", "check", kmap, FIX / "l2.krl")
+    assert code == 2 and "missing entries for: e1" in err
+
+
+def test_non_integer_search_budget_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    kmap = _write(tmp_path, "search.kmap",
+                  'morphism ia "collapse" from "H3" to "L2-classical"\n'
+                  "map: e0 -> e0 ; e1 -> e1 ; m -> e1\n")
+    monkeypatch.setenv("KRL_SEARCH_BUDGET", "abc")
+    code, _, err = run(capsys, "morphism", "check", "--dense", kmap,
+                       FIX / "heyting3.krl", FIX / "l2.krl")
+    assert code == 2
+    assert err == "error: KRL_SEARCH_BUDGET must be an integer, got 'abc'\n"
+
+
+def test_negative_enumerate_size_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "enumerate", "--kind", "imp", "--size", "-1")
+    assert code == 2 and out == "" and "must not be negative" in err

@@ -3,6 +3,7 @@ implication change."""
 
 import pytest
 
+from krl import interior
 from krl.aks import bar_closure
 from krl.bridge import functor_A_obj
 from krl.enumerators import (enumerate_alexandroff, enumerate_interior_tables,
@@ -14,10 +15,11 @@ from krl.fixtures import (aks3, bar_interior, diamond, diamond_open_x_interior,
 from krl.implicative import combinator_i
 from krl.interior import (ClosedPart, InteriorOperator, al_approx,
                           change_implication, closure_from_interior,
-                          density_certificates, is_alexandroff, operator_leq,
-                          theta, theta_inv, validate_interior)
+                          density_certificates, is_alexandroff, is_topological,
+                          operator_leq, theta, theta_inv, validate_interior,
+                          _al_approx_general)
 from krl.morphism import verify_certificate, compose
-from krl.order import bits
+from krl.order import PowersetLattice, bits
 
 
 def test_identity_operator_is_alexandroff():
@@ -321,3 +323,39 @@ def test_open_meets_restrict_the_ambient_ones():
         members = [ch.opens[i] for i in fam]
         assert ch.opens[sub.meet(fam)] == base.meet(members)
         assert ch.opens[sub.join(fam)] in set(ch.opens)
+
+
+def test_al_approx_closed_form_matches_general_route_on_small_powersets():
+    for m in range(1, 4):
+        L = PowersetLattice("abc"[:m])
+        for op in enumerate_interiors(L):
+            assert al_approx(op).table == _al_approx_general(op).table
+
+
+def test_al_approx_on_powersets_uses_only_the_closed_form(monkeypatch):
+    def refuse(op):
+        raise AssertionError("general route used on a powerset")
+    monkeypatch.setattr(interior, "_al_approx_general", refuse)
+    approx = al_approx(hat_interior(aks3()))
+    assert validate_interior(approx).flags["alexandroff"]
+    L4 = PowersetLattice("abcd")
+    assert al_approx(identity_interior(L4)).table == tuple(L4.elements())
+
+
+def test_topological_agrees_with_alexandroff_on_lattices_up_to_five():
+    checked = 0
+    for n in range(1, 6):
+        for lattice in enumerate_lattices(n):
+            for op in enumerate_interiors(lattice):
+                assert is_topological(op)[0] == is_alexandroff(op)[0]
+                checked += 1
+    assert checked > 100
+
+
+def test_validate_interior_decides_alexandroff_once(count_calls):
+    counts = count_calls(interior.is_alexandroff)
+    for op, klass in ((hat_interior(aks3()), "alexandroff"),
+                      (bar_interior(polarity3()), "plain")):
+        counts.clear()
+        assert validate_interior(op).data["class"] == klass
+        assert counts["is_alexandroff"] == 1

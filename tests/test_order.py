@@ -3,7 +3,7 @@
 import pytest
 
 from krl.errors import LatticeError
-from krl.order import (ExplicitLattice, MonotoneMap, PowersetLattice, bits,
+from krl.order import (ExplicitLattice, PowersetLattice, bits,
                        subset_meets, upward_closure, validate_lattice)
 
 L2 = ExplicitLattice.chain(2)
@@ -143,14 +143,6 @@ def test_upward_closure_examples():
     assert upward_closure(L3, {1}) == {1, 2}
     assert upward_closure(L3, set()) == frozenset()
     assert upward_closure(DIAMOND, {1}) == {1, 3}
-
-
-def test_monotone_map_validation():
-    good = MonotoneMap(L2, L2, (0, 1))
-    assert good.validate().ok
-    bad = MonotoneMap(L2, L2, (1, 0))
-    rep = bad.validate()
-    assert not rep.ok and rep.failures()[0].witness == "(e0, e1)"
 
 
 def test_element_names():
