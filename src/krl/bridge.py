@@ -307,10 +307,11 @@ def check_adjunction_instance(algebra, aks, ia_test_morphisms=(),
     witness = next((L.name(a) for a in L.elements() if eps(1 << a) != a), None)
     rep.check("adjunction.triangle-K", witness is None, witness)
 
-    # triangle on the Krivine side: pointwise singletons then union
-    eps_ak, _ = AdjunctionData.counit_at(functor_A_obj(aks).algebra)
+    # triangle on the Krivine side: the counit of A(X) takes the family of
+    # singletons of p to their meet in A(X), which must be p again
+    ax = PowersetLattice(aks.names)
     witness = next((aks.name_mask(p) for p in range(1 << aks.pi_size)
-                    if eps_ak(sum(1 << (1 << pi) for pi in bits(p))) != p), None)
+                    if ax.meet([1 << pi for pi in bits(p)]) != p), None)
     rep.check("adjunction.triangle-A", witness is None, witness)
 
     for f in ia_test_morphisms:

@@ -169,6 +169,9 @@ def _dispatch(args) -> int:
         algebra = _as_algebra(name, obj)
         st = algebra.structure
         L = algebra.lattice
+        rep = validate_lattice(L)
+        if not rep.ok:
+            raise InvalidSource(f"'{name}' is not ordered as a complete lattice", rep)
         values = {
             "i": combinator_i(st), "k": combinator_k(st),
             "s": combinator_s(st), "cc": combinator_cc(st),

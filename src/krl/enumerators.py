@@ -35,16 +35,11 @@ def enumerate_lattices(n: int):
 
 
 def _is_complete(lattice: ExplicitLattice) -> bool:
-    full = (1 << lattice.size) - 1
-    if lattice._greatest(full) is None or lattice._least(full) is None:
-        return False
-    for a in range(lattice.size):
-        for b in range(a + 1, lattice.size):
-            if lattice._greatest(lattice.down[a] & lattice.down[b]) is None:
-                return False
-            if lattice._least(lattice.up[a] & lattice.up[b]) is None:
-                return False
-    return True
+    # a top and all binary meets give every meet and join on a finite carrier
+    n = lattice.size
+    return (lattice._greatest((1 << n) - 1) is not None
+            and all(lattice._greatest(lattice.down[a] & lattice.down[b]) is not None
+                    for a in range(n) for b in range(a + 1, n)))
 
 
 def monotone_selfmaps(lattice: FiniteLattice):

@@ -19,7 +19,8 @@ from .errors import (HypothesisFailed, InvalidClosedPart, NotAlexandroff,
 from .implicative import (ImplicativeAlgebra, ImplicativeStructure,
                           combinator_i, combinator_nu, validate_algebra)
 from .morphism import DensityCertificate, MorphismSpec
-from .order import ExplicitLattice, FiniteLattice, PowersetLattice, bits, subset_meets
+from .order import (ExplicitLattice, FiniteLattice, PowersetLattice, bits,
+                    first_failing_pair)
 from .report import Report
 
 
@@ -38,30 +39,25 @@ class InteriorOperator:
 def is_topological(op: InteriorOperator):
     """Binary meet commutation plus a fixed top.
 
-    On a finite lattice every meet is a fold of binary meets or the empty
-    meet, so this always agrees with :func:`is_alexandroff`; only the
-    witness differs.
+    The same test as :func:`is_alexandroff`, so the two always agree; this
+    one scans pairs row by row and reports the first as ``(a, b)``, or the
+    image of the top.
     """
-    L = op.lattice
-    if op.table[L.top] != L.top:
-        return False, f"top: {L.name(op.table[L.top])}"
-    for a in L.elements():
-        for b in L.elements():
-            if op.table[L.meet2(a, b)] != L.meet2(op.table[a], op.table[b]):
-                return False, f"({L.name(a)}, {L.name(b)})"
-    return True, None
+    L, t = op.lattice, op.table
+    if t[L.top] != L.top:
+        return False, f"top: {L.name(t[L.top])}"
+    witness = next((f"({L.name(a)}, {L.name(b)})" for a in L.elements() for b in L.elements()
+                    if t[L.meet2(a, b)] != L.meet2(t[a], t[b])), None)
+    return witness is None, witness
 
 
 def is_alexandroff(op: InteriorOperator):
-    """Meet commutation over every subset, the empty one included."""
-    L = op.lattice
-    elems = list(L.elements())
-    meets = subset_meets(L, elems)
-    image_meets = subset_meets(L, [op.table[a] for a in elems])
-    for m in range(len(meets)):
-        if op.table[meets[m]] != image_meets[m]:
-            return False, L.name_set(elems[i] for i in bits(m))
-    return True, None
+    """Meet commutation over every family: the empty one, then pairs
+    (see :func:`~krl.order.first_failing_pair`)."""
+    L, t = op.lattice, op.table
+    family = () if t[L.top] != L.top else first_failing_pair(
+        list(L.elements()), lambda a, b: t[L.meet2(a, b)] == L.meet2(t[a], t[b]))
+    return family is None, None if family is None else L.name_set(family)
 
 
 def validate_interior(op: InteriorOperator) -> Report:
@@ -128,15 +124,16 @@ class ClosedPart:
         rep = Report("closed-part")
         members = sorted(self.members)
 
-        def subsets():
-            return ([members[i] for i in bits(m)] for m in range(1 << len(members)))
+        def failing(unit, op2):
+            # the first family whose join (meet) leaves the part
+            family = () if unit not in self.members else first_failing_pair(
+                members, lambda a, b: op2(a, b) in self.members)
+            return None if family is None else L.name_set(family)
 
-        witness = next((L.name_set(sub) for sub in subsets()
-                        if L.join(sub) not in self.members), None)
+        witness = failing(L.bottom, L.join2)
         rep.check("closed.join-closed", witness is None, witness)
         if self.flavor == "P_c_infty":
-            witness = next((L.name_set(sub) for sub in subsets()
-                            if L.meet(sub) not in self.members), None)
+            witness = failing(L.top, L.meet2)
             rep.check("closed.meet-closed", witness is None, witness)
         return rep
 

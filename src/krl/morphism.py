@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
 from .errors import ComposabilityError, KrlError, SearchBudgetExceeded, VerificationFailed
-from .order import bits, subset_meets
+from .order import bits, first_failing_pair
 from .report import Report
 
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -100,11 +100,10 @@ def check_applicative_ia(f: MorphismSpec) -> Report:
                     if f(s) not in B.separator), None)
     rep.check("morphism.separator-preservation", witness is None, witness)
 
-    elems = list(la.elements())
-    src_meets = subset_meets(la, elems)
-    img_meets = subset_meets(lb, [f(x) for x in elems])
-    witness = next((la.name_set(elems[i] for i in bits(m)) for m in range(len(src_meets))
-                    if f(src_meets[m]) != img_meets[m]), None)
+    # the empty family, then pairs (see order.first_failing_pair)
+    family = () if f(la.top) != lb.top else first_failing_pair(
+        list(la.elements()), lambda x, y: f(la.meet2(x, y)) == lb.meet2(f(x), f(y)))
+    witness = None if family is None else la.name_set(family)
     rep.check("morphism.meet-preservation", witness is None, witness)
 
     realizer = None

@@ -136,10 +136,10 @@ class ExplicitLattice(FiniteLattice):
             return self._top
         acc = subset[0]
         for c in subset[1:]:
-            acc = self._binary_meet(acc, c)
+            acc = self.meet2(acc, c)
         return acc
 
-    def _binary_meet(self, a: int, b: int) -> int:
+    def meet2(self, a: int, b: int) -> int:
         key = (a, b) if a <= b else (b, a)
         got = self._meet2.get(key)
         if got is None:
@@ -162,10 +162,10 @@ class ExplicitLattice(FiniteLattice):
             return self._bottom
         acc = subset[0]
         for c in subset[1:]:
-            acc = self._binary_join(acc, c)
+            acc = self.join2(acc, c)
         return acc
 
-    def _binary_join(self, a: int, b: int) -> int:
+    def join2(self, a: int, b: int) -> int:
         key = (a, b) if a <= b else (b, a)
         got = self._join2.get(key)
         if got is None:
@@ -260,20 +260,18 @@ class PowersetLattice(FiniteLattice):
         return hash(self.base_names)
 
 
-def subset_meets(lattice: FiniteLattice, values) -> list[int]:
-    """meets[m] = meet of {values[i] : bit i of m}, for every bitmask m.
+def first_failing_pair(items, holds):
+    """The first pair ``(x, y)`` of ``items`` with ``holds(x, y)`` false, or None.
 
-    Dynamic programming over the subset lattice; the empty mask gives the
-    top element.
+    Pairs come in the order an ascending scan over subset bitmasks meets
+    them.  On a finite lattice, preserving the empty meet and every binary
+    one is preserving all meets.  When the meet of two items never comes
+    later in ``items`` than they do, the first failing pair is the scan's
+    first failing family: folding a family's two lowest members into their
+    meet gives an earlier family with the same meet.
     """
-    n = len(values)
-    meets = [0] * (1 << n)
-    meets[0] = lattice.top
-    for m in range(1, 1 << n):
-        low = m & -m
-        i = low.bit_length() - 1
-        meets[m] = values[i] if m == low else lattice.meet2(meets[m ^ low], values[i])
-    return meets
+    return next(((x, y) for j, y in enumerate(items) for x in items[:j]
+                 if not holds(x, y)), None)
 
 
 def upward_closure(lattice: FiniteLattice, subset) -> frozenset:
@@ -300,17 +298,17 @@ def validate_lattice(lattice: FiniteLattice) -> Report:
         return rep
 
     nm = lattice.name
-    witness = next((nm(a) for a in lattice.elements() if not lattice.leq(a, a)), None)
+    up, elems = lattice.up, lattice.elements()
+    witness = next((nm(a) for a in elems if not up[a] >> a & 1), None)
     rep.check("order.reflexive", witness is None, witness)
 
-    elems = lattice.elements()
-    witness = next((f"({nm(a)}, {nm(b)})" for a in elems for b in elems
-                    if a != b and lattice.leq(a, b) and lattice.leq(b, a)), None)
+    witness = next((f"({nm(a)}, {nm(next(bits(both)))})" for a in elems
+                    if (both := up[a] & lattice.down[a] & ~(1 << a))), None)
     rep.check("order.antisymmetric", witness is None, witness)
 
-    witness = next((f"({nm(a)}, {nm(b)}, {nm(c)})"
-                    for a in elems for b in elems if lattice.leq(a, b)
-                    for c in elems if lattice.leq(b, c) and not lattice.leq(a, c)), None)
+    witness = next((f"({nm(a)}, {nm(b)}, {nm(next(bits(skipped)))})"
+                    for a in elems for b in bits(up[a])
+                    if (skipped := up[b] & ~up[a])), None)
     rep.check("order.transitive", witness is None, witness)
 
     # completeness: all binary meets plus a greatest element suffice on a

@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from krl import implicative, interior
+from krl import aks, bridge, implicative, interior
 from krl.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +33,30 @@ def test_validate_broken_lattice_fails(capsys):
     code, out, _ = run(capsys, "validate", DATA / "bad-antisym.krl")
     assert code == 1
     assert "FAIL order.antisymmetric witness=(e0, e1)" in out
+
+
+def test_validate_nontransitive_ia_order_reports_the_order(capsys):
+    # a five-chain missing e1 <= e3: every meet exists, transitivity fails
+    code, out, _ = run(capsys, "validate", DATA / "bad-nontransitive.krl")
+    assert code == 1
+    assert out == ("report nontransitive:implicative-algebra: FAIL\n"
+                   "FAIL order.transitive witness=(e1, e2, e3)\n")
+
+
+def test_combinators_on_a_nontransitive_order_fail(capsys):
+    code, out, _ = run(capsys, "combinators", DATA / "bad-nontransitive.krl")
+    assert code == 1
+    assert "FAIL order.transitive witness=(e1, e2, e3)" in out
+    assert "i = " not in out
+
+
+def test_ia_order_without_top_fails_cleanly(capsys):
+    code, out, err = run(capsys, "validate", DATA / "bad-no-top.krl")
+    assert (code, err) == (1, "")
+    assert "FAIL order.complete witness={} (no top element)" in out
+    code, out, err = run(capsys, "combinators", DATA / "bad-no-top.krl")
+    assert (code, err) == (1, "")
+    assert "FAIL order.complete" in out
 
 
 def test_validate_incomplete_table_is_usage_error(capsys):
@@ -177,6 +201,15 @@ def test_interior_change_builds_the_changed_algebra_once(capsys, count_calls):
     assert code == 0 and "report changed-algebra: PASS" in out
     assert counts == {"change_implication": 1, "validate_algebra": 1,
                       "combinator_nu": 1, "is_alexandroff": 2}
+
+
+def test_adjunction_builds_the_functor_images_it_reads(capsys, count_calls):
+    counts = count_calls(bridge.functor_A_obj, aks.validate_aks,
+                         bridge.functor_K_obj, implicative.validate_algebra)
+    code, out, _ = run(capsys, "adjunction", FIX / "aks3.krl")
+    assert code == 0 and "PASS adjunction.triangle-A" in out
+    assert counts == {"functor_A_obj": 3, "validate_aks": 3,
+                      "functor_K_obj": 2, "validate_algebra": 2}
 
 
 def _write(tmp_path, name, text):

@@ -1,10 +1,24 @@
-"""Lattice backends, order utilities, and their validation."""
+"""Lattice backends, order utilities, and their validation.
+
+The meet checks elsewhere let the empty family and pairs decide (see
+``first_failing_pair``); the subset scans they replaced live on here as
+their oracles.
+"""
+
+from functools import cache
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from krl.enumerators import enumerate_interiors, enumerate_lattices
 from krl.errors import LatticeError
-from krl.order import (ExplicitLattice, PowersetLattice, bits,
-                       subset_meets, upward_closure, validate_lattice)
+from krl.implicative import ImplicativeStructure, validate_structure
+from krl.interior import ClosedPart, is_alexandroff
+from krl.morphism import MorphismSpec, check_applicative_ia
+from krl.order import (ExplicitLattice, PowersetLattice, bits, first_failing_pair,
+                       upward_closure, validate_lattice)
 
 L2 = ExplicitLattice.chain(2)
 L3 = ExplicitLattice.chain(3)
@@ -19,6 +33,34 @@ def oracle_glb(lattice, subset):
         if all(lattice.leq(d, m) for d in lower):
             return m
     return None
+
+
+def subset_folds(unit, op2, values):
+    """folds[m] = op2-fold of {values[i] : bit i of m}, for every bitmask m.
+
+    Dynamic programming over the subset lattice; the empty mask gives
+    ``unit``.
+    """
+    n = len(values)
+    folds = [unit] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        i = low.bit_length() - 1
+        folds[m] = values[i] if m == low else op2(folds[m ^ low], values[i])
+    return folds
+
+
+def subset_meets(lattice, values):
+    return subset_folds(lattice.top, lattice.meet2, values)
+
+
+def failing_families(src, tgt, f, items):
+    """Every family of ``items`` whose meet ``f`` does not carry to the meet
+    of the images, in ascending bitmask order (the empty family first)."""
+    src_meets = subset_meets(src, items)
+    img_meets = subset_meets(tgt, [f(x) for x in items])
+    return ([items[i] for i in bits(m)] for m in range(1 << len(items))
+            if f(src_meets[m]) != img_meets[m])
 
 
 def oracle_lub(lattice, subset):
@@ -154,3 +196,177 @@ def test_element_names():
         P.index_of("{z}")
     with pytest.raises(LatticeError):
         L2.index_of("nope")
+
+
+# ------------------------------------------------ pair rule against the scan
+
+
+def lattices_up_to(n):
+    return [L for size in range(1, n + 1) for L in enumerate_lattices(size)]
+
+
+def subsets(items):
+    return ([items[i] for i in bits(m)] for m in range(1 << len(items)))
+
+
+def test_first_failing_pair_goes_in_ascending_bitmask_order():
+    seen = []
+    first_failing_pair("abcd", lambda x, y: seen.append(x + y) or True)
+    assert seen == ["ab", "ac", "bc", "ad", "bd", "cd"]
+    assert first_failing_pair("abcd", lambda x, y: "d" not in x + y) == ("a", "d")
+    assert first_failing_pair("a", lambda x, y: False) is None
+
+
+def test_is_alexandroff_matches_the_subset_scan_on_lattices_up_to_five():
+    checked = 0
+    for L in lattices_up_to(5):
+        elems = list(L.elements())
+        for op in enumerate_interiors(L):
+            family = next(failing_families(L, L, op, elems), None)
+            alex, witness = is_alexandroff(op)
+            assert alex == (family is None)
+            assert witness == (None if family is None else L.name_set(family))
+            checked += 1
+    assert checked == 117
+
+
+def test_is_alexandroff_decides_like_the_scan_on_powersets():
+    # reverse inclusion numbers meets (unions) late, so only pass/fail and
+    # a genuinely failing family are promised
+    for base in ("ab", "abc"):
+        L = PowersetLattice(base)
+        elems = list(L.elements())
+        for op in enumerate_interiors(L):
+            failing = [L.name_set(family) for family in failing_families(L, L, op, elems)]
+            alex, witness = is_alexandroff(op)
+            assert alex == (not failing)
+            assert witness is None or witness in failing
+
+
+def test_meet_preservation_matches_the_subset_scan_on_maps_up_to_three():
+    # empty separators keep the other clauses out of the way
+    algebras = [SimpleNamespace(lattice=L, separator=frozenset()) for L in lattices_up_to(3)]
+    checked = 0
+    for A, B in product(algebras, repeat=2):
+        la, lb = A.lattice, B.lattice
+        elems = list(la.elements())
+        for carrier in product(lb.elements(), repeat=la.size):
+            f = MorphismSpec("ia", A, B, carrier)
+            family = next(failing_families(la, lb, f, elems), None)
+            clause = next(c for c in check_applicative_ia(f).checks
+                          if c.clause == "morphism.meet-preservation")
+            assert clause.passed == (family is None)
+            assert clause.witness == (None if family is None else la.name_set(family))
+            checked += 1
+    assert checked == 56
+
+
+def test_closed_part_matches_the_subset_scan_on_lattices_up_to_five():
+    for L in lattices_up_to(5):
+        elems = list(L.elements())
+        for m in range(1 << L.size):
+            members = [elems[i] for i in bits(m)]
+            rep = ClosedPart(L, frozenset(members), "P_c_infty").validate()
+            joins = subset_folds(L.bottom, L.join2, members)
+            meets = subset_meets(L, members)
+            join_families = [L.name_set(fam) for fam, j in zip(subsets(members), joins)
+                             if j not in members]
+            meet_family = next((fam for fam, j in zip(subsets(members), meets)
+                                if j not in members), None)
+            join_clause, meet_clause = rep.checks
+            # joins are numbered no earlier than their arguments, so the
+            # reported family may differ from the scan's; it still fails
+            assert join_clause.passed == (not join_families)
+            assert join_clause.witness is None or join_clause.witness in join_families
+            assert meet_clause.passed == (meet_family is None)
+            assert meet_clause.witness == (
+                None if meet_family is None else L.name_set(meet_family))
+
+
+@cache
+def failing_row_families(L, row):
+    """The names of the families whose meet the row b -> row[b] does not
+    preserve, in ascending bitmask order."""
+    elems = list(L.elements())
+    return [L.name_set(family) for family in failing_families(L, L, row.__getitem__, elems)]
+
+
+def oracle_meet_commutation(structure):
+    """(first failing nonempty family, first failing empty family) as the
+    witnesses of ``imp.meet-commutation``."""
+    L = structure.lattice
+    witness = empty = None
+    for a in L.elements():
+        families = failing_row_families(L, tuple(structure.imp(a, b) for b in L.elements()))
+        for family in families:
+            w = f"a={L.name(a)}, B={family}"
+            if family == "{}":
+                empty = empty or w
+            elif witness is None:
+                witness = w
+                break
+    return witness, empty
+
+
+def assert_meet_commutation_matches(structure):
+    rep = validate_structure(structure)
+    clause = next(c for c in rep.checks if c.clause == "imp.meet-commutation")
+    witness, empty = oracle_meet_commutation(structure)
+    assert clause.passed == (witness is None and empty is None)
+    assert clause.witness == (witness or empty)
+    assert rep.flags["quasi-implicative"] == (witness is None and empty is not None)
+
+
+def test_meet_commutation_matches_the_subset_scan_on_every_table_up_to_three():
+    checked = 0
+    for L in lattices_up_to(3):
+        n = L.size
+        for flat in product(range(n), repeat=n * n):
+            assert_meet_commutation_matches(
+                ImplicativeStructure(L, [flat[a * n:(a + 1) * n] for a in range(n)]))
+            checked += 1
+    assert checked == 1 + 16 + 3 ** 9
+
+
+@cache
+def binary_meet_maps(L):
+    """Self-maps preserving binary meets, so that rows passing (or failing
+    only at the empty family) are drawn often."""
+    return [t for t in product(L.elements(), repeat=L.size)
+            if all(t[L.meet2(a, b)] == L.meet2(t[a], t[b])
+                   for a in L.elements() for b in L.elements())]
+
+
+@st.composite
+def structures_on_four(draw):
+    L = draw(st.sampled_from(list(enumerate_lattices(4))))
+    row = st.one_of(st.sampled_from(binary_meet_maps(L)),
+                    st.tuples(*[st.sampled_from(L.elements())] * L.size))
+    return ImplicativeStructure(L, [draw(row) for _ in L.elements()])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(structures_on_four())
+def test_meet_commutation_matches_the_subset_scan_on_four_elements(structure):
+    assert_meet_commutation_matches(structure)
+
+
+def old_order_witnesses(lattice):
+    """The reflexive, antisymmetric and transitive witnesses of the triple
+    loops the mask scans replaced."""
+    nm, elems, leq = lattice.name, lattice.elements(), lattice.leq
+    return (
+        next((nm(a) for a in elems if not leq(a, a)), None),
+        next((f"({nm(a)}, {nm(b)})" for a in elems for b in elems
+              if a != b and leq(a, b) and leq(b, a)), None),
+        next((f"({nm(a)}, {nm(b)}, {nm(c)})" for a in elems for b in elems if leq(a, b)
+              for c in elems if leq(b, c) and not leq(a, c)), None),
+    )
+
+
+def test_order_clauses_match_the_triple_loops_on_every_relation_on_three():
+    names = ("x", "y", "z")
+    for up in product(range(8), repeat=3):
+        lattice = ExplicitLattice(names, up)
+        got = tuple(c.witness for c in validate_lattice(lattice).checks[:3])
+        assert got == old_order_witnesses(lattice)
