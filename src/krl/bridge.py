@@ -143,7 +143,7 @@ def functor_K_mor(f: MorphismSpec, *, validate=True) -> MorphismSpec:
 
 
 def transport_density_A(f: MorphismSpec, cert: DensityCertificate,
-                        image: MorphismSpec | None = None) -> DensityCertificate:
+                        image: MorphismSpec) -> DensityCertificate:
     """Carry a density certificate through the powerset functor.
 
     The section table is reused verbatim and the density witness becomes
@@ -153,14 +153,12 @@ def transport_density_A(f: MorphismSpec, cert: DensityCertificate,
     from .morphism import _applicative_realizer
 
     tgt: AbstractKrivineStructure = f.target
-    if image is None:
-        image = functor_A_mor(f, validate=False)
     return DensityCertificate.make(
         tgt.perp_rows[cert.t], cert.h_map, _applicative_realizer(image))
 
 
 def transport_density_K(f: MorphismSpec, cert: DensityCertificate,
-                        image: MorphismSpec | None = None) -> DensityCertificate:
+                        image: MorphismSpec) -> DensityCertificate:
     """Carry a density certificate through the Krivine functor.
 
     Separator subsets map through the section pointwise, the density
@@ -169,8 +167,6 @@ def transport_density_K(f: MorphismSpec, cert: DensityCertificate,
     """
     from .morphism import check_applicative_aks
 
-    if image is None:
-        image = functor_K_mor(f, validate=False)
     h = cert.h_map
     table = {m: sum(1 << h[p] for p in bits(m)) for m in image.target.separator_masks}
     return DensityCertificate.make(

@@ -10,6 +10,7 @@ neither a pass nor a definitive failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -24,12 +25,13 @@ from .implicative import (ImplicativeAlgebra, combinator_cc, combinator_i,
                           combinator_k, combinator_nu, combinator_s,
                           validate_algebra)
 from .interior import InteriorOperator, al_approx, validate_interior
-from .morphism import MorphismSpec, check_applicative, check_comp_dense
+from .morphism import MorphismSpec, check_applicative
 from .order import ExplicitLattice, validate_lattice
 from .report import Report
 from .specfile import Workspace, document_for, emit_spec
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="krl",
@@ -131,8 +133,9 @@ def run_cli(argv) -> int:
         return 1
     except InvalidSource as exc:
         if exc.report is not None:
-            print(exc.report.render())
-        print(f"FAIL {exc}")
+            _print_reports([exc.report], args.as_json)
+        if not args.as_json:
+            print(f"FAIL {exc}")
         return 1
     except (KrlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -151,7 +154,11 @@ def _as_algebra(name, obj) -> ImplicativeAlgebra:
         obj = functor_A_obj(obj, validate=False)
     if not isinstance(obj, (ImplicativeAlgebra, FunctorImageIA)):
         raise SpecFileError(f"'{name}' does not describe an algebra")
-    return algebra_of(obj)
+    algebra = algebra_of(obj)
+    rep = validate_lattice(algebra.lattice)
+    if not rep.ok:
+        raise InvalidSource(f"'{name}' is not ordered as a complete lattice", rep)
+    return algebra
 
 
 def _dispatch(args) -> int:
@@ -169,9 +176,6 @@ def _dispatch(args) -> int:
         algebra = _as_algebra(name, obj)
         st = algebra.structure
         L = algebra.lattice
-        rep = validate_lattice(L)
-        if not rep.ok:
-            raise InvalidSource(f"'{name}' is not ordered as a complete lattice", rep)
         values = {
             "i": combinator_i(st), "k": combinator_k(st),
             "s": combinator_s(st), "cc": combinator_cc(st),
@@ -235,11 +239,16 @@ def _dispatch(args) -> int:
         if len(specs) != 1:
             raise SpecFileError("expected exactly one morphism document")
         name, spec = specs[0]
-        reports = [check_applicative(spec)]
+        app_rep = check_applicative(spec)
+        reports = [app_rep]
         if args.dense:
             hint = ws.morphism_hints.get(name)
             if hint is None:
-                cert = check_comp_dense(spec)
+                # a bad budget is a usage error even for a map that is not
+                # applicative; the search reuses the realizer found above
+                budget = morphism.search_budget()
+                cert = (morphism.search_certificate(spec, app_rep.data["realizer"], budget)
+                        if app_rep.ok else None)
                 cert_rep = None if cert is None else morphism.verify_certificate(spec, cert)
             else:
                 # a hinted certificate is verified search-free, once

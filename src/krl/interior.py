@@ -20,7 +20,7 @@ from .implicative import (ImplicativeAlgebra, ImplicativeStructure,
                           combinator_i, combinator_nu, validate_algebra)
 from .morphism import DensityCertificate, MorphismSpec
 from .order import (ExplicitLattice, FiniteLattice, PowersetLattice, bits,
-                    first_failing_pair)
+                    first_failing_pair, validate_lattice)
 from .report import Report
 
 
@@ -62,10 +62,14 @@ def is_alexandroff(op: InteriorOperator):
 
 def validate_interior(op: InteriorOperator) -> Report:
     """The three operator axioms plus the computed class flags; the class
-    is "alexandroff" or "plain"."""
+    is "alexandroff" or "plain".  A base order that is not a complete
+    lattice gets only its failed ``order.*`` clauses."""
     L = op.lattice
     nm = L.name
     rep = Report("interior")
+    rep.checks.extend(validate_lattice(L).failures())
+    if not rep.ok:
+        return rep
     witness = next((nm(a) for a in L.elements() if not L.leq(op.table[a], a)), None)
     rep.check("interior.deflationary", witness is None, witness)
     witness = next((nm(a) for a in L.elements()

@@ -13,7 +13,9 @@ is reported as its own outcome.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
@@ -101,8 +103,9 @@ def check_applicative_ia(f: MorphismSpec) -> Report:
     rep.check("morphism.separator-preservation", witness is None, witness)
 
     # the empty family, then pairs (see order.first_failing_pair)
-    family = () if f(la.top) != lb.top else first_failing_pair(
-        list(la.elements()), lambda x, y: f(la.meet2(x, y)) == lb.meet2(f(x), f(y)))
+    c, meet_a, meet_b = f.carrier, la.meet2, lb.meet2
+    family = () if c[la.top] != lb.top else first_failing_pair(
+        list(la.elements()), lambda x, y: c[meet_a(x, y)] == meet_b(c[x], c[y]))
     witness = None if family is None else la.name_set(family)
     rep.check("morphism.meet-preservation", witness is None, witness)
 
@@ -119,7 +122,8 @@ def _applicative_realizer(f: MorphismSpec) -> int | None:
     """Least r in the target separator with r f(s) f(a) <= f(sa)."""
     A, B = f.source, f.target
     lb = B.lattice
-    pairs = [(f(s), f(a), f(A.application(s, a)))
+    c = f.carrier
+    pairs = [(c[s], c[a], c[A.application(s, a)])
              for s in sorted(A.separator) for a in A.lattice.elements()]
     for r in sorted(B.separator):
         if all(lb.leq(B.apply_chain(r, fs, fa), fsa) for fs, fa, fsa in pairs):
@@ -158,6 +162,198 @@ def check_condition2_equiv(f: MorphismSpec) -> Report:
     rep.data["realizer_implication"] = r_imp
     rep.data["realizer_application"] = r_app
     return rep
+
+
+def verify_certificate_ia(f: MorphismSpec, cert: DensityCertificate) -> Report:
+    A, B = f.source, f.target
+    la, lb = A.lattice, B.lattice
+    rep = Report(f"certificate({f.name})")
+    h = cert.h_map
+
+    ok = cert.t in B.separator
+    rep.check("cert.t-in-separator", ok, None if ok else lb.name(cert.t))
+    ok = cert.r is not None and cert.r in B.separator
+    rep.check("cert.r-in-separator", ok,
+              None if ok else "missing" if cert.r is None else lb.name(cert.r))
+    if cert.r is not None:
+        witness = next((f"(s={la.name(s)}, a={la.name(a)})"
+                        for s in sorted(A.separator) for a in la.elements()
+                        if not lb.leq(B.apply_chain(cert.r, f(s), f(a)),
+                                      f(A.application(s, a)))), None)
+        rep.check("cert.r-uniform", witness is None, witness)
+
+    missing = sorted(b for b in B.separator if b not in h)
+    rep.check("cert.h-total", not missing,
+              lb.name_set(missing) if missing else None)
+    stray = sorted(b for b in h if h[b] not in A.separator)
+    rep.check("cert.h-into-source-separator", not stray,
+              lb.name_set(stray) if stray else None)
+    witness = next((f"({lb.name(b1)} <= {lb.name(b2)})" for b1 in h for b2 in h
+                    if lb.leq(b1, b2) and not la.leq(h[b1], h[b2])), None)
+    rep.check("cert.h-monotone", witness is None, witness)
+    if not missing:
+        d = _density(f)
+        witness = next((lb.name(b) for b in d.sep_b if not d.dense(cert.t, h[b], b)), None)
+        rep.check("cert.density", witness is None, witness)
+    return rep
+
+
+# --------------------------------------------------------------- AKS side
+
+
+def _uniform_family(f: MorphismSpec):
+    """Yield (P', P, realizers) for every pair of source subsets whose
+    implication P' -> P lies in the source separator, in scan order;
+    ``realizers`` are the target terms orthogonal to
+    f(P' -> P) -> f(P') -> f(P)."""
+    A: AbstractKrivineStructure = f.source
+    B: AbstractKrivineStructure = f.target
+    sep_a = set(A.separator_masks)
+    for p2 in range(1 << A.pi_size):
+        fp2 = f.image_mask(p2)
+        for p in range(1 << A.pi_size):
+            src_imp = aksmod.imp_sets(A, p2, p)
+            if src_imp not in sep_a:
+                continue
+            tgt = aksmod.imp_sets(
+                B, f.image_mask(src_imp), aksmod.imp_sets(B, fp2, f.image_mask(p)))
+            yield p2, p, aksmod.perp_left(B, tgt)
+
+
+def check_applicative_aks(f: MorphismSpec) -> Report:
+    """The two applicative clauses for carrier maps, scanned over every
+    subset (pair of subsets) of the source carrier.  The clause-b witness
+    is stored under ``data['realizer']``."""
+    A: AbstractKrivineStructure = f.source
+    B: AbstractKrivineStructure = f.target
+    rep = Report(f"applicative({f.name})")
+
+    sep_b = set(B.separator_masks)
+    witness = next((A.name_mask(p) for p in A.separator_masks
+                    if f.image_mask(p) not in sep_b), None)
+    rep.check("morphism.quasi-proof-preservation", witness is None, witness)
+
+    acc = B.qp
+    indexed = False
+    for _, _, realizers in _uniform_family(f):
+        indexed = True
+        acc &= realizers
+        if not acc:
+            break
+    rep.check("morphism.uniform-realizer", bool(acc),
+              None if acc else "empty intersection")
+    if not indexed:
+        # no implication lands in the separator: the intersection is the
+        # whole target carrier and the clause reduces to QP' nonempty
+        rep.flag("empty-index-family", True)
+    rep.data["realizer"] = min(bits(acc)) if acc else None
+    return rep
+
+
+def verify_certificate_aks(f: MorphismSpec, cert: DensityCertificate) -> Report:
+    A, B = f.source, f.target
+    rep = Report(f"certificate({f.name})")
+    h = cert.h_map
+    sep_a = set(A.separator_masks)
+
+    ok = bool(B.qp >> cert.t & 1)
+    rep.check("cert.t-is-quasi-proof", ok, None if ok else B.name(cert.t))
+    ok = cert.r is not None and bool(B.qp >> cert.r & 1)
+    rep.check("cert.r-is-quasi-proof", ok,
+              None if ok else "missing" if cert.r is None else B.name(cert.r))
+    if cert.r is not None:
+        witness = next((f"(P'={A.name_mask(p2)}, P={A.name_mask(p)})"
+                        for p2, p, realizers in _uniform_family(f)
+                        if not realizers >> cert.r & 1), None)
+        rep.check("cert.r-uniform", witness is None, witness)
+
+    missing = [b for b in B.separator_masks if b not in h]
+    rep.check("cert.h-total", not missing,
+              B.name_mask(missing[0]) if missing else None)
+    stray = sorted(b for b in h if h[b] not in sep_a)
+    rep.check("cert.h-into-source-separator", not stray,
+              B.name_mask(stray[0]) if stray else None)
+    witness = next((f"({B.name_mask(b1)} <= {B.name_mask(b2)})" for b1 in h for b2 in h
+                    if _contains(b1, b2) and not _contains(h[b1], h[b2])), None)
+    rep.check("cert.h-monotone", witness is None, witness)
+    if not missing:
+        d = _density(f)
+        witness = next((B.name_mask(b) for b in d.sep_b if not d.dense(cert.t, h[b], b)),
+                       None)
+        rep.check("cert.density", witness is None, witness)
+    return rep
+
+
+# ------------------------------------------------------------- shared api
+
+
+def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
+    """Search-free validation; certificates are self-contained proofs."""
+    if f.kind == "ia":
+        return verify_certificate_ia(f, cert)
+    return verify_certificate_aks(f, cert)
+
+
+def check_applicative(f: MorphismSpec) -> Report:
+    return check_applicative_ia(f) if f.kind == "ia" else check_applicative_aks(f)
+
+
+def check_comp_dense(f: MorphismSpec, hint: DensityCertificate | None = None,
+                     budget: int | None = None) -> DensityCertificate | None:
+    """A density certificate, or None when f is not applicative or has
+    none.  A hint is verified search-free instead (``bench/tracing.py``
+    passes the slot positionally)."""
+    if hint is not None:
+        return hint if verify_certificate(f, hint).ok else None
+    budget = budget if budget is not None else search_budget()
+    rep = check_applicative(f)
+    return search_certificate(f, rep.data["realizer"], budget) if rep.ok else None
+
+
+def search_certificate(f: MorphismSpec, r: int | None, budget: int | None = None
+                       ) -> DensityCertificate | None:
+    """Try every candidate density realizer against a monotone table
+    search, for an applicative f with realizer r; None is definitive."""
+    budget = budget if budget is not None else search_budget()
+    d = _density(f)
+    sep_b = _sorted_by_height(d.sep_b, d.leq_b)
+    sep_a = _sorted_by_height(d.sep_a, d.leq_a)
+    for t in d.candidates:
+        table = _monotone_table_search(sep_b, sep_a, d.leq_b, d.leq_a,
+                                       partial(d.dense, t), budget)
+        if table is not None:
+            return DensityCertificate.make(t, table, r)
+    return None
+
+
+# the target and source separators (ascending) with their orders, the
+# candidate density realizers in trial order, and the test dense(t, s, b)
+# that t realizes f(s) -> b
+_Density = namedtuple("_Density", "sep_b sep_a leq_b leq_a candidates dense")
+
+
+def _density(f: MorphismSpec) -> _Density:
+    """The kind-specific data of computational density.  For structure
+    maps the separators are sets of elements under the lattice order and
+    t realizes when t f(s) <= b; for carrier maps they are separator
+    masks under reverse inclusion and t realizes when t is orthogonal to
+    f(S) -> B."""
+    A, B = f.source, f.target
+    if f.kind == "ia":
+        lb = B.lattice
+        sep_b = sorted(B.separator)
+        return _Density(sep_b, sorted(A.separator), lb.leq, A.lattice.leq, sep_b,
+                        lambda t, s, b: lb.leq(B.application(t, f(s)), b))
+
+    def dense(t, s, b):
+        return aksmod.perp_left(B, aksmod.imp_sets(B, f.image_mask(s), b)) >> t & 1
+    return _Density(list(B.separator_masks), list(A.separator_masks), _contains,
+                    _contains, list(bits(B.qp)), dense)
+
+
+def _contains(x: int, y: int) -> bool:
+    """Reverse inclusion of masks, the order of separator subsets."""
+    return y & x == y
 
 
 def _monotone_table_search(sep_b, sep_a, leq_b, leq_a, admissible, budget):
@@ -201,205 +397,6 @@ def _sorted_by_height(elems, leq):
     return sorted(elems, key=lambda x: (height(x), x))
 
 
-def check_comp_dense_ia(f: MorphismSpec, hint: DensityCertificate | None = None,
-                        budget: int | None = None) -> DensityCertificate | None:
-    """Find or verify a density certificate.
-
-    With a hint the witnesses are verified search-free; without one,
-    every candidate uniform realizer is tried against a monotone table
-    search.  Returns None only after an exhaustive negative.
-    """
-    if hint is not None:
-        return hint if verify_certificate(f, hint).ok else None
-    A, B = f.source, f.target
-    lb = B.lattice
-    budget = budget if budget is not None else search_budget()
-    r = _applicative_realizer(f)
-    if r is None:
-        return None
-    sep_b = _sorted_by_height(sorted(B.separator), lb.leq)
-    sep_a = _sorted_by_height(sorted(A.separator), A.lattice.leq)
-    for t in sorted(B.separator):
-        def admissible(s, b, t=t):
-            return lb.leq(B.application(t, f(s)), b)
-        table = _monotone_table_search(sep_b, sep_a, lb.leq, A.lattice.leq,
-                                       admissible, budget)
-        if table is not None:
-            return DensityCertificate.make(t, table, r)
-    return None
-
-
-def verify_certificate_ia(f: MorphismSpec, cert: DensityCertificate) -> Report:
-    A, B = f.source, f.target
-    la, lb = A.lattice, B.lattice
-    rep = Report(f"certificate({f.name})")
-    h = cert.h_map
-
-    ok = cert.t in B.separator
-    rep.check("cert.t-in-separator", ok, None if ok else lb.name(cert.t))
-    ok = cert.r is not None and cert.r in B.separator
-    rep.check("cert.r-in-separator", ok,
-              None if ok else "missing" if cert.r is None else lb.name(cert.r))
-    if cert.r is not None:
-        witness = next((f"(s={la.name(s)}, a={la.name(a)})"
-                        for s in sorted(A.separator) for a in la.elements()
-                        if not lb.leq(B.apply_chain(cert.r, f(s), f(a)),
-                                      f(A.application(s, a)))), None)
-        rep.check("cert.r-uniform", witness is None, witness)
-
-    missing = sorted(b for b in B.separator if b not in h)
-    rep.check("cert.h-total", not missing,
-              lb.name_set(missing) if missing else None)
-    stray = sorted(b for b in h if h[b] not in A.separator)
-    rep.check("cert.h-into-source-separator", not stray,
-              lb.name_set(stray) if stray else None)
-    witness = next((f"({lb.name(b1)} <= {lb.name(b2)})" for b1 in h for b2 in h
-                    if lb.leq(b1, b2) and not la.leq(h[b1], h[b2])), None)
-    rep.check("cert.h-monotone", witness is None, witness)
-    if not missing:
-        witness = next((lb.name(b) for b in sorted(B.separator)
-                        if not lb.leq(B.application(cert.t, f(h[b])), b)), None)
-        rep.check("cert.density", witness is None, witness)
-    return rep
-
-
-# --------------------------------------------------------------- AKS side
-
-
-def _uniform_family(f: MorphismSpec):
-    """Yield (P', P, realizers) for every pair of source subsets whose
-    implication P' -> P lies in the source separator, in scan order;
-    ``realizers`` are the target terms orthogonal to
-    f(P' -> P) -> f(P') -> f(P)."""
-    A: AbstractKrivineStructure = f.source
-    B: AbstractKrivineStructure = f.target
-    sep_a = set(A.separator_masks)
-    for p2 in range(1 << A.pi_size):
-        fp2 = f.image_mask(p2)
-        for p in range(1 << A.pi_size):
-            src_imp = aksmod.imp_sets(A, p2, p)
-            if src_imp not in sep_a:
-                continue
-            tgt = aksmod.imp_sets(
-                B, f.image_mask(src_imp), aksmod.imp_sets(B, fp2, f.image_mask(p)))
-            yield p2, p, aksmod.perp_left(B, tgt)
-
-
-def _density_realizers(f: MorphismSpec, s_mask: int, b_mask: int) -> int:
-    """The target terms orthogonal to f(S) -> B, as a mask."""
-    B = f.target
-    return aksmod.perp_left(B, aksmod.imp_sets(B, f.image_mask(s_mask), b_mask))
-
-
-def check_applicative_aks(f: MorphismSpec) -> Report:
-    """The two applicative clauses for carrier maps, scanned over every
-    subset (pair of subsets) of the source carrier.  The clause-b witness
-    is stored under ``data['realizer']``."""
-    A: AbstractKrivineStructure = f.source
-    B: AbstractKrivineStructure = f.target
-    rep = Report(f"applicative({f.name})")
-
-    sep_b = set(B.separator_masks)
-    witness = next((A.name_mask(p) for p in A.separator_masks
-                    if f.image_mask(p) not in sep_b), None)
-    rep.check("morphism.quasi-proof-preservation", witness is None, witness)
-
-    acc = B.qp
-    indexed = False
-    for _, _, realizers in _uniform_family(f):
-        indexed = True
-        acc &= realizers
-        if not acc:
-            break
-    rep.check("morphism.uniform-realizer", bool(acc),
-              None if acc else "empty intersection")
-    if not indexed:
-        # no implication lands in the separator: the intersection is the
-        # whole target carrier and the clause reduces to QP' nonempty
-        rep.flag("empty-index-family", True)
-    rep.data["realizer"] = min(bits(acc)) if acc else None
-    return rep
-
-
-def check_comp_dense_aks(f: MorphismSpec, hint: DensityCertificate | None = None,
-                         budget: int | None = None) -> DensityCertificate | None:
-    if hint is not None:
-        return hint if verify_certificate(f, hint).ok else None
-    A, B = f.source, f.target
-    budget = budget if budget is not None else search_budget()
-    app_rep = check_applicative_aks(f)
-    if not app_rep.ok:
-        return None
-    r = app_rep.data["realizer"]
-
-    def leq_b(x, y):
-        return y & x == y
-
-    sep_b_sorted = _sorted_by_height(B.separator_masks, leq_b)
-    sep_a_sorted = _sorted_by_height(A.separator_masks, leq_b)
-    for t in bits(B.qp):
-        def admissible(s_mask, b_mask, t=t):
-            return bool(_density_realizers(f, s_mask, b_mask) >> t & 1)
-        table = _monotone_table_search(sep_b_sorted, sep_a_sorted, leq_b, leq_b,
-                                       admissible, budget)
-        if table is not None:
-            return DensityCertificate.make(t, table, r)
-    return None
-
-
-def verify_certificate_aks(f: MorphismSpec, cert: DensityCertificate) -> Report:
-    A, B = f.source, f.target
-    rep = Report(f"certificate({f.name})")
-    h = cert.h_map
-    sep_a = set(A.separator_masks)
-
-    ok = bool(B.qp >> cert.t & 1)
-    rep.check("cert.t-is-quasi-proof", ok, None if ok else B.name(cert.t))
-    ok = cert.r is not None and bool(B.qp >> cert.r & 1)
-    rep.check("cert.r-is-quasi-proof", ok,
-              None if ok else "missing" if cert.r is None else B.name(cert.r))
-    if cert.r is not None:
-        witness = next((f"(P'={A.name_mask(p2)}, P={A.name_mask(p)})"
-                        for p2, p, realizers in _uniform_family(f)
-                        if not realizers >> cert.r & 1), None)
-        rep.check("cert.r-uniform", witness is None, witness)
-
-    missing = [b for b in B.separator_masks if b not in h]
-    rep.check("cert.h-total", not missing,
-              B.name_mask(missing[0]) if missing else None)
-    stray = sorted(b for b in h if h[b] not in sep_a)
-    rep.check("cert.h-into-source-separator", not stray,
-              B.name_mask(stray[0]) if stray else None)
-    witness = next((f"({B.name_mask(b1)} <= {B.name_mask(b2)})" for b1 in h for b2 in h
-                    if b2 & b1 == b2 and not (h[b2] & h[b1] == h[b2])), None)
-    rep.check("cert.h-monotone", witness is None, witness)
-    if not missing:
-        witness = next((B.name_mask(b) for b in B.separator_masks
-                        if not _density_realizers(f, h[b], b) >> cert.t & 1), None)
-        rep.check("cert.density", witness is None, witness)
-    return rep
-
-
-# ------------------------------------------------------------- shared api
-
-
-def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
-    """Search-free validation; certificates are self-contained proofs."""
-    if f.kind == "ia":
-        return verify_certificate_ia(f, cert)
-    return verify_certificate_aks(f, cert)
-
-
-def check_applicative(f: MorphismSpec) -> Report:
-    return check_applicative_ia(f) if f.kind == "ia" else check_applicative_aks(f)
-
-
-def check_comp_dense(f: MorphismSpec, hint=None, budget=None):
-    if f.kind == "ia":
-        return check_comp_dense_ia(f, hint, budget)
-    return check_comp_dense_aks(f, hint, budget)
-
-
 def compose(f: MorphismSpec, g: MorphismSpec,
             cf: DensityCertificate | None = None,
             cg: DensityCertificate | None = None):
@@ -427,24 +424,12 @@ def compose(f: MorphismSpec, g: MorphismSpec,
 
 
 def _complete_composed_certificate(gf: MorphismSpec, h: dict) -> DensityCertificate | None:
-    if gf.kind == "ia":
-        B = gf.target
-        lb = B.lattice
-        r = _applicative_realizer(gf)
-        if r is None:
-            return None
-        for t in sorted(B.separator):
-            if all(lb.leq(B.application(t, gf(h[b])), b) for b in h):
-                return DensityCertificate.make(t, h, r)
-        return None
-    B = gf.target
-    rep = check_applicative_aks(gf)
+    rep = check_applicative(gf)
     if not rep.ok:
         return None
-    for t in bits(B.qp):
-        if all(_density_realizers(gf, h[b], b) >> t & 1 for b in h):
-            return DensityCertificate.make(t, h, rep.data["realizer"])
-    return None
+    d = _density(gf)
+    t = next((t for t in d.candidates if all(d.dense(t, h[b], b) for b in h)), None)
+    return None if t is None else DensityCertificate.make(t, h, rep.data["realizer"])
 
 
 def two_cell_leq(f: MorphismSpec, g: MorphismSpec) -> bool:

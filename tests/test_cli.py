@@ -3,7 +3,9 @@
 import json
 from pathlib import Path
 
-from krl import aks, bridge, implicative, interior
+import pytest
+
+from krl import aks, bridge, implicative, interior, morphism
 from krl.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -263,3 +265,64 @@ def test_non_integer_search_budget_is_a_usage_error(capsys, monkeypatch, tmp_pat
 def test_negative_enumerate_size_is_a_usage_error(capsys):
     code, out, err = run(capsys, "enumerate", "--kind", "imp", "--size", "-1")
     assert code == 2 and out == "" and "must not be negative" in err
+
+
+def test_apply_checks_the_order(capsys):
+    # e1 and e2 have a meet, but the order has no top
+    code, out, err = run(capsys, "apply", DATA / "bad-no-top.krl", "e1", "e2")
+    assert (code, err) == (1, "")
+    assert "FAIL order.complete witness={} (no top element)" in out
+    assert "e0" not in out.splitlines()
+
+
+@pytest.mark.parametrize("subcommand", ["approx", "change"])
+def test_interior_on_an_order_without_top_fails_cleanly(capsys, tmp_path, subcommand):
+    kop = _write(tmp_path, "id.kop", 'interior on "notop"\n'
+                 "map: e0 -> e0 ; e1 -> e1 ; e2 -> e2\n")
+    code, out, err = run(capsys, "interior", subcommand, DATA / "bad-no-top.krl", kop)
+    assert (code, err) == (1, "")
+    assert out.startswith("report interior: FAIL\n")
+    assert "FAIL order.complete witness={} (no top element)" in out
+    assert "interior.deflationary" not in out
+
+
+def test_json_report_of_an_invalid_source(capsys):
+    code, out, err = run(capsys, "--json", "combinators", DATA / "bad-nontransitive.krl")
+    assert (code, err) == (1, "")
+    (payload,) = json.loads(out)
+    assert payload["ok"] is False
+    assert {"clause": "order.transitive", "passed": False,
+            "witness": "(e1, e2, e3)", "note": None} in payload["checks"]
+
+
+def _unhinted(tmp_path, kmap):
+    lines = (FIX / kmap).read_text().splitlines(keepends=True)
+    return _write(tmp_path, kmap, "".join(l for l in lines if not l.startswith("hint-")))
+
+
+def test_dense_search_runs_the_aks_applicativity_check_once(capsys, tmp_path, count_calls):
+    counts = count_calls(morphism.check_applicative_aks)
+    kmap = _write(tmp_path, "id.kmap", 'morphism aks "id" from "aks3" to "aks3"\n'
+                  "map: a -> a ; b -> b ; c -> c\n")
+    code, out, _ = run(capsys, "morphism", "check", "--dense", kmap, FIX / "aks3.krl")
+    assert code == 0 and "PASS cert.density" in out
+    assert counts == {"check_applicative_aks": 1}
+
+
+def test_dense_search_finds_the_ia_realizer_once(capsys, tmp_path, count_calls):
+    counts = count_calls(morphism._applicative_realizer)
+    kmap = _unhinted(tmp_path, "h3-to-l2.kmap")
+    code, out, _ = run(capsys, "morphism", "check", "--dense", kmap,
+                       FIX / "heyting3.krl", FIX / "l2.krl")
+    assert code == 0 and "PASS cert.density" in out
+    assert counts == {"_applicative_realizer": 1}
+
+
+def test_bad_search_budget_is_read_before_applicativity(capsys, monkeypatch, tmp_path):
+    kmap = _write(tmp_path, "const.kmap",
+                  'morphism ia "const" from "L2-classical" to "L2-classical"\n'
+                  "map: e0 -> e0 ; e1 -> e0\n")
+    monkeypatch.setenv("KRL_SEARCH_BUDGET", "abc")
+    code, out, err = run(capsys, "morphism", "check", "--dense", kmap, FIX / "l2.krl")
+    assert (code, out) == (2, "")
+    assert err == "error: KRL_SEARCH_BUDGET must be an integer, got 'abc'\n"

@@ -9,7 +9,7 @@ from krl.errors import ComposabilityError, SearchBudgetExceeded
 from krl.fixtures import aks2, aks3, diamond, heyting3, l2, singleton_algebra
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
                           check_applicative_ia, check_comp_dense,
-                          check_comp_dense_ia, check_condition2_equiv, compose,
+                          check_condition2_equiv, compose,
                           identity_morphism, two_cell_leq, verify_certificate)
 
 
@@ -52,7 +52,7 @@ def test_identity_is_applicative_with_realizer_top():
 def test_identity_is_dense_everywhere():
     for algebra in (l2(), heyting3(), diamond(), singleton_algebra()):
         f = identity_morphism(algebra, "ia")
-        cert = check_comp_dense_ia(f)
+        cert = check_comp_dense(f)
         assert cert is not None
         assert verify_certificate(f, cert).ok
         assert cert.h_map == {b: b for b in algebra.separator}
@@ -65,7 +65,15 @@ def test_constant_top_map_is_applicative():
     f = MorphismSpec("ia", l2(), l2(), (1, 1), "const-top")
     rep = check_applicative_ia(f)
     assert rep.ok
-    assert check_comp_dense_ia(f) is not None
+    assert check_comp_dense(f) is not None
+
+
+def test_search_refuses_maps_that_are_not_applicative():
+    # the constant bottom map sends the separator outside the separator,
+    # though a uniform realizer and a density certificate would exist
+    f = MorphismSpec("ia", l2(), l2(), (0, 0), "const-bottom")
+    assert not check_applicative(f).ok
+    assert check_comp_dense(f) is None
 
 
 def test_non_preserving_map_reports_clause():
@@ -108,7 +116,7 @@ def test_search_agrees_with_brute_force_on_all_small_maps():
             for f, rep in candidate_maps(src, tgt):
                 if not rep.ok:
                     continue
-                cert = check_comp_dense_ia(f)
+                cert = check_comp_dense(f)
                 brute = brute_force_dense(f)
                 assert (cert is None) == (brute is None)
                 if cert is not None:
@@ -118,7 +126,7 @@ def test_search_agrees_with_brute_force_on_all_small_maps():
 def test_search_budget_is_reported_distinctly():
     f = identity_morphism(diamond(), "ia")
     with pytest.raises(SearchBudgetExceeded):
-        check_comp_dense_ia(f, budget=0)
+        check_comp_dense(f, budget=0)
 
 
 def test_verify_rejects_wrong_certificate():
@@ -140,9 +148,9 @@ def test_verify_rejects_non_monotone_h():
 def test_compose_with_identity_keeps_certificate():
     algebra = heyting3()
     ident = identity_morphism(algebra, "ia")
-    cert = check_comp_dense_ia(ident)
+    cert = check_comp_dense(ident)
     collapse = MorphismSpec("ia", algebra, l2(), (0, 1, 1), "collapse")
-    ccert = check_comp_dense_ia(collapse)
+    ccert = check_comp_dense(collapse)
     assert ccert is not None
     composed, composed_cert = compose(ident, collapse, cert, ccert)
     assert composed.carrier == collapse.carrier
@@ -155,12 +163,12 @@ def test_compose_dense_maps_revalidates():
     h3 = heyting3()
     collapse = MorphismSpec("ia", h3, l2(), (0, 1, 1), "collapse")
     embed = MorphismSpec("ia", l2(), h3, (0, 2), "embed")
-    c1 = check_comp_dense_ia(collapse)
-    c2 = check_comp_dense_ia(embed)
+    c1 = check_comp_dense(collapse)
+    c2 = check_comp_dense(embed)
     assert c1 and c2
     composed, cert = compose(collapse, embed, c1, c2)
     assert cert is not None and verify_certificate(composed, cert).ok
-    fresh = check_comp_dense_ia(composed)
+    fresh = check_comp_dense(composed)
     assert fresh is not None
 
 
