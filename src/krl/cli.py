@@ -279,10 +279,8 @@ def _dispatch(args) -> int:
                                op_name=f"approx({op_name})")
             print(emit_spec(doc), end="")
             return 0
-        base = ws.objects[_base_name(ws, op_name)]
-        if isinstance(base, AbstractKrivineStructure):
-            base = functor_A_obj(base, validate=False)
-        algebra = algebra_of(base)
+        base_name = _base_name(ws, op_name)
+        algebra = _as_algebra(base_name, ws.objects[base_name])
         changed = interior.change_implication(algebra, op)
         reports = [changed.report]
         (inc, inc_cert), (cor, cor_cert) = changed.density_certificates()
@@ -290,7 +288,7 @@ def _dispatch(args) -> int:
         reports.append(morphism.verify_certificate(cor, cor_cert))
         _print_reports(reports, args.as_json)
         if args.output:
-            doc = document_for(changed.algebra, f"changed({_base_name(ws, op_name)})")
+            doc = document_for(changed.algebra, f"changed({base_name})")
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(emit_spec(doc))
             print(f"wrote {args.output}")

@@ -12,7 +12,8 @@ parse after emit is the identity and emit after parse is idempotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 
 from .aks import AbstractKrivineStructure
 from .bridge import FunctorImageIA, aks_of, algebra_of, functor_A_obj
@@ -34,6 +35,18 @@ UNSORTED_SECTIONS = {"elements", "pi"}
 OPTIONAL_SECTIONS = {"hint-h", "hint-t", "hint-r", "order", "perp"}
 SINGLETON_SECTIONS = {"k", "s", "K", "S", "hint-t", "hint-r"}
 LIST_SECTIONS = {"elements", "pi", "separator", "qp"}
+# The entry pattern of each section: "x" is a name, any other word a
+# literal token.
+ENTRY_SHAPES = {key: ("x",) for keys in KIND_SECTIONS.values() for key in keys} | {
+    "order": ("x", "<=", "x"),
+    "imp": ("x", "x", "->", "x"),
+    "push": ("x", "x", "->", "x"),
+    "app": ("x", "x", "->", "x"),
+    "map": ("x", "->", "x"),
+    "hint-h": ("x", "->", "x"),
+    "perp": ("x", "x"),
+}
+_TOKEN = re.compile(r"\{[^}]*\}|[^\s;{}]+|[;{}]")
 
 
 @dataclass(frozen=True)
@@ -45,7 +58,6 @@ class SpecDocument:
     base: str | None = None        # interior: name of the carrier structure
     source_name: str | None = None
     target_name: str | None = None
-    lines: dict = field(default_factory=dict, compare=False, repr=False)
 
     def section(self, key):
         for k, entries in self.sections:
@@ -73,29 +85,13 @@ def _normalize_sections(kind_key: str, raw: dict) -> tuple:
 
 
 def tokenize(payload: str, line_no: int) -> list[str]:
-    tokens = []
-    i, n = 0, len(payload)
-    while i < n:
-        ch = payload[i]
-        if ch.isspace():
-            i += 1
-        elif ch == ";":
-            tokens.append(";")
-            i += 1
-        elif ch == "{":
-            j = payload.find("}", i)
-            if j < 0:
-                raise ParseError("unclosed brace token", line_no, "'}'")
-            tokens.append(payload[i:j + 1])
-            i = j + 1
-        elif ch == "}":
+    tokens = _TOKEN.findall(payload)
+    for tok in tokens:
+        # a brace matches alone only when it has no partner
+        if tok == "{":
+            raise ParseError("unclosed brace token", line_no, "'}'")
+        if tok == "}":
             raise ParseError("unmatched '}'", line_no)
-        else:
-            j = i
-            while j < n and not payload[j].isspace() and payload[j] not in ";{}":
-                j += 1
-            tokens.append(payload[i:j])
-            i = j
     return tokens
 
 
@@ -200,9 +196,8 @@ def parse_spec(text: str) -> SpecDocument:
             shaped[key] = [(tok,) for entry in entries for tok in entry]
         else:
             shaped[key] = [tuple(e) for e in entries]
-        for entry in shaped[key]:
-            _check_entry_shape(key, entry, section_lines.get(key, header_no))
-        if key in SINGLETON_SECTIONS and len(shaped[key]) > 1:
+        _check_entry_shapes(key, shaped[key], section_lines[key])
+        if key in SINGLETON_SECTIONS and len(shaped[key]) != 1:
             raise ParseError(f"section '{key}' takes a single element",
                              section_lines[key])
     for key in KIND_SECTIONS[kind_key]:
@@ -211,30 +206,23 @@ def parse_spec(text: str) -> SpecDocument:
         shaped.setdefault(key, [])
 
     doc = SpecDocument(kind, name, _normalize_sections(kind_key, shaped),
-                       subkind, base, source_name, target_name,
-                       lines=section_lines)
+                       subkind, base, source_name, target_name)
     _validate_document(doc, kind_key)
     return doc
 
 
-def _check_entry_shape(key, entry, line_no):
-    shapes = {
-        "elements": 1, "pi": 1, "separator": 1, "qp": 1,
-        "k": 1, "s": 1, "K": 1, "S": 1, "hint-t": 1, "hint-r": 1,
-        "perp": 2,
-    }
-    if key in shapes:
-        if len(entry) != shapes[key]:
-            raise ParseError(f"bad entry in '{key}': {' '.join(entry)}", line_no)
-    elif key == "order":
-        if len(entry) != 3 or entry[1] != "<=":
-            raise ParseError(f"bad order entry: {' '.join(entry)}", line_no, "a <= b")
-    elif key in ("imp", "push", "app"):
-        if len(entry) != 4 or entry[2] != "->":
-            raise ParseError(f"bad {key} entry: {' '.join(entry)}", line_no, "a b -> c")
-    elif key in ("map", "hint-h"):
-        if len(entry) != 3 or entry[1] != "->":
-            raise ParseError(f"bad {key} entry: {' '.join(entry)}", line_no, "a -> b")
+def _check_entry_shapes(key, entries, line_no):
+    shape = ENTRY_SHAPES[key]
+    literals = [(i, word) for i, word in enumerate(shape) if word != "x"]
+    for entry in entries:
+        if len(entry) == len(shape) and all(entry[i] == word for i, word in literals):
+            continue
+        text = " ".join(entry)
+        if not literals:
+            raise ParseError(f"bad entry in '{key}': {text}", line_no)
+        letters = iter("abc")
+        expected = " ".join(next(letters) if word == "x" else word for word in shape)
+        raise ParseError(f"bad {key} entry: {text}", line_no, expected)
 
 
 def _validate_document(doc: SpecDocument, kind_key: str) -> None:
@@ -261,22 +249,20 @@ def _check_carrier(names, section):
 
 def _check_names(doc, keys, known):
     for key in keys:
-        entries = doc.section(key) or ()
-        for entry in entries:
-            for tok in entry:
-                if tok in ("->", "<="):
-                    continue
-                if tok not in known:
-                    raise UnknownElement(tok, f"section '{key}'")
+        slots = [i for i, word in enumerate(ENTRY_SHAPES[key]) if word == "x"]
+        for entry in doc.section(key) or ():
+            for i in slots:
+                if entry[i] not in known:
+                    raise UnknownElement(entry[i], f"section '{key}'")
 
 
 def _check_table(doc, key, left_names, right_names):
-    seen = {}
+    seen = set()
     for entry in doc.section(key):
         pair = (entry[0], entry[1])
         if pair in seen:
             raise ParseError(f"duplicate {key} entry for {pair[0]} {pair[1]}")
-        seen[pair] = entry[3 if len(entry) == 4 else 2]
+        seen.add(pair)
     missing = [f"{a} {b}" for a in left_names for b in right_names
                if (a, b) not in seen]
     if missing:

@@ -1,20 +1,25 @@
 """The two functors, their composites, and the adjunction data."""
 
+import dataclasses
+import random
+from functools import partial
 from itertools import product
 
 import pytest
 
+from krl import bridge
 from krl.aks import AbstractKrivineStructure, full_polarity_aks, validate_aks
-from krl.bridge import (AdjunctionData, check_adjunction_instance,
+from krl.bridge import (AdjunctionData, FunctorImageAKS, check_adjunction_instance,
                         composite_AK_check, composite_KA_check, functor_A_mor,
                         functor_A_obj, functor_K_mor, functor_K_obj,
                         transport_density_A, transport_density_K)
 from krl.errors import InvalidSource, SizeLimitExceeded
 from krl.fixtures import (aks2, aks3, diamond, heyting3, l2, mined_corpus,
                           singleton_algebra)
-from krl.implicative import validate_algebra
+from krl.implicative import ImplicativeAlgebra, ImplicativeStructure, validate_algebra
 from krl.morphism import (MorphismSpec, check_applicative, check_comp_dense,
                           identity_morphism, verify_certificate)
+from krl.order import ExplicitLattice, bits
 
 
 def test_functor_A_on_tiny_full_polarity():
@@ -81,9 +86,68 @@ def test_functor_K_rejects_invalid_source():
         functor_K_obj(broken)
 
 
-@pytest.mark.parametrize("algebra", [l2(), heyting3(), singleton_algebra(), diamond()])
+def heyting_chain(n):
+    L = ExplicitLattice.chain(n)
+    top = n - 1
+    structure = ImplicativeStructure(L, lambda a, b: top if a <= b else b)
+    return ImplicativeAlgebra(structure, {top}, k=top, s=top)
+
+
+def brute_force_AK_witness(algebra, composite):
+    """The first (C, D) over all 4^n pairs of families where the
+    composite implication differs from its closed form."""
+    L = algebra.lattice
+
+    def closed_imp(c_mask, d_mask):
+        inf_c = L.meet(list(bits(c_mask)))
+        out = 0
+        for c in L.elements():
+            if L.leq(c, inf_c):
+                for d in bits(d_mask):
+                    out |= 1 << algebra.imp(c, d)
+        return out
+
+    return next((f"(C={L.name_set(bits(c_mask))}, D={L.name_set(bits(d_mask))})"
+                 for c_mask in range(1 << L.size) for d_mask in range(1 << L.size)
+                 if composite.imp(c_mask, d_mask) != closed_imp(c_mask, d_mask)), None)
+
+
+@pytest.mark.parametrize("algebra", [l2(), heyting3(), singleton_algebra(), diamond()]
+                         + [heyting_chain(n) for n in range(1, 7)])
 def test_composite_AK_matches_closed_form(algebra):
     assert composite_AK_check(algebra).ok
+    composite = functor_A_obj(functor_K_obj(algebra).aks).algebra
+    assert brute_force_AK_witness(algebra, composite) is None
+
+
+def test_composite_AK_witness_on_corrupted_composites(monkeypatch):
+    # one push entry or one polarity bit of K(A) changed: the check reads
+    # the corrupted composite, and the 4^n scan names the same witness
+    monkeypatch.setattr(bridge, "functor_A_obj",
+                        partial(bridge.functor_A_obj, validate=False))
+    rng = random.Random(0)
+    failed = 0
+    for _ in range(200):
+        algebra = rng.choice([l2(), heyting3(), diamond(), heyting_chain(4)])
+        aks = functor_K_obj(algebra).aks
+        n = aks.pi_size
+        t, pi = rng.randrange(n), rng.randrange(n)
+        if rng.random() < 0.5:
+            push = [list(row) for row in aks.push]
+            push[t][pi] = rng.randrange(n)
+            aks = dataclasses.replace(aks, push=tuple(map(tuple, push)))
+        else:
+            rows = list(aks.perp_rows)
+            rows[t] ^= 1 << pi
+            aks = dataclasses.replace(aks, perp_rows=tuple(rows))
+        monkeypatch.setattr(bridge, "functor_K_obj",
+                            lambda _algebra, aks=aks: FunctorImageAKS(aks))
+        composite = bridge.functor_A_obj(aks).algebra
+        witness = next(c.witness for c in composite_AK_check(algebra).checks
+                       if c.clause == "composite.ak.implication")
+        assert witness == brute_force_AK_witness(algebra, composite)
+        failed += witness is not None
+    assert 0 < failed < 200
 
 
 @pytest.mark.parametrize("aks", [full_polarity_aks(1), full_polarity_aks(2), aks2()])

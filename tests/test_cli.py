@@ -326,3 +326,41 @@ def test_bad_search_budget_is_read_before_applicativity(capsys, monkeypatch, tmp
     code, out, err = run(capsys, "morphism", "check", "--dense", kmap, FIX / "l2.krl")
     assert (code, out) == (2, "")
     assert err == "error: KRL_SEARCH_BUDGET must be an integer, got 'abc'\n"
+
+
+VALIDATE = ["validate", None]
+
+
+@pytest.mark.parametrize("fixture,old,new,argv,error", [
+    ("l2.krl", "order: e0 <= e1", "order: e0 <= <=", VALIDATE,
+     "error: unknown element '<=' in section 'order'\n"),
+    ("aks2.krl", "perp: b a", "perp: b ->", VALIDATE,
+     "error: unknown element '->' in section 'perp'\n"),
+    ("aks2.krl", "a a -> a ;", "a a -> -> ;", VALIDATE,
+     "error: unknown element '->' in section 'push'\n"),
+    ("l2.krl", "e0 e0 -> e1", "e0 e0 -> ->", VALIDATE,
+     "error: unknown element '->' in section 'imp'\n"),
+    ("l2.krl", "k: e1", "k:", VALIDATE,
+     "error: section 'k' takes a single element (line 6)\n"),
+    ("aks2.krl", "K: b", "K:", VALIDATE,
+     "error: section 'K' takes a single element (line 7)\n"),
+    ("id-l2.kmap", "hint-t: e1", "hint-t:",
+     ["morphism", "check", "--dense", None, FIX / "l2.krl"],
+     "error: section 'hint-t' takes a single element (line 4)\n"),
+], ids=["order-slot", "perp-slot", "push-slot", "imp-slot", "empty-k", "empty-K",
+        "empty-hint-t"])
+def test_malformed_entries_are_usage_errors(capsys, tmp_path, fixture, old, new, argv, error):
+    text = (FIX / fixture).read_text()
+    assert old in text
+    path = _write(tmp_path, fixture, text.replace(old, new, 1))
+    code, out, err = run(capsys, *[path if a is None else a for a in argv])
+    assert (code, out, err) == (2, "", error)
+
+
+def test_interior_change_on_a_lattice_base_is_a_usage_error(capsys, tmp_path):
+    base = _write(tmp_path, "chain.krl",
+                  'structure lattice "chain"\nelements: e0 e1\norder: e0 <= e1\n')
+    kop = _write(tmp_path, "id.kop", 'interior on "chain"\nmap: e0 -> e0 ; e1 -> e1\n')
+    code, out, err = run(capsys, "interior", "change", base, kop)
+    assert (code, out) == (2, "")
+    assert err == "error: 'chain' does not describe an algebra\n"

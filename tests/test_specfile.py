@@ -3,6 +3,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krl.bridge import FunctorImageIA, functor_A_obj
 from krl.errors import (IncompleteTable, ParseError, SpecFileError,
@@ -10,7 +12,8 @@ from krl.errors import (IncompleteTable, ParseError, SpecFileError,
 from krl.fixtures import aks3, heyting3, l2
 from krl.interior import InteriorOperator
 from krl.morphism import DensityCertificate, MorphismSpec, identity_morphism
-from krl.specfile import (Workspace, document_for, emit_spec, parse_spec)
+from krl.specfile import (Workspace, document_for, emit_spec, parse_spec,
+                          tokenize)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -65,6 +68,76 @@ def test_parse_errors_carry_line_numbers():
 def test_unclosed_brace_is_an_error():
     with pytest.raises(ParseError):
         parse_spec('interior on "X"\nmap: {a -> {a}\n')
+
+
+def char_loop_tokenize(payload, line_no):
+    """The tokenizer as a character loop: the oracle for the regex."""
+    tokens = []
+    i, n = 0, len(payload)
+    while i < n:
+        ch = payload[i]
+        if ch.isspace():
+            i += 1
+        elif ch == ";":
+            tokens.append(";")
+            i += 1
+        elif ch == "{":
+            j = payload.find("}", i)
+            if j < 0:
+                raise ParseError("unclosed brace token", line_no, "'}'")
+            tokens.append(payload[i:j + 1])
+            i = j + 1
+        elif ch == "}":
+            raise ParseError("unmatched '}'", line_no)
+        else:
+            j = i
+            while j < n and not payload[j].isspace() and payload[j] not in ";{}":
+                j += 1
+            tokens.append(payload[i:j])
+            i = j
+    return tokens
+
+
+def _tokens_or_error(fn, payload):
+    try:
+        return fn(payload, 7)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.sampled_from(["{", "}", ";", " ", "\x1c", "\u00a0", "\u2028",
+                                 "->", "a", "b"]), max_size=12).map("".join))
+def test_tokenize_agrees_with_the_char_loop(payload):
+    assert _tokens_or_error(tokenize, payload) == _tokens_or_error(char_loop_tokenize, payload)
+
+
+SHAPE_HEADERS = {
+    "lattice": 'structure lattice "x"\n', "ia": 'structure ia "x"\n',
+    "aks": 'structure aks "x"\n', "interior": 'interior on "b"\n',
+    "morphism": 'morphism ia "f" from "a" to "b"\n',
+}
+
+
+@pytest.mark.parametrize("kind,line,message", [
+    ("lattice", "order: e0 e1", "bad order entry: e0 e1 (line 2), expected a <= b"),
+    ("ia", "imp: e0 e0 e1", "bad imp entry: e0 e0 e1 (line 2), expected a b -> c"),
+    ("aks", "push: a a <= a", "bad push entry: a a <= a (line 2), expected a b -> c"),
+    ("aks", "app: a a -> a a", "bad app entry: a a -> a a (line 2), expected a b -> c"),
+    ("interior", "map: e0 <= e0", "bad map entry: e0 <= e0 (line 2), expected a -> b"),
+    ("morphism", "hint-h: a b", "bad hint-h entry: a b (line 2), expected a -> b"),
+    ("aks", "perp: a", "bad entry in 'perp': a (line 2)"),
+    ("ia", "k: e0 e1", "bad entry in 'k': e0 e1 (line 2)"),
+    ("ia", "s: e0 ; e1", "section 's' takes a single element (line 2)"),
+    ("aks", "K: a ; b", "section 'K' takes a single element (line 2)"),
+    ("aks", "S: a b", "bad entry in 'S': a b (line 2)"),
+    ("morphism", "hint-t: a ; b", "section 'hint-t' takes a single element (line 2)"),
+    ("morphism", "hint-r: a b", "bad entry in 'hint-r': a b (line 2)"),
+])
+def test_shape_error_messages(kind, line, message):
+    with pytest.raises(ParseError) as exc:
+        parse_spec(SHAPE_HEADERS[kind] + line + "\n")
+    assert str(exc.value) == message
 
 
 def test_bad_headers():
