@@ -149,12 +149,17 @@ def _single_object(ws: Workspace):
     return name, ws.objects[name]
 
 
-def _as_algebra(name, obj) -> ImplicativeAlgebra:
+def _denoted_algebra(name, obj) -> ImplicativeAlgebra:
+    """The algebra a document denotes, its order not yet checked."""
     if isinstance(obj, AbstractKrivineStructure):
         obj = functor_A_obj(obj, validate=False)
     if not isinstance(obj, (ImplicativeAlgebra, FunctorImageIA)):
         raise SpecFileError(f"'{name}' does not describe an algebra")
-    algebra = algebra_of(obj)
+    return algebra_of(obj)
+
+
+def _as_algebra(name, obj) -> ImplicativeAlgebra:
+    algebra = _denoted_algebra(name, obj)
     rep = validate_lattice(algebra.lattice)
     if not rep.ok:
         raise InvalidSource(f"'{name}' is not ordered as a complete lattice", rep)
@@ -279,8 +284,9 @@ def _dispatch(args) -> int:
                                op_name=f"approx({op_name})")
             print(emit_spec(doc), end="")
             return 0
+        # validate_interior has checked the order of the base
         base_name = _base_name(ws, op_name)
-        algebra = _as_algebra(base_name, ws.objects[base_name])
+        algebra = _denoted_algebra(base_name, ws.objects[base_name])
         changed = interior.change_implication(algebra, op)
         reports = [changed.report]
         (inc, inc_cert), (cor, cor_cert) = changed.density_certificates()

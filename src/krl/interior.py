@@ -206,7 +206,8 @@ def _al_approx_general(op: InteriorOperator) -> InteriorOperator:
         if not extra:
             break
         members |= extra
-    return theta_inv(ClosedPart(L, frozenset(members), "P_c_infty"))
+    # closed under binary joins and meets by the loop above
+    return _join_interior(ClosedPart(L, frozenset(members), "P_c_infty"))
 
 
 class ChangedAlgebra:

@@ -95,18 +95,13 @@ def check_applicative_ia(f: MorphismSpec) -> Report:
     search for the uniform applicativity realizer.  The found realizer is
     stored under ``data['realizer']``."""
     A, B = f.source, f.target
-    la, lb = A.lattice, B.lattice
     rep = Report(f"applicative({f.name})")
 
-    witness = next((la.name(s) for s in sorted(A.separator)
+    witness = next((A.lattice.name(s) for s in sorted(A.separator)
                     if f(s) not in B.separator), None)
     rep.check("morphism.separator-preservation", witness is None, witness)
 
-    # the empty family, then pairs (see order.first_failing_pair)
-    c, meet_a, meet_b = f.carrier, la.meet2, lb.meet2
-    family = () if c[la.top] != lb.top else first_failing_pair(
-        list(la.elements()), lambda x, y: c[meet_a(x, y)] == meet_b(c[x], c[y]))
-    witness = None if family is None else la.name_set(family)
+    witness = unpreserved_meet(f)
     rep.check("morphism.meet-preservation", witness is None, witness)
 
     realizer = None
@@ -116,6 +111,17 @@ def check_applicative_ia(f: MorphismSpec) -> Report:
                   None if realizer is not None else "no r in the target separator works")
         rep.data["realizer"] = realizer
     return rep
+
+
+def unpreserved_meet(f: MorphismSpec) -> str | None:
+    """The name of the first family whose meet f does not carry to the meet
+    of its images, or None: the empty family, then pairs (see
+    order.first_failing_pair)."""
+    la, lb = f.source.lattice, f.target.lattice
+    c, meet_a, meet_b = f.carrier, la.meet2, lb.meet2
+    family = () if c[la.top] != lb.top else first_failing_pair(
+        list(la.elements()), lambda x, y: c[meet_a(x, y)] == meet_b(c[x], c[y]))
+    return None if family is None else la.name_set(family)
 
 
 def _applicative_realizer(f: MorphismSpec) -> int | None:

@@ -200,6 +200,8 @@ def parse_spec(text: str) -> SpecDocument:
         if key in SINGLETON_SECTIONS and len(shaped[key]) != 1:
             raise ParseError(f"section '{key}' takes a single element",
                              section_lines[key])
+    if "hint-t" not in shaped and {"hint-h", "hint-r"} & shaped.keys():
+        raise ParseError("missing section 'hint-t' for the given hints", header_no)
     for key in KIND_SECTIONS[kind_key]:
         if key not in shaped and key not in OPTIONAL_SECTIONS:
             raise ParseError(f"missing section '{key}'", header_no)

@@ -271,17 +271,70 @@ def test_adjunction_instance(algebra, aks):
     assert rep.ok, rep.render()
 
 
-def test_adjunction_naturality_for_test_morphisms():
+def test_adjunction_naturality_for_test_morphisms(count_calls):
     h3, two = heyting3(), l2()
     collapse = MorphismSpec("ia", h3, two, (0, 1, 1), "collapse")
     embed = MorphismSpec("ia", two, h3, (0, 2), "embed")
     g = next(MorphismSpec("aks", aks2(), aks3(), t, "g")
              for t in product(range(3), repeat=2)
              if check_applicative(MorphismSpec("aks", aks2(), aks3(), t)).ok)
+    # only the two certificates build A(K(L)) and K(A(X)); the squares do not
+    counts = count_calls(bridge.functor_A_obj, bridge.functor_K_obj,
+                         validate_aks, validate_algebra)
     rep = check_adjunction_instance(
         h3, aks2(),
         ia_test_morphisms=[collapse, embed, identity_morphism(h3, "ia")],
         aks_test_morphisms=[g, identity_morphism(aks3(), "aks")])
+    assert counts == {"functor_A_obj": 2, "functor_K_obj": 2,
+                      "validate_aks": 2, "validate_algebra": 2}
+    assert [(c.clause, c.passed, c.witness) for c in rep.checks] == [
+        (f"adjunction.{clause}", True, None) for clause in (
+            "counit-certificate", "unit-certificate", "triangle-K", "triangle-A",
+            "naturality-counit[collapse]", "naturality-counit[embed]",
+            "naturality-counit[id]", "naturality-unit[g]", "naturality-unit[id]")]
+
+
+def test_naturality_squares_on_identities_past_the_composite_limits():
+    # A(K(chain 9)) and K(A(full 4)) are refused by the size limits; the
+    # squares do not build them
+    rep = check_adjunction_instance(
+        l2(), aks2(), ia_test_morphisms=[identity_morphism(heyting_chain(9), "ia")],
+        aks_test_morphisms=[identity_morphism(full_polarity_aks(4), "aks")])
     assert rep.ok, rep.render()
-    assert any("naturality-counit" in c.clause for c in rep.checks)
-    assert any("naturality-unit" in c.clause for c in rep.checks)
+    assert [c.clause for c in rep.checks][-2:] == [
+        "adjunction.naturality-counit[id]", "adjunction.naturality-unit[id]"]
+
+
+def counit_square_scan(f, eps_src, eps_tgt):
+    """The first family m of source elements, in ascending mask order,
+    where the counit square f(eps(m)) = eps(f[m]) fails, or None: the 2^n
+    scan that decided ``adjunction.naturality-counit``, on the counits of
+    the composites A(K(-))."""
+    n = f.source.lattice.size
+    return next((f.source.lattice.name_set(bits(m)) for m in range(1 << n)
+                 if f(eps_src(m)) != eps_tgt(f.image_mask(m))), None)
+
+
+@pytest.mark.parametrize("algebras,total", [
+    ([heyting_chain(n) for n in (1, 2, 3)], 56),
+    ([singleton_algebra(), l2(), heyting3(), diamond()], 494),
+], ids=["chains-up-to-3", "fixtures"])
+def test_naturality_counit_matches_the_family_scan(algebras, total):
+    # every carrier map between the algebras: the same decision and, as
+    # the meet of two elements is never numbered after them, the same
+    # first failing family
+    counits = {id(A): AdjunctionData.counit_at(A)[0] for A in algebras}
+    tables = [(A, B, carrier) for A, B in product(algebras, repeat=2)
+              for carrier in product(B.lattice.elements(), repeat=A.lattice.size)]
+    maps = [MorphismSpec("ia", A, B, carrier, f"m{i}")
+            for i, (A, B, carrier) in enumerate(tables)]
+    rep = check_adjunction_instance(singleton_algebra(), full_polarity_aks(1),
+                                    ia_test_morphisms=maps)
+    squares = {c.clause: c for c in rep.checks}
+    failed = 0
+    for f in maps:
+        clause = squares[f"adjunction.naturality-counit[{f.name}]"]
+        witness = counit_square_scan(f, counits[id(f.source)], counits[id(f.target)])
+        assert (clause.passed, clause.witness) == (witness is None, witness)
+        failed += witness is not None
+    assert len(maps) == total and 0 < failed < total

@@ -1,11 +1,12 @@
 """Golden command-line invocations: exit codes and report shapes."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
-from krl import aks, bridge, implicative, interior, morphism
+from krl import aks, bridge, implicative, interior, morphism, order
 from krl.cli import run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,13 +197,24 @@ def test_search_budget_env(capsys, monkeypatch):
 
 
 def test_interior_change_builds_the_changed_algebra_once(capsys, count_calls):
+    # one order check on the base (in validate_interior), one on the
+    # changed algebra
     counts = count_calls(interior.change_implication, implicative.validate_algebra,
-                         implicative.combinator_nu, interior.is_alexandroff)
+                         implicative.combinator_nu, interior.is_alexandroff,
+                         order.validate_lattice)
     code, out, _ = run(capsys, "interior", "change",
                        FIX / "aks3.krl", FIX / "aks3-hat.kop")
     assert code == 0 and "report changed-algebra: PASS" in out
     assert counts == {"change_implication": 1, "validate_algebra": 1,
-                      "combinator_nu": 1, "is_alexandroff": 2}
+                      "combinator_nu": 1, "is_alexandroff": 2, "validate_lattice": 2}
+
+
+def test_interior_change_checks_the_base_order_once(capsys, count_calls):
+    counts = count_calls(order.validate_lattice)
+    code, _, _ = run(capsys, "interior", "change",
+                     FIX / "diamond.krl", FIX / "diamond-open-x.kop")
+    assert code == 1
+    assert counts == {"validate_lattice": 1}
 
 
 def test_adjunction_builds_the_functor_images_it_reads(capsys, count_calls):
@@ -347,8 +359,11 @@ VALIDATE = ["validate", None]
     ("id-l2.kmap", "hint-t: e1", "hint-t:",
      ["morphism", "check", "--dense", None, FIX / "l2.krl"],
      "error: section 'hint-t' takes a single element (line 4)\n"),
+    ("id-l2.kmap", "hint-t: e1\n", "",
+     ["morphism", "check", "--dense", None, FIX / "l2.krl"],
+     "error: missing section 'hint-t' for the given hints (line 1)\n"),
 ], ids=["order-slot", "perp-slot", "push-slot", "imp-slot", "empty-k", "empty-K",
-        "empty-hint-t"])
+        "empty-hint-t", "hints-without-hint-t"])
 def test_malformed_entries_are_usage_errors(capsys, tmp_path, fixture, old, new, argv, error):
     text = (FIX / fixture).read_text()
     assert old in text
@@ -364,3 +379,51 @@ def test_interior_change_on_a_lattice_base_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "interior", "change", base, kop)
     assert (code, out) == (2, "")
     assert err == "error: 'chain' does not describe an algebra\n"
+
+
+def test_enumerate_interiors_on_the_three_chain(capsys):
+    code, out, err = run(capsys, "enumerate", "--kind", "interior", "--size", "3")
+    assert (code, err) == (0, "")
+    assert out == ("interior 1: e0 -> e0 ; e1 -> e0 ; e2 -> e0\n"
+                   "interior 2: e0 -> e0 ; e1 -> e1 ; e2 -> e1\n"
+                   "interior 3: e0 -> e0 ; e1 -> e0 ; e2 -> e2\n"
+                   "interior 4: e0 -> e0 ; e1 -> e1 ; e2 -> e2\n"
+                   "total: 4\n")
+
+
+def test_validate_a_morphism_document(capsys):
+    # the morphism gets its applicativity report, the structure its own
+    code, out, err = run(capsys, "validate", FIX / "id-l2.kmap", FIX / "l2.krl")
+    assert (code, err) == (0, "")
+    assert out.startswith("report id-l2:applicative(id-l2): PASS\n"
+                          "PASS morphism.separator-preservation\n"
+                          "PASS morphism.meet-preservation\n"
+                          "PASS morphism.uniform-realizer\n"
+                          "report L2-classical:implicative-algebra: PASS\n")
+
+
+def test_exhausted_search_budget_is_inconclusive(capsys, monkeypatch, tmp_path):
+    kmap = _write(tmp_path, "id.kmap", 'morphism aks "id" from "aks3" to "aks3"\n'
+                  "map: a -> a ; b -> b ; c -> c\n")
+    monkeypatch.setenv("KRL_SEARCH_BUDGET", "1")
+    code, out, err = run(capsys, "morphism", "check", "--dense", kmap, FIX / "aks3.krl")
+    assert (code, err) == (2, "")
+    assert out == "INCONCLUSIVE certificate search exceeded its budget after 2 nodes\n"
+
+
+def readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("krl ")]
+
+
+def test_readme_commands_exit_zero(capsys, monkeypatch, tmp_path):
+    # run in a temporary directory, where the outputs (-o) land
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        argv = [ROOT / a if a.startswith("fixtures/") else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv

@@ -187,6 +187,17 @@ def test_al_approx_moves_on_double_diamond():
     assert set(approx.opens()) == {0, 1, 2, 3, 4}
 
 
+def test_al_approx_general_route_does_not_revalidate_its_part(monkeypatch):
+    # the closing loop leaves the opens closed under binary joins and
+    # meets, so the operator is read off the part without a second check
+    op = theta_inv(ClosedPart(double_diamond(), frozenset({0, 2, 3, 4}), "P_c"))
+
+    def refuse(part):
+        raise AssertionError("closed part validated again")
+    monkeypatch.setattr(ClosedPart, "validate", refuse)
+    assert set(al_approx(op).opens()) == {0, 1, 2, 3, 4}
+
+
 def test_al_approx_adjointness():
     # least majorant below an alexandroff operator iff below it pointwise
     lattice = double_diamond()
