@@ -61,6 +61,21 @@ class AbstractKrivineStructure:
             raise UnknownElement(name, "the carrier") from None
 
     @cached_property
+    def closed_masks(self) -> tuple[int, ...]:
+        """The bar-closed subsets, in ascending order: perp_right of every
+        set perp_left(P).  Those sets are the intersections of the
+        polarity's columns, found by closing the full carrier under them
+        without listing the subsets."""
+        classes, todo = {self.full}, [self.full]
+        while todo:
+            c = todo.pop()
+            for col in self.perp_cols:
+                if c & col not in classes:
+                    classes.add(c & col)
+                    todo.append(c & col)
+        return tuple(sorted(perp_right(self, c) for c in classes))
+
+    @cached_property
     def separator_masks(self) -> tuple[int, ...]:
         """The separator of the realizability algebra, in ascending order:
         every subset that some quasi-proof is orthogonal to."""

@@ -14,13 +14,15 @@ element to its singleton, and the triangle identities hold on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
 from .errors import InvalidSource, SizeLimitExceeded
-from .implicative import ImplicativeAlgebra, ImplicativeStructure, combinator_i
-from .morphism import (DensityCertificate, MorphismSpec, unpreserved_meet,
-                       verify_certificate)
+from .implicative import (ImplicativeAlgebra, ImplicativeStructure, combinator_i,
+                          validate_algebra)
+from .morphism import (DensityCertificate, MorphismSpec, _applicative_realizer,
+                       check_applicative_aks, check_applicative_ia, unpreserved_meet)
 from .order import PowersetLattice, bits, upward_closure
 from .report import Report
 
@@ -50,96 +52,85 @@ def aks_of(obj) -> AbstractKrivineStructure:
 
 
 def functor_A_obj(aks: AbstractKrivineStructure, *, validate=True) -> FunctorImageIA:
-    """The realizability algebra of a Krivine structure.
-
-    Subsets of the carrier under reverse inclusion, with the implication
-    and application acting through the polarity; never materialized as
-    an explicit table.
-    """
+    """The realizability algebra of a Krivine structure, refused past
+    ``MAX_POWERSET_BASE`` points and, unless told otherwise, checked by
+    ``validate_aks`` first."""
     if aks.pi_size > MAX_POWERSET_BASE:
         raise SizeLimitExceeded(
             f"powerset algebra over {aks.pi_size} elements refused "
             f"(limit {MAX_POWERSET_BASE})")
     if validate:
-        rep = aksmod.validate_aks(aks)
-        if not rep.ok:
-            raise InvalidSource("source structure fails validation", rep)
-    lattice = PowersetLattice(aks.names)
+        _require(aksmod.validate_aks(aks), "source structure fails validation")
+    return FunctorImageIA(powerset_algebra(aks), aks)
+
+
+def powerset_algebra(aks: AbstractKrivineStructure) -> ImplicativeAlgebra:
+    """A(X), unchecked: subsets of the carrier under reverse inclusion,
+    with the implication and application acting through the polarity;
+    never materialized as an explicit table."""
     structure = ImplicativeStructure(
-        lattice,
+        PowersetLattice(aks.names),
         lambda p, q: aksmod.imp_sets(aks, p, q),
         app=lambda p, q: aksmod.app_sets(aks, p, q))
-    separator = frozenset(aks.separator_masks)
-    k = aks.perp_rows[aks.k_elem]
-    s = aks.perp_rows[aks.s_elem]
-    return FunctorImageIA(ImplicativeAlgebra(structure, separator, k, s), aks)
+    return ImplicativeAlgebra(structure, aks.separator_masks,
+                              aks.perp_rows[aks.k_elem], aks.perp_rows[aks.s_elem])
 
 
 def functor_K_obj(algebra, *, validate=True) -> FunctorImageAKS:
-    """The Krivine structure of an algebra: order as polarity, implication
-    as push, application as application, separator as quasi-proofs."""
+    """The Krivine structure of an algebra, refused past
+    ``MAX_KRIVINE_CARRIER`` elements and, unless told otherwise, checked by
+    ``validate_algebra`` first."""
     algebra = algebra_of(algebra)
-    from .implicative import validate_algebra
-
     n = algebra.lattice.size
     if n > MAX_KRIVINE_CARRIER:
         raise SizeLimitExceeded(
             f"Krivine structure over a {n}-element carrier refused "
             f"(limit {MAX_KRIVINE_CARRIER})")
     if validate:
-        rep = validate_algebra(algebra)
-        if not rep.ok:
-            raise InvalidSource("source algebra fails validation", rep)
+        _require(validate_algebra(algebra), "source algebra fails validation")
+    return FunctorImageAKS(krivine_structure(algebra))
+
+
+def krivine_structure(algebra: ImplicativeAlgebra) -> AbstractKrivineStructure:
+    """K(L), unchecked: order as polarity, implication as push,
+    application as application, separator as quasi-proofs."""
     L = algebra.lattice
+    n = L.size
     names = tuple(L.name(a) for a in L.elements())
     perp_rows = tuple(
         sum(1 << pi for pi in range(n) if L.leq(t, pi)) for t in range(n))
     push = tuple(tuple(algebra.imp(s, pi) for pi in range(n)) for s in range(n))
     app = tuple(tuple(algebra.application(s, t) for t in range(n)) for s in range(n))
     qp = sum(1 << x for x in algebra.separator)
-    return FunctorImageAKS(
-        AbstractKrivineStructure(names, perp_rows, push, app, qp,
-                                 algebra.k, algebra.s))
+    return AbstractKrivineStructure(names, perp_rows, push, app, qp, algebra.k, algebra.s)
 
 
 def functor_A_mor(f: MorphismSpec, *, validate=True) -> MorphismSpec:
     """Direct image of a carrier map, as a map of realizability algebras."""
-    from .morphism import check_applicative_aks, check_applicative_ia
-
     if f.kind != "aks":
         raise InvalidSource("expected a Krivine-structure morphism")
     if validate:
-        rep = check_applicative_aks(f)
-        if not rep.ok:
-            raise InvalidSource(f"{f.name} is not applicative", rep)
+        _require(check_applicative_aks(f), f"{f.name} is not applicative")
     src = functor_A_obj(f.source, validate=False)
     tgt = functor_A_obj(f.target, validate=False)
     carrier = tuple(f.image_mask(m) for m in range(1 << f.source.pi_size))
     image = MorphismSpec("ia", src.algebra, tgt.algebra, carrier, f"A({f.name})")
     if validate:
-        rep = check_applicative_ia(image)
-        if not rep.ok:
-            raise InvalidSource(f"image A({f.name}) failed re-checking", rep)
+        _require(check_applicative_ia(image), f"image A({f.name}) failed re-checking")
     return image
 
 
 def functor_K_mor(f: MorphismSpec, *, validate=True) -> MorphismSpec:
     """The same carrier function, re-read as a map of Krivine structures."""
-    from .morphism import check_applicative_aks, check_applicative_ia
-
     if f.kind != "ia":
         raise InvalidSource("expected an implicative-algebra morphism")
     if validate:
-        rep = check_applicative_ia(f)
-        if not rep.ok:
-            raise InvalidSource(f"{f.name} is not applicative", rep)
+        _require(check_applicative_ia(f), f"{f.name} is not applicative")
     src = functor_K_obj(f.source, validate=False)
     tgt = functor_K_obj(f.target, validate=False)
     image = MorphismSpec("aks", src.aks, tgt.aks, f.carrier, f"K({f.name})")
     if validate:
-        rep = check_applicative_aks(image)
-        if not rep.ok:
-            raise InvalidSource(f"image K({f.name}) failed re-checking", rep)
+        _require(check_applicative_aks(image), f"image K({f.name}) failed re-checking")
     return image
 
 
@@ -151,8 +142,6 @@ def transport_density_A(f: MorphismSpec, cert: DensityCertificate,
     the perp row of the witness quasi-proof; the applicativity realizer
     is re-derived on the image by exhaustive search.
     """
-    from .morphism import _applicative_realizer
-
     tgt: AbstractKrivineStructure = f.target
     return DensityCertificate.make(
         tgt.perp_rows[cert.t], cert.h_map, _applicative_realizer(image))
@@ -166,8 +155,6 @@ def transport_density_K(f: MorphismSpec, cert: DensityCertificate,
     witness is reused as a carrier element, and the clause-b witness is
     re-derived on the image.
     """
-    from .morphism import check_applicative_aks
-
     h = cert.h_map
     table = {m: sum(1 << h[p] for p in bits(m)) for m in image.target.separator_masks}
     return DensityCertificate.make(
@@ -243,7 +230,10 @@ def composite_KA_check(aks: AbstractKrivineStructure) -> Report:
 
 
 class AdjunctionData:
-    """The unit and counit components, with their literal witnesses."""
+    """The unit and counit as morphisms into and out of the composites, with
+    their literal certificates.  ``check_adjunction_instance`` decides the
+    certificates on L and X instead (``counit_certificate``,
+    ``unit_certificate``); these materialized forms are their oracle."""
 
     @staticmethod
     def counit_at(algebra) -> tuple[MorphismSpec, DensityCertificate]:
@@ -270,50 +260,160 @@ class AdjunctionData:
         composite = functor_K_obj(ax).aks
         carrier = tuple(1 << pi for pi in range(aks.pi_size))
         eta = MorphismSpec("aks", aks, composite, carrier, "unit")
-        skk = aks.app[aks.app[aks.s_elem][aks.k_elem]][aks.k_elem]
-        witness = aks.perp_rows[skk]
+        witness = aks.perp_rows[_skk(aks)]
         h = {fam: ax.lattice.meet(bits(fam)) for fam in composite.separator_masks}
         return eta, DensityCertificate.make(witness, h, witness)
 
 
+def _skk(aks: AbstractKrivineStructure) -> int:
+    return aks.app[aks.app[aks.s_elem][aks.k_elem]][aks.k_elem]
+
+
+_TABLE_CLAUSES = ("cert.h-total", "cert.h-into-source-separator", "cert.h-monotone")
+
+
+def counit_certificate(algebra: ImplicativeAlgebra, t: int, r: int) -> Report:
+    """The clauses of ``verify_certificate`` on the counit A(K(L)) -> L
+    with certificate (t, b -> up-set of b, r), decided on a valid L.
+
+    In K(L) the terms orthogonal to a family are the lower bounds of its
+    meet, so the separator of A(K(L)) holds the families whose meet is in
+    S.  The up-set of b in S is one of them, the table is total and
+    monotone, and the counit takes the up-set back to b, so
+    ``cert.density`` reads t b <= b.  For ``cert.r-uniform``, app_sets on
+    K(L) only grows as its first family shrinks, so a family in the
+    separator with meet sigma may be replaced by the up-set of sigma, which
+    holds it; and app_sets(up-set of sigma, Q) is the set of pi with
+    sigma <= (meet Q) -> pi, whose meet is sigma (meet Q), application
+    being the adjoint of implication.  So the clause reads
+    r sigma alpha <= sigma alpha for every sigma in S and alpha in L.
+    """
+    L, app = algebra.lattice, algebra.application
+    nm = L.name
+    sep = sorted(algebra.separator)
+    rep = Report("certificate(counit)")
+    rep.check("cert.t-in-separator", t in algebra.separator,
+              None if t in algebra.separator else nm(t))
+    rep.check("cert.r-in-separator", r in algebra.separator,
+              None if r in algebra.separator else nm(r))
+    witness = next((f"(sigma={nm(s)}, alpha={nm(a)})" for s in sep for a in L.elements()
+                    if not L.leq(app(app(r, s), a), app(s, a))), None)
+    rep.check("cert.r-uniform", witness is None, witness)
+    for clause in _TABLE_CLAUSES:
+        rep.check(clause, True)
+    witness = next((nm(b) for b in sep if not L.leq(app(t, b), b)), None)
+    rep.check("cert.density", witness is None, witness)
+    return rep
+
+
+def unit_certificate(aks: AbstractKrivineStructure, t: int, r: int) -> Report:
+    """The clauses of ``verify_certificate`` on the unit X -> K(A(X)) with
+    certificate (t, F -> union of F, r), decided on X from the definitions
+    alone; t and r are points of K(A(X)), that is subsets of X.
+
+    A point u of K(A(X)) is orthogonal to every member of a family F
+    exactly when the union of F lies in u.  As imp_sets is antitone in its
+    first subset and a union over its second, the union of imp_sets(F, G)
+    on K(A(X)) is imp_sets(U F, U G) on X.  So the separator of K(A(X))
+    holds the families whose union is a separator mask of X, the table is
+    total, monotone and into them, and:
+
+    - ``cert.density`` reads imp_sets(U, U) within t for every separator
+      mask U.  A mask grows up to its bar closure B without changing
+      perp_left, which only enlarges imp_sets(U, U), so the masks B
+      (``closed_masks`` in the separator) decide it.
+    - ``cert.r-uniform`` reads imp_sets(e, e) within r for every
+      implication e = imp_sets(P', P) in the separator.  Take P' and B
+      among the closed masks, B in the separator with c = perp_left(B),
+      and let e_B be the union of the imp_sets(P', {pi}) within B, itself
+      such an implication, with perp_left(e_B) holding c.  An e with
+      perp_left(e) = c lies within B, hence within e_B, so its condition
+      follows from imp_sets(B, e_B) within r, which is in turn part of the
+      condition of e_B.  So these pairs decide the clause.
+    """
+    nm = aks.name_mask
+    rep = Report("certificate(unit)")
+
+    def in_sep(mask):
+        return bool(aksmod.perp_left(aks, mask) & aks.qp)
+
+    rep.check("cert.t-is-quasi-proof", in_sep(t), None if in_sep(t) else nm(t))
+    rep.check("cert.r-is-quasi-proof", in_sep(r), None if in_sep(r) else nm(r))
+    imp = partial(aksmod.imp_sets, aks)
+    closed = aks.closed_masks
+    closed_sep = [b for b in closed if in_sep(b)]
+    points = [1 << pi for pi in range(aks.pi_size)]
+
+    def largest_p(p2, b):
+        # the points pi with imp_sets(P', {pi}) within B; e_B is P' -> them
+        return sum(q for q in points if not imp(p2, q) & ~b)
+
+    witness = next((f"(P'={nm(p2)}, P={nm(p)})" for p2 in closed for b in closed_sep
+                    for p in [largest_p(p2, b)] if imp(b, imp(p2, p)) & ~r), None)
+    rep.check("cert.r-uniform", witness is None, witness)
+    for clause in _TABLE_CLAUSES:
+        rep.check(clause, True)
+    witness = next((nm(b) for b in closed_sep if imp(b, b) & ~t), None)
+    rep.check("cert.density", witness is None, witness)
+    return rep
+
+
 def check_adjunction_instance(algebra, aks, ia_test_morphisms=(),
                               aks_test_morphisms=()) -> Report:
-    """Verify the adjunction data on one algebra and one Krivine structure.
+    """Verify the adjunction data on one algebra L and one Krivine
+    structure X.
 
-    The counit and unit are checked computationally dense by their literal
-    witnesses, on the composites they map from and to.  The triangle
-    identities and the naturality squares of the test morphisms read the
-    counit (meet of a family) and the unit (singleton) off their rules.
+    Each input is validated once, the structure first, and an invalid one
+    raises ``InvalidSource``.  The counit and unit are certified dense by
+    their literal witnesses, i and the perp row of (s k) k, with every
+    clause decided on L and X (``counit_certificate``,
+    ``unit_certificate``): no composite is built.  The triangle identities
+    read the counit (meet of a family) and the unit (singleton) off their
+    rules.  The counit square of a test map f at a family m reads
+    f(meet m) = meet f(m), which is meet preservation.  The unit square
+    A(g){pi} = {g(pi)} holds on the nose for every carrier map g, so
+    ``naturality-unit[g]`` checks that g is a morphism: it fails with the
+    first failed clause of ``check_applicative_aks(g)``.
     """
     algebra = algebra_of(algebra)
     aks = aks_of(aks)
+    _require(aksmod.validate_aks(aks), "source structure fails validation")
+    _require(validate_algebra(algebra), "source algebra fails validation")
     rep = Report("adjunction-instance")
 
-    eps, eps_cert = AdjunctionData.counit_at(algebra)
-    rep.check("adjunction.counit-certificate", verify_certificate(eps, eps_cert).ok)
-
-    eta, eta_cert = AdjunctionData.unit_at(aks)
-    rep.check("adjunction.unit-certificate", verify_certificate(eta, eta_cert).ok)
+    i = combinator_i(algebra.structure)
+    failed = counit_certificate(algebra, i, i).failures()
+    rep.check("adjunction.counit-certificate", not failed,
+              ", ".join(c.clause for c in failed) or None)
+    w = aks.perp_rows[_skk(aks)]
+    failed = unit_certificate(aks, w, w).failures()
+    rep.check("adjunction.unit-certificate", not failed,
+              ", ".join(c.clause for c in failed) or None)
 
     # triangle on the algebra side: singleton then meet is the identity
     L = algebra.lattice
-    witness = next((L.name(a) for a in L.elements() if eps(1 << a) != a), None)
+    witness = next((L.name(a) for a in L.elements() if L.meet([a]) != a), None)
     rep.check("adjunction.triangle-K", witness is None, witness)
 
     # triangle on the Krivine side: the counit of A(X) takes the family of
-    # singletons of p to their meet in A(X), which must be p again
+    # singletons of p to their meet in A(X), which must be p again.  Both
+    # sides preserve meets (unions) and every p is the meet of its
+    # singletons, so the empty set and the singletons decide every p
     ax = PowersetLattice(aks.names)
-    witness = next((aks.name_mask(p) for p in range(1 << aks.pi_size)
+    witness = next((aks.name_mask(p) for p in [0] + [1 << pi for pi in range(aks.pi_size)]
                     if ax.meet([1 << pi for pi in bits(p)]) != p), None)
     rep.check("adjunction.triangle-A", witness is None, witness)
 
-    # the counit square at a family m reads f(meet m) = meet f(m), which is
-    # meet preservation; the unit square at a point reads A(g){pi} = {g(pi)}
     for f in ia_test_morphisms:
         witness = unpreserved_meet(f)
         rep.check(f"adjunction.naturality-counit[{f.name}]", witness is None, witness)
     for g in aks_test_morphisms:
-        witness = next((g.source.name(pi) for pi in range(g.source.pi_size)
-                        if g.image_mask(1 << pi) != 1 << g(pi)), None)
-        rep.check(f"adjunction.naturality-unit[{g.name}]", witness is None, witness)
+        failed = check_applicative_aks(g).failures()
+        rep.check(f"adjunction.naturality-unit[{g.name}]", not failed,
+                  failed[0].clause if failed else None)
     return rep
+
+
+def _require(rep: Report, message: str) -> None:
+    if not rep.ok:
+        raise InvalidSource(message, rep)

@@ -225,11 +225,13 @@ def _dispatch(args) -> int:
     if args.command == "adjunction":
         ws = _load([args.file])
         name, obj = _single_object(ws)
+        # the other side is built unchecked and unlimited, since
+        # check_adjunction_instance validates both sides, the structure first
         if isinstance(obj, AbstractKrivineStructure):
-            algebra, aks = functor_A_obj(obj).algebra, obj
+            algebra, aks = bridge.powerset_algebra(obj), obj
         elif isinstance(obj, (ImplicativeAlgebra, FunctorImageIA)):
-            algebra = algebra_of(obj)
-            aks = functor_K_obj(algebra).aks
+            algebra = _as_algebra(name, obj)
+            aks = bridge.krivine_structure(algebra)
         else:
             raise SpecFileError(
                 f"adjunction expects an algebra or a Krivine structure, "

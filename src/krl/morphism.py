@@ -208,15 +208,26 @@ def verify_certificate_ia(f: MorphismSpec, cert: DensityCertificate) -> Report:
 
 
 def _uniform_family(f: MorphismSpec):
-    """Yield (P', P, realizers) for every pair of source subsets whose
+    """Yield (P', P, realizers) for the pairs of source subsets whose
     implication P' -> P lies in the source separator, in scan order;
     ``realizers`` are the target terms orthogonal to
-    f(P' -> P) -> f(P') -> f(P)."""
+    f(P' -> P) -> f(P') -> f(P).
+
+    Both implications read P' only through its perp class
+    (perp_left(P'), perp_left(f P')), so only the least P' of each class
+    is scanned.  The realizers and the first pair a given term fails are
+    those of the full scan: a P' that fails at P shares its realizers with
+    the least member of its class, which comes earlier."""
     A: AbstractKrivineStructure = f.source
     B: AbstractKrivineStructure = f.target
     sep_a = set(A.separator_masks)
+    seen = set()
     for p2 in range(1 << A.pi_size):
         fp2 = f.image_mask(p2)
+        key = (aksmod.perp_left(A, p2), aksmod.perp_left(B, fp2))
+        if key in seen:
+            continue
+        seen.add(key)
         for p in range(1 << A.pi_size):
             src_imp = aksmod.imp_sets(A, p2, p)
             if src_imp not in sep_a:

@@ -9,6 +9,8 @@ scanning lower bounds.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import LatticeError
 from .report import Report
 
@@ -40,6 +42,13 @@ class FiniteLattice:
 
     def join2(self, a: int, b: int) -> int:
         return self.join((a, b))
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Every pair (a, b) where b covers a (b is above a, nothing lies
+        strictly between), grouped by a in ascending order.  On a finite
+        order, <= is the reflexive-transitive closure of these steps."""
+        raise NotImplementedError
 
     @property
     def top(self) -> int:
@@ -111,6 +120,15 @@ class ExplicitLattice(FiniteLattice):
         return sorted(
             (a, b) for a in range(self.size) for b in bits(self.up[a]) if a != b
         )
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        pairs = []
+        for a in range(self.size):
+            above = self.up[a] & ~(1 << a)
+            pairs.extend((a, b) for b in bits(above)
+                         if not above & self.down[b] & ~(1 << b))
+        return tuple(pairs)
 
     def _greatest(self, mask: int) -> int | None:
         # greatest element of the mask, if the mask has one
@@ -226,6 +244,11 @@ class PowersetLattice(FiniteLattice):
 
     def meet2(self, a: int, b: int) -> int:
         return a | b
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        # a step up removes one element of the subset
+        return tuple((a, a & ~(1 << i)) for a in range(self.size) for i in bits(a))
 
     def join2(self, a: int, b: int) -> int:
         return a & b

@@ -10,15 +10,16 @@ import pytest
 from krl import bridge
 from krl.aks import AbstractKrivineStructure, full_polarity_aks, validate_aks
 from krl.bridge import (AdjunctionData, FunctorImageAKS, check_adjunction_instance,
-                        composite_AK_check, composite_KA_check, functor_A_mor,
-                        functor_A_obj, functor_K_mor, functor_K_obj,
-                        transport_density_A, transport_density_K)
+                        composite_AK_check, composite_KA_check, counit_certificate,
+                        functor_A_mor, functor_A_obj, functor_K_mor, functor_K_obj,
+                        transport_density_A, transport_density_K, unit_certificate)
 from krl.errors import InvalidSource, SizeLimitExceeded
-from krl.fixtures import (aks2, aks3, diamond, heyting3, l2, mined_corpus,
+from krl.fixtures import (aks1, aks2, aks3, diamond, heyting3, l2, mined_corpus,
                           singleton_algebra)
 from krl.implicative import ImplicativeAlgebra, ImplicativeStructure, validate_algebra
-from krl.morphism import (MorphismSpec, check_applicative, check_comp_dense,
-                          identity_morphism, verify_certificate)
+from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
+                          check_applicative_aks, check_comp_dense, identity_morphism,
+                          verify_certificate)
 from krl.order import ExplicitLattice, bits
 
 
@@ -278,15 +279,14 @@ def test_adjunction_naturality_for_test_morphisms(count_calls):
     g = next(MorphismSpec("aks", aks2(), aks3(), t, "g")
              for t in product(range(3), repeat=2)
              if check_applicative(MorphismSpec("aks", aks2(), aks3(), t)).ok)
-    # only the two certificates build A(K(L)) and K(A(X)); the squares do not
+    # no composite or functor image is built, and each input is validated once
     counts = count_calls(bridge.functor_A_obj, bridge.functor_K_obj,
                          validate_aks, validate_algebra)
     rep = check_adjunction_instance(
         h3, aks2(),
         ia_test_morphisms=[collapse, embed, identity_morphism(h3, "ia")],
         aks_test_morphisms=[g, identity_morphism(aks3(), "aks")])
-    assert counts == {"functor_A_obj": 2, "functor_K_obj": 2,
-                      "validate_aks": 2, "validate_algebra": 2}
+    assert counts == {"validate_aks": 1, "validate_algebra": 1}
     assert [(c.clause, c.passed, c.witness) for c in rep.checks] == [
         (f"adjunction.{clause}", True, None) for clause in (
             "counit-certificate", "unit-certificate", "triangle-K", "triangle-A",
@@ -338,3 +338,83 @@ def test_naturality_counit_matches_the_family_scan(algebras, total):
         assert (clause.passed, clause.witness) == (witness is None, witness)
         failed += witness is not None
     assert len(maps) == total and 0 < failed < total
+
+
+def test_naturality_unit_fails_exactly_on_maps_that_are_not_morphisms():
+    # the unit square holds on the nose; the clause checks that g is a morphism
+    maps = [MorphismSpec("aks", aks2(), aks3(), t, f"g{''.join(map(str, t))}")
+            for t in product(range(3), repeat=2)]
+    rep = check_adjunction_instance(l2(), aks2(), aks_test_morphisms=maps)
+    squares = [c for c in rep.checks if c.clause.startswith("adjunction.naturality-unit")]
+    expected = [(f"adjunction.naturality-unit[{g.name}]", not failed,
+                 failed[0].clause if failed else None)
+                for g in maps for failed in [check_applicative_aks(g).failures()]]
+    assert [(c.clause, c.passed, c.witness) for c in squares] == expected
+    assert sum(not c.passed for c in squares) == 3
+
+
+def clauses(rep):
+    return [(c.clause, c.passed) for c in rep.checks]
+
+
+# The oracle of the certificate closed forms: the materialized counit and
+# unit with the rule's table and any (t, r), checked by verify_certificate.
+COUNIT_INPUTS = ([l2(), heyting3(), singleton_algebra(), diamond()]
+                 + [heyting_chain(n) for n in (1, 2, 3)]
+                 + [functor_A_obj(x).algebra for x in (aks1(), aks2(), full_polarity_aks(2))])
+UNIT_INPUTS = (mined_corpus() + [full_polarity_aks(2)]
+               + [functor_K_obj(heyting_chain(n)).aks for n in (1, 2, 3)])
+
+
+def test_counit_closed_form_matches_the_certificate_check():
+    failed = set()
+    for algebra in COUNIT_INPUTS:
+        eps, cert = AdjunctionData.counit_at(algebra)
+        for t, r in product(algebra.lattice.elements(), repeat=2):
+            rep = verify_certificate(eps, DensityCertificate(t, cert.h, r))
+            assert clauses(counit_certificate(algebra, t, r)) == clauses(rep)
+            failed |= {c.clause for c in rep.failures()}
+    assert failed == {"cert.t-in-separator", "cert.r-in-separator", "cert.r-uniform",
+                      "cert.density"}
+
+
+def unit_matches_the_certificate_check(aks):
+    """Compare the closed form with the oracle on every (t, r); the failed
+    clauses of the oracle."""
+    eta, cert = AdjunctionData.unit_at(aks)
+    failed = set()
+    for t, r in product(range(1 << aks.pi_size), repeat=2):
+        rep = verify_certificate(eta, DensityCertificate(t, cert.h, r))
+        assert clauses(unit_certificate(aks, t, r)) == clauses(rep)
+        failed |= {c.clause for c in rep.failures()}
+    return failed
+
+
+def test_unit_closed_form_matches_the_certificate_check():
+    failed = set().union(*map(unit_matches_the_certificate_check, UNIT_INPUTS))
+    assert failed == {"cert.t-is-quasi-proof", "cert.r-is-quasi-proof", "cert.r-uniform",
+                      "cert.density"}
+
+
+def test_unit_closed_form_needs_only_the_definitions(monkeypatch):
+    # random structures, valid or not, with the composites built unchecked
+    for name in ("functor_A_obj", "functor_K_obj"):
+        monkeypatch.setattr(bridge, name, partial(getattr(bridge, name), validate=False))
+    rng = random.Random(1)
+    failed = set()
+    for m in (2,) * 20 + (3,) * 4:
+        push, app = (tuple(tuple(rng.randrange(m) for _ in range(m)) for _ in range(m))
+                     for _ in range(2))
+        aks = AbstractKrivineStructure(
+            tuple("abc"[:m]), tuple(rng.randrange(1 << m) for _ in range(m)),
+            push, app, qp=rng.randrange(1, 1 << m), k_elem=0, s_elem=0)
+        failed |= unit_matches_the_certificate_check(aks)
+    assert {"cert.r-uniform", "cert.density"} <= failed
+
+
+def test_functor_images_of_the_oracle_inputs_validate():
+    # check_adjunction_instance validates only its inputs, not these images
+    for algebra in COUNIT_INPUTS:
+        assert validate_aks(functor_K_obj(algebra).aks).ok
+    for aks in UNIT_INPUTS:
+        assert validate_algebra(functor_A_obj(aks).algebra).ok

@@ -218,12 +218,31 @@ def test_interior_change_checks_the_base_order_once(capsys, count_calls):
 
 
 def test_adjunction_builds_the_functor_images_it_reads(capsys, count_calls):
+    # A(X) is built unchecked; check_adjunction_instance validates X and A(X)
     counts = count_calls(bridge.functor_A_obj, aks.validate_aks,
                          bridge.functor_K_obj, implicative.validate_algebra)
     code, out, _ = run(capsys, "adjunction", FIX / "aks3.krl")
     assert code == 0 and "PASS adjunction.triangle-A" in out
-    assert counts == {"functor_A_obj": 3, "validate_aks": 3,
-                      "functor_K_obj": 2, "validate_algebra": 2}
+    assert counts == {"validate_aks": 1, "validate_algebra": 1}
+
+
+def test_adjunction_on_the_diamond(capsys, count_calls):
+    # K(L) of the 4-element diamond was refused at its composite (16 points)
+    counts = count_calls(bridge.functor_A_obj, aks.validate_aks,
+                         bridge.functor_K_obj, implicative.validate_algebra)
+    code, out, _ = run(capsys, "adjunction", FIX / "diamond.krl")
+    assert code == 0 and "PASS adjunction.counit-certificate" in out
+    assert counts == {"validate_aks": 1, "validate_algebra": 1}
+
+
+def test_adjunction_reports_an_invalid_structure_by_its_own_clauses(capsys, tmp_path):
+    # the structure is validated before its powerset algebra
+    doc = _write(tmp_path, "bad.krl",
+                 (FIX / "aks3.krl").read_text().replace("qp: a b", "qp: b"))
+    code, out, _ = run(capsys, "adjunction", doc)
+    assert code == 1
+    assert "report aks: FAIL" in out and "FAIL aks.qp-has-k witness=a" in out
+    assert out.endswith("FAIL source structure fails validation\n")
 
 
 def _write(tmp_path, name, text):
@@ -422,7 +441,7 @@ def test_readme_commands_exit_zero(capsys, monkeypatch, tmp_path):
     # run in a temporary directory, where the outputs (-o) land
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
-    assert len(commands) == 10
+    assert len(commands) == 11
     for argv in commands:
         argv = [ROOT / a if a.startswith("fixtures/") else a for a in argv]
         code, _, err = run(capsys, *argv)

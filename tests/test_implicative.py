@@ -1,10 +1,14 @@
 """Implicative structures: application, adjunction, combinators, separators."""
 
+from itertools import product
+
 import pytest
 
+from krl.aks import full_polarity_aks
+from krl.bridge import functor_A_obj
 from krl.enumerators import enumerate_implications
 from krl.errors import VerificationFailed
-from krl.fixtures import diamond, heyting3, l2, singleton_algebra
+from krl.fixtures import diamond, heyting3, l2, mined_corpus, singleton_algebra
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure,
                              check_adjunction, combinator_cc, combinator_i,
                              combinator_k, combinator_nu, combinator_s, entails,
@@ -273,3 +277,56 @@ def test_applied_combinator_laws_hold_on_fixtures():
                     rhs = st.application(st.application(a, c),
                                          st.application(b, c))
                     assert L.leq(lhs, rhs)
+
+
+def applied_law_scans(algebra):
+    """The first failing pair of k a b <= a and triple of s a b c <= ac(bc),
+    each None when the law holds on every tuple."""
+    st, L = algebra.structure, algebra.lattice
+    E = L.elements()
+    k_law = next(((a, b) for a in E for b in E
+                  if not L.leq(st.apply_chain(algebra.k, a, b), a)), None)
+    s_law = next(((a, b, c) for a in E for b in E for c in E
+                  if not L.leq(st.apply_chain(algebra.s, a, b, c),
+                               st.application(st.application(a, c),
+                                              st.application(b, c)))), None)
+    return k_law, s_law
+
+
+def law_algebras():
+    """Every fourth variance-respecting table on the chains of 1 to 3
+    elements with every choice of k and s; on the 2-chain, each of them
+    with every application table given as its closed form, adjoint or
+    not; the fixtures; and the powerset algebras of the mined and
+    full-polarity structures."""
+    for n in (1, 2, 3):
+        L = ExplicitLattice.chain(n)
+        tables = list(enumerate_implications(L))[::4]
+        for table, k, s in product(tables, L.elements(), L.elements()):
+            yield ImplicativeAlgebra(ImplicativeStructure(L, table), {n - 1}, k, s)
+    L = ExplicitLattice.chain(2)
+    for table, flat in product(enumerate_implications(L), product(range(2), repeat=4)):
+        app = ((flat[0], flat[1]), (flat[2], flat[3]))
+        st = ImplicativeStructure(L, table, app=lambda a, b, app=app: app[a][b])
+        yield ImplicativeAlgebra(st, {1}, 1, 1)
+    yield from (l2(), heyting3(), diamond(), singleton_algebra())
+    for aks in mined_corpus() + [full_polarity_aks(2)]:
+        yield functor_A_obj(aks).algebra
+
+
+def test_applied_laws_by_the_bounds_match_their_scans():
+    # on an implicative structure, k.bound and s.bound decide the laws
+    # the adjoint and the bounds decide the laws; a supplied application that
+    # is not the adjoint falls back to the scans
+    by_theorem = failed = 0
+    for algebra in law_algebras():
+        rep = validate_algebra(algebra)
+        clause = {c.clause: c for c in rep.checks}
+        k_law, s_law = applied_law_scans(algebra)
+        assert clause["law.k-applied"].passed == (k_law is None)
+        assert clause["law.s-applied"].passed == (s_law is None)
+        by_theorem += check_adjunction(algebra.structure).ok and all(
+            clause[c].passed for c in ("imp.variance", "imp.meet-commutation",
+                                       "k.bound", "s.bound"))
+        failed += k_law is not None or s_law is not None
+    assert by_theorem > 0 and failed > 0

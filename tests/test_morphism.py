@@ -4,11 +4,14 @@ from itertools import product
 
 import pytest
 
+from krl import aks as aksmod
+from krl import morphism
 from krl.aks import full_polarity_aks
 from krl.errors import ComposabilityError, SearchBudgetExceeded
-from krl.fixtures import aks2, aks3, diamond, heyting3, l2, singleton_algebra
+from krl.fixtures import (aks2, aks3, diamond, heyting3, l2, mined_corpus,
+                          singleton_algebra)
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
-                          check_applicative_ia, check_comp_dense,
+                          check_applicative_aks, check_applicative_ia, check_comp_dense,
                           check_condition2_equiv, compose,
                           identity_morphism, two_cell_leq, verify_certificate)
 
@@ -240,3 +243,37 @@ def test_two_cell_order_aks_full_polarity_is_total():
     for f in maps:
         for g in maps:
             assert two_cell_leq(f, g)
+
+
+def unkeyed_uniform_family(f):
+    """Every pair (P', P) with P' -> P in the source separator, with its
+    realizers: the 4^m scan the keyed family replaced."""
+    A, B = f.source, f.target
+    sep_a = set(A.separator_masks)
+    for p2 in range(1 << A.pi_size):
+        for p in range(1 << A.pi_size):
+            src_imp = aksmod.imp_sets(A, p2, p)
+            if src_imp in sep_a:
+                tgt = aksmod.imp_sets(B, f.image_mask(src_imp), aksmod.imp_sets(
+                    B, f.image_mask(p2), f.image_mask(p)))
+                yield p2, p, aksmod.perp_left(B, tgt)
+
+
+def uniform_answers(f):
+    """The applicativity report, and the certificate report for every
+    candidate realizer r, as plain data."""
+    reports = [check_applicative_aks(f)] + [
+        verify_certificate(f, DensityCertificate(0, (), r)) for r in range(f.target.pi_size)]
+    return [(rep.checks, rep.flags, rep.data) for rep in reports]
+
+
+def test_uniform_family_keyed_by_perp_classes_matches_the_full_scan(monkeypatch):
+    maps = [MorphismSpec("aks", A, B, carrier)
+            for A, B in product(mined_corpus(), repeat=2)
+            for carrier in product(range(B.pi_size), repeat=A.pi_size)]
+    keyed = [uniform_answers(f) for f in maps]
+    monkeypatch.setattr(morphism, "_uniform_family", unkeyed_uniform_family)
+    assert [uniform_answers(f) for f in maps] == keyed
+    assert len(maps) == 56
+    assert 0 < sum(not c.passed for answers in keyed for checks, _, _ in answers
+                   for c in checks if c.clause == "cert.r-uniform")

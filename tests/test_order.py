@@ -308,21 +308,42 @@ def oracle_meet_commutation(structure):
     return witness, empty
 
 
-def assert_meet_commutation_matches(structure):
+def quadruple_variance_fails(L, imp):
+    """Whether some a' <= a, b <= b' has a -> b not below a' -> b': the
+    n^4 scan that the cover steps of ``imp.variance`` replaced."""
+    E = L.elements()
+    below = [[b for b in E if L.leq(b, a)] for a in E]
+    above = [[b for b in E if L.leq(a, b)] for a in E]
+    return any(not L.leq(imp(a, b), imp(a2, b2)) for a in E for a2 in below[a]
+               for b in E for b2 in above[b])
+
+
+def assert_structure_clauses_match(structure):
+    """``imp.meet-commutation`` against the subset scan, and
+    ``imp.variance`` against the quadruple scan; a variance witness must
+    be a failing cover step, in a or in b."""
+    L = structure.lattice
     rep = validate_structure(structure)
-    clause = next(c for c in rep.checks if c.clause == "imp.meet-commutation")
+    variance, clause = rep.checks
     witness, empty = oracle_meet_commutation(structure)
     assert clause.passed == (witness is None and empty is None)
     assert clause.witness == (witness or empty)
     assert rep.flags["quasi-implicative"] == (witness is None and empty is not None)
+    assert variance.passed != quadruple_variance_fails(L, structure.imp)
+    if not variance.passed:
+        a2, a, b, b2 = (L.index_of(part.split("=")[1])
+                        for part in variance.witness.strip("()").split(", "))
+        assert (a2, a) in L.covers and b == b2 or a2 == a and (b, b2) in L.covers
+        assert not L.leq(structure.imp(a, b), structure.imp(a2, b2))
 
 
 def test_meet_commutation_matches_the_subset_scan_on_every_table_up_to_three():
+    # every table, also for the variance clause against its quadruple scan
     checked = 0
     for L in lattices_up_to(3):
         n = L.size
         for flat in product(range(n), repeat=n * n):
-            assert_meet_commutation_matches(
+            assert_structure_clauses_match(
                 ImplicativeStructure(L, [flat[a * n:(a + 1) * n] for a in range(n)]))
             checked += 1
     assert checked == 1 + 16 + 3 ** 9
@@ -348,7 +369,7 @@ def structures_on_four(draw):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(structures_on_four())
 def test_meet_commutation_matches_the_subset_scan_on_four_elements(structure):
-    assert_meet_commutation_matches(structure)
+    assert_structure_clauses_match(structure)
 
 
 def old_order_witnesses(lattice):
@@ -370,3 +391,15 @@ def test_order_clauses_match_the_triple_loops_on_every_relation_on_three():
         lattice = ExplicitLattice(names, up)
         got = tuple(c.witness for c in validate_lattice(lattice).checks[:3])
         assert got == old_order_witnesses(lattice)
+
+
+def naive_covers(L):
+    E = L.elements()
+    return {(a, b) for a in E for b in E if a != b and L.leq(a, b)
+            and not any(c not in (a, b) and L.leq(a, c) and L.leq(c, b) for c in E)}
+
+
+def test_covers_are_the_cover_relation():
+    lattices = list(lattices_up_to(5)) + [PowersetLattice("abc"), PowersetLattice("")]
+    for L in lattices:
+        assert set(L.covers) == naive_covers(L) and len(L.covers) == len(set(L.covers))
