@@ -41,7 +41,7 @@ class AbstractKrivineStructure:
                 cols[pi] |= 1 << t
         return tuple(cols)
 
-    @property
+    @cached_property
     def full(self) -> int:
         return (1 << self.pi_size) - 1
 
@@ -120,9 +120,10 @@ def imp_sets(aks: AbstractKrivineStructure, p: int, q: int) -> int:
     """The implication on subsets: everything of the form t.pi with t
     orthogonal to p and pi in q."""
     out = 0
+    points = tuple(bits(q))
     for t in bits(perp_left(aks, p)):
         row = aks.push[t]
-        for pi in bits(q):
+        for pi in points:
             out |= 1 << row[pi]
     return out
 
@@ -130,11 +131,12 @@ def imp_sets(aks: AbstractKrivineStructure, p: int, q: int) -> int:
 def app_sets(aks: AbstractKrivineStructure, p: int, q: int) -> int:
     """The adjoint application on subsets: stacks pi with t.pi in p for
     every t orthogonal to q."""
-    out = 0
-    tq = perp_left(aks, q)
-    for pi in range(aks.pi_size):
-        if all(p >> aks.push[t][pi] & 1 for t in bits(tq)):
-            out |= 1 << pi
+    out = aks.full
+    for t in bits(perp_left(aks, q)):
+        row = aks.push[t]
+        for pi in bits(out):
+            if not p >> row[pi] & 1:
+                out ^= 1 << pi
     return out
 
 

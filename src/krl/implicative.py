@@ -11,10 +11,11 @@ values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 from .errors import VerificationFailed
-from .order import FiniteLattice, first_failing_pair, validate_lattice
+from .order import FiniteLattice, PowersetLattice, first_failing_pair, validate_lattice
 from .report import Report
 
 
@@ -65,6 +66,16 @@ class ImplicativeStructure:
         for e in elems[1:]:
             acc = self.application(acc, e)
         return acc
+
+    @cached_property
+    def distinct_rows(self) -> dict[tuple[int, ...], int]:
+        """Each distinct row b -> a->b, mapped to the first a that has it, in
+        order of that a.  A clause that reads a only through its row runs
+        once per entry."""
+        rows: dict[tuple[int, ...], int] = {}
+        for a, row in enumerate(self.imp_table()):
+            rows.setdefault(row, a)
+        return rows
 
     def imp_table(self):
         n = self.lattice.size
@@ -120,53 +131,86 @@ def validate_structure(structure: ImplicativeStructure) -> Report:
     if not rep.ok:
         return rep
 
-    # antitone in a, then monotone in b, each along the cover steps lo < hi
-    # of the order: transitivity gives a' <= a, b <= b' => a->b <= a'->b'
-    imp, leq = structure.imp, L.leq
-    elems = list(L.elements())
-    steps = list(product(L.covers, elems))
-    witness = next((f"(a'={nm(lo)}, a={nm(hi)}, b={nm(x)}, b'={nm(x)})"
-                    for (lo, hi), x in steps if not leq(imp(hi, x), imp(lo, x))),
-                   None) or next((f"(a'={nm(x)}, a={nm(x)}, b={nm(lo)}, b'={nm(hi)})"
-                                  for (lo, hi), x in steps
-                                  if not leq(imp(x, lo), imp(x, hi))), None)
-    rep.check("imp.variance", witness is None, witness)
-
-    # the empty family B = {} is tracked apart, for the quasi flag
-    top, meet2 = L.top, L.meet2
+    # meet-commutation reads a only through its row b -> a->b, so it runs once
+    # per distinct row; rows come in the order of their first a, so the first
+    # failing row names the first failing a.  The empty family B = {} is
+    # tracked apart, for the quasi flag.
+    imp, leq, top = structure.imp, L.leq, L.top
     witness = empty_witness = None
-    for a in elems:
-        if empty_witness is None and imp(a, top) != top:
+    for row, a in structure.distinct_rows.items():
+        if empty_witness is None and row[top] != top:
             empty_witness = f"a={nm(a)}, B={{}}"
-        if witness is None:
-            pair = first_failing_pair(
-                elems, lambda b, c: imp(a, meet2(b, c)) == meet2(imp(a, b), imp(a, c)))
-            if pair is not None:
-                witness = f"a={nm(a)}, B={L.name_set(pair)}"
+        if witness is None and (pair := _unpreserved_pair(L, row)) is not None:
+            witness = f"a={nm(a)}, B={L.name_set(pair)}"
         if witness and empty_witness:
             break
-    rep.check("imp.meet-commutation", witness is None and empty_witness is None,
+    binary = witness is None
+
+    # antitone in a, then monotone in b, each along the cover steps lo < hi
+    # of the order: transitivity gives a' <= a, b <= b' => a->b <= a'->b'.
+    # A row that preserves binary meets is monotone, so the b half can fail
+    # only where meet-commutation does.  When it holds, every imp(., x) with
+    # x below the top is the meet of the imp(., g) over the meet-irreducibles
+    # g above x, so the a half is decided on those g and the top; the full
+    # scan runs only to name a failure.
+    covers, elems, variance = L.covers, L.elements(), None
+    if not binary or any(not leq(imp(hi, x), imp(lo, x))
+                         for (lo, hi), x in product(covers, (*L.meet_irreducibles, top))):
+        variance = next((f"(a'={nm(lo)}, a={nm(hi)}, b={nm(x)}, b'={nm(x)})"
+                         for (lo, hi), x in product(covers, elems)
+                         if not leq(imp(hi, x), imp(lo, x))), None)
+    if variance is None and not binary:
+        variance = next((f"(a'={nm(x)}, a={nm(x)}, b={nm(lo)}, b'={nm(hi)})"
+                         for (lo, hi), x in product(covers, elems)
+                         if not leq(imp(x, lo), imp(x, hi))), None)
+    rep.check("imp.variance", variance is None, variance)
+    rep.check("imp.meet-commutation", binary and empty_witness is None,
               witness or empty_witness)
-    rep.flag("quasi-implicative", witness is None and empty_witness is not None,
+    rep.flag("quasi-implicative", binary and empty_witness is not None,
              f"fails only at B={{}}: {empty_witness}" if empty_witness else None)
     return rep
 
 
+def _unpreserved_pair(L: FiniteLattice, row) -> tuple[int, int] | None:
+    """The first pair b, c with row[meet(b, c)] != meet(row[b], row[c]), or None.
+
+    On a powerset, where meets are unions, a row preserves them exactly when
+    row[b] = row[b minus its lowest point] | row[its lowest point] for every
+    b other than the empty set.  By induction row[b] is then the union of
+    row[{}] and the values at the points of b, so the value at a union of
+    two sets is the union of their values.  That is n checks instead of
+    n^2/2 pairs; the pair scan runs only to name a failure.
+    """
+    if isinstance(L, PowersetLattice) and all(
+            row[b] == row[b & (b - 1)] | row[b & -b] for b in range(1, L.size)):
+        return None
+    meet2 = L.meet2
+    return first_failing_pair(list(L.elements()),
+                              lambda b, c: row[meet2(b, c)] == meet2(row[b], row[c]))
+
+
 def check_adjunction(structure: ImplicativeStructure) -> Report:
-    """Decide, triple by triple, whether application is left adjoint to
-    implication.  The half condition (a <= b -> c implies ab <= c) is
-    reported separately because it survives even without
-    meet-commutation."""
+    """Decide whether application is left adjoint to implication.  The
+    half condition (a <= b -> c implies ab <= c) is reported separately
+    because it survives even without meet-commutation.  On a lattice, a
+    Galois connection (``_application_is_adjoint``, with implication
+    monotone in its second argument along the cover steps) passes both
+    clauses; otherwise the triple scan decides them and names the
+    witnesses."""
     L = structure.lattice
     nm = L.name
     rep = Report("adjunction")
     half_witness = full_witness = None
-    for a in L.elements():
-        for b in L.elements():
+    imp, leq, elems = structure.imp, L.leq, L.elements()
+    galois = (all(leq(imp(y, lo), imp(y, hi)) for lo, hi in L.covers for y in elems)
+              and validate_lattice(L).ok and _application_is_adjoint(structure))
+    if not galois:
+        rows = structure.imp_table()
+        for a, b in product(elems, repeat=2):
             ab = structure.application(a, b)
-            for c in L.elements():
-                lhs = L.leq(ab, c)
-                rhs = L.leq(a, structure.imp(b, c))
+            for c, bc in enumerate(rows[b]):
+                lhs = leq(ab, c)
+                rhs = leq(a, bc)
                 if rhs and not lhs and half_witness is None:
                     half_witness = f"({nm(a)}, {nm(b)}, {nm(c)})"
                 if lhs != rhs and full_witness is None:
@@ -190,15 +234,31 @@ def combinator_k(structure: ImplicativeStructure) -> int:
 
 
 def combinator_s(structure: ImplicativeStructure) -> int:
+    """The meet of every (a -> b -> c) -> (a -> b) -> a -> c."""
+    return _s_fold(structure, structure.lattice.elements())
+
+
+def _s_fold(structure: ImplicativeStructure, cs) -> int:
+    """The meet of f(c) = (a -> b -> c) -> (a -> b) -> a -> c over every a
+    and b and each c in ``cs``.  The term reads a only through its row
+    b -> a->b, so one a per distinct row is enough.
+
+    On an implicative structure the meet-irreducible c are enough.  Write
+    c, other than the top, as the meet of the meet-irreducibles g_i above
+    it.  Meet-commutation, applied to a -> c and then to the two outer
+    implications, gives f(c) = meet_i (a -> b -> c) -> (a -> b) -> a -> g_i.
+    As a -> b -> c <= a -> b -> g_i and implication is antitone in its
+    first argument, each of those terms lies above f(g_i), so f(c) is above
+    the meet of the f(g_i).  f(top) is the top.  So the meet over every c
+    equals the meet over the meet-irreducibles.
+    """
     L = structure.lattice
+    imp, meet2 = structure.imp, L.meet2
     acc = L.top
-    for a in L.elements():
-        for b in L.elements():
-            ab = structure.imp(a, b)
-            for c in L.elements():
-                abc = structure.imp(a, structure.imp(b, c))
-                ac = structure.imp(a, c)
-                acc = L.meet2(acc, structure.imp(abc, structure.imp(ab, ac)))
+    for row in structure.distinct_rows:
+        for b, ab in enumerate(row):
+            for c in cs:
+                acc = meet2(acc, imp(row[imp(b, c)], imp(ab, row[c])))
     return acc
 
 
@@ -294,7 +354,7 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
     k_bound = combinator_k(st)
     k_ok = rep.check("k.bound", L.leq(algebra.k, k_bound),
                      None if L.leq(algebra.k, k_bound) else f"k={nm(algebra.k)} > {nm(k_bound)}")
-    s_bound = combinator_s(st)
+    s_bound = _s_fold(st, L.meet_irreducibles if implicative else elems)
     s_ok = rep.check("s.bound", L.leq(algebra.s, s_bound),
                      None if L.leq(algebra.s, s_bound) else f"s={nm(algebra.s)} > {nm(s_bound)}")
 
@@ -321,9 +381,11 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
 
 def _application_is_adjoint(st: ImplicativeStructure) -> bool:
     """Whether x y <= c exactly when x <= y -> c, for an implication that
-    is monotone in its second argument: a Galois connection is a monotone
-    pair with x <= y -> x y and (y -> c) y <= c.  Monotone in x is checked
-    along the cover steps of the order."""
+    is monotone in its second argument on a lattice.  A pair monotone in x
+    and in c with x <= y -> x y and (y -> c) y <= c is a Galois connection:
+    x y <= c gives x <= y -> x y <= y -> c, and x <= y -> c gives
+    x y <= (y -> c) y <= c.  Monotone in x is checked along the cover steps
+    of the order."""
     L, app, imp, leq = st.lattice, st.application, st.imp, st.lattice.leq
     elems = L.elements()
     return (all(leq(app(lo, y), app(hi, y)) for lo, hi in L.covers for y in elems)

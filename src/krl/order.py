@@ -9,6 +9,7 @@ scanning lower bounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 
 from .errors import LatticeError
@@ -49,6 +50,14 @@ class FiniteLattice:
         strictly between), grouped by a in ascending order.  On a finite
         order, <= is the reflexive-transitive closure of these steps."""
         raise NotImplementedError
+
+    @cached_property
+    def meet_irreducibles(self) -> tuple[int, ...]:
+        """The elements with exactly one upper cover, ascending.  On a
+        finite lattice every element but the top is the meet of those
+        above it; on a powerset they are the singletons."""
+        upper = Counter(lo for lo, _ in self.covers)
+        return tuple(a for a in self.elements() if upper[a] == 1)
 
     @property
     def top(self) -> int:

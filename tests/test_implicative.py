@@ -1,19 +1,20 @@
 """Implicative structures: application, adjunction, combinators, separators."""
 
+import random
 from itertools import product
 
 import pytest
 
 from krl.aks import full_polarity_aks
 from krl.bridge import functor_A_obj
-from krl.enumerators import enumerate_implications
+from krl.enumerators import enumerate_implications, enumerate_lattices
 from krl.errors import VerificationFailed
 from krl.fixtures import diamond, heyting3, l2, mined_corpus, singleton_algebra
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure,
                              check_adjunction, combinator_cc, combinator_i,
                              combinator_k, combinator_nu, combinator_s, entails,
                              separator_closure, uniform_entails, validate_algebra,
-                             validate_structure)
+                             validate_structure, _s_fold)
 from krl.order import ExplicitLattice, bits
 
 
@@ -81,6 +82,37 @@ def test_half_adjunction_holds_for_every_variance_respecting_imp(n):
         assert next(c for c in rep.checks if c.clause == "adjunction.half").passed
 
 
+def triple_scan_witnesses(structure):
+    """The ``adjunction.half`` and ``adjunction.full`` witnesses of the
+    scan over every triple that the Galois rule replaced."""
+    L = structure.lattice
+    nm, E, up = L.name, L.elements(), L.up
+    app = [[structure.application(a, b) for b in E] for a in E]
+    imp = structure.imp_table()
+    half = full = None
+    for a, b, c in product(E, repeat=3):
+        lhs = up[app[a][b]] >> c & 1
+        rhs = up[a] >> imp[b][c] & 1
+        if rhs and not lhs and half is None:
+            half = f"({nm(a)}, {nm(b)}, {nm(c)})"
+        if lhs != rhs and full is None:
+            full = f"({nm(a)}, {nm(b)}, {nm(c)})"
+    return half, full
+
+
+def test_adjunction_clauses_match_the_triple_scan_on_every_table_up_to_three():
+    by_rule = 0
+    for L in (L for n in (1, 2, 3) for L in enumerate_lattices(n)):
+        n = L.size
+        for flat in product(range(n), repeat=n * n):
+            st = ImplicativeStructure(L, [flat[a * n:(a + 1) * n] for a in range(n)])
+            half, full = check_adjunction(st).checks
+            assert (half.witness, full.witness) == triple_scan_witnesses(st)
+            assert (half.passed, full.passed) == (half.witness is None, full.witness is None)
+            by_rule += full.passed
+    assert by_rule > 0
+
+
 def test_combinators_on_l2():
     st = l2().structure
     assert (combinator_i(st), combinator_k(st), combinator_s(st),
@@ -111,6 +143,78 @@ def oracle_peirce(structure):
 def test_peirce_oracle_matches():
     for algebra in (l2(), heyting3(), diamond()):
         assert combinator_cc(algebra.structure) == oracle_peirce(algebra.structure)
+
+
+def old_s_fold(structure):
+    """The meet of (a -> b -> c) -> (a -> b) -> a -> c over every triple,
+    folded as combinator_s did before the row and meet-irreducible rules."""
+    L, imp = structure.lattice, structure.imp
+    acc = L.top
+    for a, b, c in product(L.elements(), repeat=3):
+        acc = L.meet2(acc, imp(imp(a, imp(b, c)), imp(imp(a, b), imp(a, c))))
+    return acc
+
+
+def assert_s_rules_match_the_fold(structure):
+    """combinator_s (one a per row) equals the triple fold; on an
+    implicative structure, so does the fold over the meet-irreducibles."""
+    L = structure.lattice
+    value = old_s_fold(structure)
+    assert combinator_s(structure) == value
+    implicative = validate_structure(structure).ok
+    if implicative:
+        assert _s_fold(structure, L.meet_irreducibles) == value
+    return implicative
+
+
+def test_s_rules_match_the_fold_on_every_enumerated_table_up_to_three():
+    implicative = tables = 0
+    for L in (L for n in (1, 2, 3) for L in enumerate_lattices(n)):
+        for table in enumerate_implications(L):
+            implicative += assert_s_rules_match_the_fold(ImplicativeStructure(L, table))
+            tables += 1
+    assert 0 < implicative < tables
+
+
+def meet_preserving_maps(L):
+    """Self-maps that keep the top and every binary meet."""
+    E = L.elements()
+    return [t for t in product(E, repeat=L.size) if t[L.top] == L.top
+            and all(t[L.meet2(a, b)] == L.meet2(t[a], t[b]) for a in E for b in E)]
+
+
+def sampled_implicative_tables(L, count, rng):
+    """``count`` implication tables whose rows preserve meets and are
+    antitone in a: each row is drawn, top element first, from the
+    meet-preserving maps above the rows of every element above it."""
+    maps = meet_preserving_maps(L)
+    for _ in range(count):
+        rows = [None] * L.size
+        # order-consistent labels: every element above a has a larger label
+        for a in reversed(L.elements()):
+            above = [rows[x] for x in bits(L.up[a]) if x != a]
+            rows[a] = rng.choice([t for t in maps if all(
+                L.leq(u[b], t[b]) for u in above for b in L.elements())])
+        yield ImplicativeStructure(L, rows)
+
+
+def is_distributive(L):
+    E = L.elements()
+    return all(L.meet2(a, L.join2(b, c)) == L.join2(L.meet2(a, b), L.meet2(a, c))
+               for a in E for b in E for c in E)
+
+
+def test_s_rules_match_the_fold_on_sampled_tables_of_four_and_five():
+    rng = random.Random(8)
+    lattices = list(enumerate_lattices(4)) + list(enumerate_lattices(5))
+    # the non-distributive ones are labelings of N5 (5 covers) and M3 (6)
+    assert {len(L.covers) for L in lattices if not is_distributive(L)} == {5, 6}
+    for L in lattices:
+        distinct = set()
+        for structure in sampled_implicative_tables(L, 30, rng):
+            assert assert_s_rules_match_the_fold(structure)
+            distinct.add(old_s_fold(structure))
+        assert len(distinct) > 1
 
 
 def test_nu_on_fixtures():

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krl.aks import AbstractKrivineStructure, imp_sets
 from krl.enumerators import enumerate_interiors, enumerate_lattices
 from krl.errors import LatticeError
 from krl.implicative import ImplicativeStructure, validate_structure
@@ -318,35 +319,61 @@ def quadruple_variance_fails(L, imp):
                for b in E for b2 in above[b])
 
 
+def cover_scan_variance(structure):
+    """The ``imp.variance`` witness of the scan that the meet-irreducible
+    rule replaced: every cover step against every element, a half first."""
+    L = structure.lattice
+    nm, imp, leq = L.name, structure.imp, L.leq
+    steps = list(product(L.covers, L.elements()))
+    return next((f"(a'={nm(lo)}, a={nm(hi)}, b={nm(x)}, b'={nm(x)})"
+                 for (lo, hi), x in steps if not leq(imp(hi, x), imp(lo, x))),
+                None) or next((f"(a'={nm(x)}, a={nm(x)}, b={nm(lo)}, b'={nm(hi)})"
+                               for (lo, hi), x in steps
+                               if not leq(imp(x, lo), imp(x, hi))), None)
+
+
+def pair_scan_meet_commutation(structure):
+    """The ``imp.meet-commutation`` witness of the scan over every pair,
+    for each a, that the row and point rules replaced."""
+    L = structure.lattice
+    nm, imp, meet2, top = L.name, structure.imp, L.meet2, L.top
+    elems = list(L.elements())
+    pairs = ((a, first_failing_pair(
+        elems, lambda b, c: imp(a, meet2(b, c)) == meet2(imp(a, b), imp(a, c))))
+        for a in elems)
+    witness = next((f"a={nm(a)}, B={L.name_set(pair)}" for a, pair in pairs if pair), None)
+    return witness or next((f"a={nm(a)}, B={{}}" for a in elems if imp(a, top) != top), None)
+
+
 def assert_structure_clauses_match(structure):
     """``imp.meet-commutation`` against the subset scan, and
-    ``imp.variance`` against the quadruple scan; a variance witness must
-    be a failing cover step, in a or in b."""
+    ``imp.variance`` against the quadruple scan, each with the witness of
+    the scan it replaced.  Reverse inclusion numbers unions late, so on a
+    powerset the first failing pair need not be the subset scan's first
+    failing family: there the witness is the pair scan's."""
     L = structure.lattice
     rep = validate_structure(structure)
     variance, clause = rep.checks
     witness, empty = oracle_meet_commutation(structure)
     assert clause.passed == (witness is None and empty is None)
-    assert clause.witness == (witness or empty)
+    assert clause.witness == (pair_scan_meet_commutation(structure)
+                              if isinstance(L, PowersetLattice) else witness or empty)
     assert rep.flags["quasi-implicative"] == (witness is None and empty is not None)
     assert variance.passed != quadruple_variance_fails(L, structure.imp)
-    if not variance.passed:
-        a2, a, b, b2 = (L.index_of(part.split("=")[1])
-                        for part in variance.witness.strip("()").split(", "))
-        assert (a2, a) in L.covers and b == b2 or a2 == a and (b, b2) in L.covers
-        assert not L.leq(structure.imp(a, b), structure.imp(a2, b2))
+    assert variance.witness == cover_scan_variance(structure)
 
 
 def test_meet_commutation_matches_the_subset_scan_on_every_table_up_to_three():
-    # every table, also for the variance clause against its quadruple scan
+    # every table, also for the variance clause against its quadruple scan,
+    # and on the 2-element powerset too
     checked = 0
-    for L in lattices_up_to(3):
+    for L in lattices_up_to(3) + [PowersetLattice("a")]:
         n = L.size
         for flat in product(range(n), repeat=n * n):
             assert_structure_clauses_match(
                 ImplicativeStructure(L, [flat[a * n:(a + 1) * n] for a in range(n)]))
             checked += 1
-    assert checked == 1 + 16 + 3 ** 9
+    assert checked == 1 + 16 + 3 ** 9 + 16
 
 
 @cache
@@ -369,6 +396,28 @@ def structures_on_four(draw):
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(structures_on_four())
 def test_meet_commutation_matches_the_subset_scan_on_four_elements(structure):
+    assert_structure_clauses_match(structure)
+
+
+@st.composite
+def powerset_structures(draw):
+    """imp_sets of an unchecked Krivine structure on 2 or 3 points, as a
+    table, sometimes with one entry corrupted."""
+    m = draw(st.sampled_from((2, 3)))
+    point, mask = st.integers(0, m - 1), st.integers(0, (1 << m) - 1)
+    push = tuple(tuple(draw(point) for _ in range(m)) for _ in range(m))
+    aks = AbstractKrivineStructure(tuple("abc"[:m]), tuple(draw(mask) for _ in range(m)),
+                                   push, push, qp=0, k_elem=0, s_elem=0)
+    table = [[imp_sets(aks, p, q) for q in range(1 << m)] for p in range(1 << m)]
+    if draw(st.booleans()):
+        p, q = draw(mask), draw(mask)
+        table[p][q] = draw(mask.filter(lambda v: v != table[p][q]))
+    return ImplicativeStructure(PowersetLattice(aks.names), table)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(powerset_structures())
+def test_structure_clauses_match_the_scans_on_powersets_of_two_and_three(structure):
     assert_structure_clauses_match(structure)
 
 
