@@ -11,7 +11,7 @@ keeps every derived operation word-parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 from .errors import UnknownElement
@@ -227,22 +227,12 @@ def mine_aks(pi_size, perp_pairs, *, max_results=1, app_combo_cap=4096,
     """
     names = tuple(names) if names else tuple(chr(ord("a") + i) for i in range(pi_size))
     n = pi_size
-    full = (1 << n) - 1
     rows = [0] * n
     for t, pi in perp_pairs:
         rows[t] |= 1 << pi
     rows = tuple(rows)
-    cols = [0] * n
-    for t in range(n):
-        for pi in bits(rows[t]):
-            cols[pi] |= 1 << t
+    left_perp = partial(perp_left, AbstractKrivineStructure(names, rows, (), (), 0, 0, 0))
     perp_elems = [(t, pi) for t in range(n) for pi in bits(rows[t])]
-
-    def left_perp(mask):
-        acc = full
-        for pi in bits(mask):
-            acc &= cols[pi]
-        return acc
 
     results = []
     for push_flat in product(range(n), repeat=n * n):

@@ -22,8 +22,8 @@ from .errors import InvalidSource, SizeLimitExceeded
 from .implicative import (ImplicativeAlgebra, ImplicativeStructure, combinator_i,
                           validate_algebra)
 from .morphism import (DensityCertificate, MorphismSpec, _applicative_realizer,
-                       check_applicative_aks, check_applicative_ia, unpreserved_meet)
-from .order import PowersetLattice, bits, upward_closure
+                       check_applicative_aks, check_applicative_ia)
+from .order import PowersetLattice, bits, unpreserved_meet, upward_closure
 from .report import Report
 
 MAX_POWERSET_BASE = 10
@@ -105,32 +105,28 @@ def krivine_structure(algebra: ImplicativeAlgebra) -> AbstractKrivineStructure:
     return AbstractKrivineStructure(names, perp_rows, push, app, qp, algebra.k, algebra.s)
 
 
-def functor_A_mor(f: MorphismSpec, *, validate=True) -> MorphismSpec:
+def functor_A_mor(f: MorphismSpec) -> MorphismSpec:
     """Direct image of a carrier map, as a map of realizability algebras."""
     if f.kind != "aks":
         raise InvalidSource("expected a Krivine-structure morphism")
-    if validate:
-        _require(check_applicative_aks(f), f"{f.name} is not applicative")
+    _require(check_applicative_aks(f), f"{f.name} is not applicative")
     src = functor_A_obj(f.source, validate=False)
     tgt = functor_A_obj(f.target, validate=False)
     carrier = tuple(f.image_mask(m) for m in range(1 << f.source.pi_size))
     image = MorphismSpec("ia", src.algebra, tgt.algebra, carrier, f"A({f.name})")
-    if validate:
-        _require(check_applicative_ia(image), f"image A({f.name}) failed re-checking")
+    _require(check_applicative_ia(image), f"image A({f.name}) failed re-checking")
     return image
 
 
-def functor_K_mor(f: MorphismSpec, *, validate=True) -> MorphismSpec:
+def functor_K_mor(f: MorphismSpec) -> MorphismSpec:
     """The same carrier function, re-read as a map of Krivine structures."""
     if f.kind != "ia":
         raise InvalidSource("expected an implicative-algebra morphism")
-    if validate:
-        _require(check_applicative_ia(f), f"{f.name} is not applicative")
+    _require(check_applicative_ia(f), f"{f.name} is not applicative")
     src = functor_K_obj(f.source, validate=False)
     tgt = functor_K_obj(f.target, validate=False)
     image = MorphismSpec("aks", src.aks, tgt.aks, f.carrier, f"K({f.name})")
-    if validate:
-        _require(check_applicative_aks(image), f"image K({f.name}) failed re-checking")
+    _require(check_applicative_aks(image), f"image K({f.name}) failed re-checking")
     return image
 
 
@@ -405,7 +401,7 @@ def check_adjunction_instance(algebra, aks, ia_test_morphisms=(),
     rep.check("adjunction.triangle-A", witness is None, witness)
 
     for f in ia_test_morphisms:
-        witness = unpreserved_meet(f)
+        witness = unpreserved_meet(f.source.lattice, f.target.lattice, f.carrier)
         rep.check(f"adjunction.naturality-counit[{f.name}]", witness is None, witness)
     for g in aks_test_morphisms:
         failed = check_applicative_aks(g).failures()

@@ -48,24 +48,24 @@ def monotone_selfmaps(lattice: FiniteLattice):
 
 
 def monotone_maps(src: FiniteLattice, tgt: FiniteLattice):
-    n = src.size
-    comparable = [(a, b) for a in range(n) for b in range(n)
-                  if a != b and src.leq(a, b)]
-    for table in product(range(tgt.size), repeat=n):
-        if all(tgt.leq(table[a], table[b]) for a, b in comparable):
+    """All monotone tables, tested along the cover steps of ``src``: by
+    transitivity they give every comparable pair."""
+    covers = src.covers
+    for table in product(range(tgt.size), repeat=src.size):
+        if all(tgt.leq(table[lo], table[hi]) for lo, hi in covers):
             yield table
 
 
 def enumerate_implications(lattice: FiniteLattice):
     """All implication tables that are antitone on the left and monotone
-    on the right; meet-commutation is deliberately not imposed."""
+    on the right; meet-commutation is deliberately not imposed.  Rows are
+    the monotone maps, compared pointwise once per pair of rows, and
+    antitone is tested along the cover steps."""
     rows = list(monotone_selfmaps(lattice))
-    n = lattice.size
-    for combo in product(range(len(rows)), repeat=n):
-        if all(lattice.leq(x, y)
-               for a in range(n) for a2 in range(n) if a != a2 and lattice.leq(a2, a)
-               for x, y in zip(rows[combo[a]], rows[combo[a2]])):
-            yield tuple(rows[combo[a]] for a in range(n))
+    below = [[all(map(lattice.leq, r, s)) for s in rows] for r in rows]
+    for combo in product(range(len(rows)), repeat=lattice.size):
+        if all(below[combo[hi]][combo[lo]] for lo, hi in lattice.covers):
+            yield tuple(rows[i] for i in combo)
 
 
 def enumerate_interiors(lattice: FiniteLattice):

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import VerificationFailed
-from .order import FiniteLattice, PowersetLattice, first_failing_pair, validate_lattice
+from .order import FiniteLattice, unpreserved_pair, upward_closure, validate_lattice
 from .report import Report
 
 
@@ -140,7 +140,7 @@ def validate_structure(structure: ImplicativeStructure) -> Report:
     for row, a in structure.distinct_rows.items():
         if empty_witness is None and row[top] != top:
             empty_witness = f"a={nm(a)}, B={{}}"
-        if witness is None and (pair := _unpreserved_pair(L, row)) is not None:
+        if witness is None and (pair := unpreserved_pair(L, L, row)) is not None:
             witness = f"a={nm(a)}, B={L.name_set(pair)}"
         if witness and empty_witness:
             break
@@ -169,24 +169,6 @@ def validate_structure(structure: ImplicativeStructure) -> Report:
     rep.flag("quasi-implicative", binary and empty_witness is not None,
              f"fails only at B={{}}: {empty_witness}" if empty_witness else None)
     return rep
-
-
-def _unpreserved_pair(L: FiniteLattice, row) -> tuple[int, int] | None:
-    """The first pair b, c with row[meet(b, c)] != meet(row[b], row[c]), or None.
-
-    On a powerset, where meets are unions, a row preserves them exactly when
-    row[b] = row[b minus its lowest point] | row[its lowest point] for every
-    b other than the empty set.  By induction row[b] is then the union of
-    row[{}] and the values at the points of b, so the value at a union of
-    two sets is the union of their values.  That is n checks instead of
-    n^2/2 pairs; the pair scan runs only to name a failure.
-    """
-    if isinstance(L, PowersetLattice) and all(
-            row[b] == row[b & (b - 1)] | row[b & -b] for b in range(1, L.size)):
-        return None
-    meet2 = L.meet2
-    return first_failing_pair(list(L.elements()),
-                              lambda b, c: row[meet2(b, c)] == meet2(row[b], row[c]))
 
 
 def check_adjunction(structure: ImplicativeStructure) -> Report:
@@ -309,14 +291,10 @@ def separator_closure(structure: ImplicativeStructure, generators) -> frozenset:
     current.add(combinator_k(structure))
     current.add(combinator_s(structure))
     while True:
-        grown = set(current)
-        for a in current:
-            for b in L.elements():
-                if L.leq(a, b):
-                    grown.add(b)
+        grown = set(upward_closure(L, current))
         for a in list(grown):
             for b in L.elements():
-                if structure.imp(a, b) in grown and a in grown:
+                if structure.imp(a, b) in grown:
                     grown.add(b)
         if grown == current:
             return frozenset(current)

@@ -20,7 +20,7 @@ from .implicative import (ImplicativeAlgebra, ImplicativeStructure,
                           combinator_i, combinator_nu, validate_algebra)
 from .morphism import DensityCertificate, MorphismSpec
 from .order import (ExplicitLattice, FiniteLattice, PowersetLattice, bits,
-                    first_failing_pair, validate_lattice)
+                    first_failing_pair, unpreserved_meet, validate_lattice)
 from .report import Report
 
 
@@ -41,7 +41,8 @@ def is_topological(op: InteriorOperator):
 
     The same test as :func:`is_alexandroff`, so the two always agree; this
     one scans pairs row by row and reports the first as ``(a, b)``, or the
-    image of the top.
+    image of the top.  :func:`validate_interior` calls it only to name that
+    witness.
     """
     L, t = op.lattice, op.table
     if t[L.top] != L.top:
@@ -53,11 +54,9 @@ def is_topological(op: InteriorOperator):
 
 def is_alexandroff(op: InteriorOperator):
     """Meet commutation over every family: the empty one, then pairs
-    (see :func:`~krl.order.first_failing_pair`)."""
-    L, t = op.lattice, op.table
-    family = () if t[L.top] != L.top else first_failing_pair(
-        list(L.elements()), lambda a, b: t[L.meet2(a, b)] == L.meet2(t[a], t[b]))
-    return family is None, None if family is None else L.name_set(family)
+    (see :func:`~krl.order.unpreserved_meet`)."""
+    witness = unpreserved_meet(op.lattice, op.lattice, op.table)
+    return witness is None, witness
 
 
 def validate_interior(op: InteriorOperator) -> Report:
@@ -79,9 +78,9 @@ def validate_interior(op: InteriorOperator) -> Report:
                     if L.leq(a, b) and not L.leq(op.table[a], op.table[b])), None)
     rep.check("interior.monotone", witness is None, witness)
     if rep.ok:
-        topo, w_topo = is_topological(op)
-        rep.flag("topological", topo, None if topo else f"witness {w_topo}")
+        # the two flags are one theorem; is_topological runs for its witness
         alex, w_alex = is_alexandroff(op)
+        rep.flag("topological", alex, None if alex else f"witness {is_topological(op)[1]}")
         rep.flag("alexandroff", alex, None if alex else f"witness family {w_alex}")
         rep.data["class"] = "alexandroff" if alex else "plain"
     return rep

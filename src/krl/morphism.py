@@ -20,7 +20,7 @@ from functools import partial
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
 from .errors import ComposabilityError, KrlError, SearchBudgetExceeded, VerificationFailed
-from .order import bits, first_failing_pair
+from .order import bits, unpreserved_meet
 from .report import Report
 
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -101,7 +101,7 @@ def check_applicative_ia(f: MorphismSpec) -> Report:
                     if f(s) not in B.separator), None)
     rep.check("morphism.separator-preservation", witness is None, witness)
 
-    witness = unpreserved_meet(f)
+    witness = unpreserved_meet(A.lattice, B.lattice, f.carrier)
     rep.check("morphism.meet-preservation", witness is None, witness)
 
     realizer = None
@@ -111,17 +111,6 @@ def check_applicative_ia(f: MorphismSpec) -> Report:
                   None if realizer is not None else "no r in the target separator works")
         rep.data["realizer"] = realizer
     return rep
-
-
-def unpreserved_meet(f: MorphismSpec) -> str | None:
-    """The name of the first family whose meet f does not carry to the meet
-    of its images, or None: the empty family, then pairs (see
-    order.first_failing_pair)."""
-    la, lb = f.source.lattice, f.target.lattice
-    c, meet_a, meet_b = f.carrier, la.meet2, lb.meet2
-    family = () if c[la.top] != lb.top else first_failing_pair(
-        list(la.elements()), lambda x, y: c[meet_a(x, y)] == meet_b(c[x], c[y]))
-    return None if family is None else la.name_set(family)
 
 
 def _applicative_realizer(f: MorphismSpec) -> int | None:

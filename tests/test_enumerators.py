@@ -85,3 +85,35 @@ def test_monotone_maps_count_on_chains():
     assert len(list(monotone_maps(two, two))) == 3
     assert len(list(monotone_maps(three, three))) == 10
     assert len(list(monotone_maps(two, three))) == 6
+
+
+def all_pairs_monotone_maps(src, tgt):
+    """The filter over every comparable pair that the cover steps replaced."""
+    comparable = [(a, b) for a in src.elements() for b in src.elements()
+                  if a != b and src.leq(a, b)]
+    return [table for table in product(tgt.elements(), repeat=src.size)
+            if all(tgt.leq(table[a], table[b]) for a, b in comparable)]
+
+
+def test_monotone_maps_match_the_all_pairs_filter_up_to_four():
+    lattices = [L for n in range(1, 5) for L in enumerate_lattices(n)]
+    for src, tgt in product(lattices, repeat=2):
+        assert list(monotone_maps(src, tgt)) == all_pairs_monotone_maps(src, tgt)
+
+
+def all_pairs_implications(lattice):
+    """Antitone in a over every comparable pair a2 < a that the cover steps
+    replaced, with each pair of rows compared pointwise once."""
+    rows = all_pairs_monotone_maps(lattice, lattice)
+    leq_rows = [[all(map(lattice.leq, r, s)) for s in rows] for r in rows]
+    below = [(a2, a) for a in lattice.elements() for a2 in lattice.elements()
+             if a != a2 and lattice.leq(a2, a)]
+    return [tuple(rows[i] for i in combo)
+            for combo in product(range(len(rows)), repeat=lattice.size)
+            if all(leq_rows[combo[a]][combo[a2]] for a2, a in below)]
+
+
+def test_implications_match_the_all_pairs_filter():
+    diamond = ExplicitLattice(("bot", "x", "y", "top"), (0b1111, 0b1010, 0b1100, 0b1000))
+    for lattice in (ExplicitLattice.chain(2), ExplicitLattice.chain(3), diamond):
+        assert list(enumerate_implications(lattice)) == all_pairs_implications(lattice)

@@ -1,10 +1,12 @@
 """Lattice backends, order utilities, and their validation.
 
 The meet checks elsewhere let the empty family and pairs decide (see
-``first_failing_pair``); the subset scans they replaced live on here as
-their oracles.
+``first_failing_pair`` and ``unpreserved_meet``); the subset scans they
+replaced live on here as their oracles, and the pair scan as the oracle
+of the witness where the point rule decides between powersets.
 """
 
+from collections import Counter
 from functools import cache
 from itertools import product
 from types import SimpleNamespace
@@ -12,14 +14,17 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from krl import interior
 from krl.aks import AbstractKrivineStructure, imp_sets
+from krl.bridge import powerset_algebra
 from krl.enumerators import enumerate_interiors, enumerate_lattices
 from krl.errors import LatticeError
+from krl.fixtures import aks2, aks3
 from krl.implicative import ImplicativeStructure, validate_structure
-from krl.interior import ClosedPart, is_alexandroff
+from krl.interior import ClosedPart, is_alexandroff, is_topological, validate_interior
 from krl.morphism import MorphismSpec, check_applicative_ia
 from krl.order import (ExplicitLattice, PowersetLattice, bits, first_failing_pair,
-                       upward_closure, validate_lattice)
+                       unpreserved_meet, upward_closure, validate_lattice)
 
 L2 = ExplicitLattice.chain(2)
 L3 = ExplicitLattice.chain(3)
@@ -260,6 +265,112 @@ def test_meet_preservation_matches_the_subset_scan_on_maps_up_to_three():
             assert clause.witness == (None if family is None else la.name_set(family))
             checked += 1
     assert checked == 56
+
+
+def pair_scan_witness(source, target, table):
+    """The family ``unpreserved_meet`` names, from the empty family and the
+    full pair scan alone, without the point rule."""
+    if table[source.top] != target.top:
+        return "{}"
+    pair = first_failing_pair(list(source.elements()), lambda x, y: (
+        table[source.meet2(x, y)] == target.meet2(table[x], table[y])))
+    return None if pair is None else source.name_set(pair)
+
+
+def assert_meet_matches_the_scans(source, target, table, witness):
+    """``witness`` decides like the subset scan and names the pair scan's
+    family; whether the meets are preserved."""
+    family = next(failing_families(source, target, table.__getitem__,
+                                   list(source.elements())), None)
+    assert (witness is None) == (family is None)
+    assert witness == pair_scan_witness(source, target, table)
+    return witness is None
+
+
+def test_unpreserved_meet_matches_the_scans_on_every_map_from_two_points():
+    # 4 * 4 and 8 * 8 of the maps send {} to {} and unions to unions
+    P2 = PowersetLattice("ab")
+    preserved = 0
+    for target in (P2, PowersetLattice("abc")):
+        for table in product(target.elements(), repeat=P2.size):
+            preserved += assert_meet_matches_the_scans(
+                P2, target, table, unpreserved_meet(P2, target, table))
+    assert preserved == 16 + 64
+
+
+@st.composite
+def powerset_tables(draw, source_points, target_points):
+    """Tables between powersets: arbitrary ones, or unions of values drawn
+    at {} and at the points, sometimes with one entry changed."""
+    value = st.integers(0, (1 << target_points) - 1)
+    size = 1 << source_points
+    if draw(st.booleans()):
+        return tuple(draw(value) for _ in range(size))
+    empty, points = draw(value), [draw(value) for _ in range(source_points)]
+    table = [empty] * size
+    for b in range(1, size):
+        table[b] = table[b & (b - 1)] | points[(b & -b).bit_length() - 1]
+    if draw(st.booleans()):
+        b = draw(st.integers(0, size - 1))
+        table[b] = draw(value.filter(lambda v: v != table[b]))
+    return tuple(table)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(powerset_tables(3, 3))
+def test_unpreserved_meet_matches_the_scans_on_three_points(table):
+    P3 = PowersetLattice("abc")
+    assert_meet_matches_the_scans(P3, P3, table, unpreserved_meet(P3, P3, table))
+
+
+A_AKS2, A_AKS3 = powerset_algebra(aks2()), powerset_algebra(aks3())
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(powerset_tables(2, 3))
+def test_meet_preservation_names_the_pair_scan_witness_from_aks2_to_aks3(carrier):
+    f = MorphismSpec("ia", A_AKS2, A_AKS3, carrier)
+    clause = next(c for c in check_applicative_ia(f).checks
+                  if c.clause == "morphism.meet-preservation")
+    passed = assert_meet_matches_the_scans(A_AKS2.lattice, A_AKS3.lattice, carrier,
+                                           clause.witness)
+    assert clause.passed == passed
+
+
+def scanned_interior_flags(op):
+    """The flags, flag notes and class of ``validate_interior`` from a run
+    of both scans: ``is_topological`` and the pair scan."""
+    L = op.lattice
+    topo, w_topo = is_topological(op)
+    w_alex = pair_scan_witness(L, L, op.table)
+    notes = {}
+    if not topo:
+        notes["topological"] = f"witness {w_topo}"
+    if w_alex is not None:
+        notes["alexandroff"] = f"witness family {w_alex}"
+    flags = {"topological": topo, "alexandroff": w_alex is None}
+    return flags, notes, "alexandroff" if w_alex is None else "plain"
+
+
+def test_validate_interior_matches_both_scans(count_calls):
+    # is_topological runs only to name the witness of a plain operator
+    counts = count_calls(interior.is_topological)
+    classes = Counter()
+    for L in lattices_up_to(5) + [PowersetLattice("ab"), PowersetLattice("abc")]:
+        for op in enumerate_interiors(L):
+            counts.clear()
+            rep = validate_interior(op)
+            calls = counts["is_topological"]
+            flags, notes, klass = scanned_interior_flags(op)
+            assert [(c.clause, c.passed, c.witness) for c in rep.checks] == [
+                ("interior.deflationary", True, None), ("interior.idempotent", True, None),
+                ("interior.monotone", True, None)]
+            assert list(rep.flags.items()) == list(flags.items())
+            assert list(rep.data.get("flag_notes", {}).items()) == list(notes.items())
+            assert rep.data["class"] == klass
+            assert calls == (klass == "plain")
+            classes[klass] += 1
+    assert classes["alexandroff"] > 0 and classes["plain"] > 0
 
 
 def test_closed_part_matches_the_subset_scan_on_lattices_up_to_five():
