@@ -2,11 +2,14 @@
 
 Lattices are enumerated through order-consistent labelings (the order
 relation only ever relates i to j when i <= j as integers), so every
-finite lattice shows up after relabeling along a linear extension while
-the candidate space stays tiny.  Implications, interior operators, and
-candidate morphism tables are filtered from full table spaces, except
-that interior operators can also be generated through their open sets,
-which is exponentially cheaper on powerset carriers.
+finite lattice shows up after relabeling along a linear extension.  They
+are generated row by row, transitive by construction and cut as soon as
+a meet is missing, so the cost follows the lattices found rather than
+the 2^(n(n-1)/2) relations.  Monotone maps and implications are filled
+position by position and cut at the first broken cover step.  Each
+generator yields exactly what filtering the full ``product`` space would,
+in the same order.  Interior operators are generated through their open
+sets; the brute-force table filter over them is kept as a cross-check.
 """
 
 from __future__ import annotations
@@ -18,28 +21,56 @@ from .order import ExplicitLattice, FiniteLattice, bits
 
 
 def enumerate_lattices(n: int):
-    """All complete lattices on n order-consistently labeled elements."""
+    """All complete lattices on n order-consistently labeled elements, in
+    the lexicographic order of the rows ``up[0], up[1], ...`` (within a
+    row, element r+1 first, absent before present).
+
+    The rows are fixed in that order.  Row r holds r and the top n-1, and
+    ranges over the subsets of every earlier row that holds r, so the
+    order is transitive by construction; row 0 is the bottom's, so it is
+    full.  Fixing rows 0..r-1 makes the down-set of r final, so the meet
+    of r with each earlier a is decided at once: it is the greatest
+    element of the down-set down[r] & down[a], which can only be the
+    highest index m there, and m is greatest exactly when down[m] is the
+    whole set.  A top and every binary meet make a finite order a
+    complete lattice.
+    """
+    if n == 0:
+        return
     names = tuple(f"e{i}" for i in range(n))
-    strict = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for choice in product((False, True), repeat=len(strict)):
-        up = [1 << i for i in range(n)]
-        for (i, j), chosen in zip(strict, choice):
-            if chosen:
-                up[i] |= 1 << j
-        # transitivity
-        if any(up[i] | up[j] != up[i] for i in range(n) for j in bits(up[i])):
-            continue
-        lattice = ExplicitLattice(names, tuple(up))
-        if _is_complete(lattice):
-            yield lattice
+    top = 1 << (n - 1)
+    up = [(1 << n) - 1] + [top] * (n - 1)
+    down = [1] * n
+    subsets = {0: [0]}
 
+    def ordered_subsets(free):
+        # the subsets of free in the lexicographic order of their lowest bits
+        if free not in subsets:
+            low = free & -free
+            rest = ordered_subsets(free ^ low)
+            subsets[free] = rest + [s | low for s in rest]
+        return subsets[free]
 
-def _is_complete(lattice: ExplicitLattice) -> bool:
-    # a top and all binary meets give every meet and join on a finite carrier
-    n = lattice.size
-    return (lattice._greatest((1 << n) - 1) is not None
-            and all(lattice._greatest(lattice.down[a] & lattice.down[b]) is not None
-                    for a in range(n) for b in range(a + 1, n)))
+    def rows(r):
+        if r >= n - 1:  # row n-1 is the top's alone, and meets with the top hold
+            yield ExplicitLattice(names, tuple(up))
+            return
+        bit = 1 << r
+        allowed, below = ~(bit - 1), bit
+        for i in range(r):
+            if up[i] & bit:
+                allowed &= up[i]
+                below |= 1 << i
+        for a in range(1, r):
+            both = below & down[a]
+            if down[both.bit_length() - 1] != both:
+                return
+        down[r] = below
+        for row in ordered_subsets(allowed & ~(bit | top)):
+            up[r] = row | bit | top
+            yield from rows(r + 1)
+
+    yield from rows(1)
 
 
 def monotone_selfmaps(lattice: FiniteLattice):
@@ -48,24 +79,55 @@ def monotone_selfmaps(lattice: FiniteLattice):
 
 
 def monotone_maps(src: FiniteLattice, tgt: FiniteLattice):
-    """All monotone tables, tested along the cover steps of ``src``: by
-    transitivity they give every comparable pair."""
-    covers = src.covers
-    for table in product(range(tgt.size), repeat=src.size):
-        if all(tgt.leq(table[lo], table[hi]) for lo, hi in covers):
-            yield table
+    """All monotone tables, in ``product`` order."""
+    above = [sum(1 << w for w in tgt.elements() if tgt.leq(v, w)) for v in tgt.elements()]
+    yield from _monotone_tables(src, above)
 
 
 def enumerate_implications(lattice: FiniteLattice):
     """All implication tables that are antitone on the left and monotone
-    on the right; meet-commutation is deliberately not imposed.  Rows are
-    the monotone maps, compared pointwise once per pair of rows, and
-    antitone is tested along the cover steps."""
+    on the right, in ``product`` order over the rows; meet-commutation is
+    deliberately not imposed.  Rows are the monotone maps, compared
+    pointwise once per pair of rows, and a table is a monotone map from
+    the lattice to the rows ordered the other way."""
     rows = list(monotone_selfmaps(lattice))
-    below = [[all(map(lattice.leq, r, s)) for s in rows] for r in rows]
-    for combo in product(range(len(rows)), repeat=lattice.size):
-        if all(below[combo[hi]][combo[lo]] for lo, hi in lattice.covers):
-            yield tuple(rows[i] for i in combo)
+    leq = lattice.leq
+    above = [sum(1 << j for j, s in enumerate(rows) if all(map(leq, s, r))) for r in rows]
+    for combo in _monotone_tables(lattice, above):
+        yield tuple(rows[i] for i in combo)
+
+
+def _monotone_tables(src: FiniteLattice, above):
+    """The tables t on ``src`` with t[lo] <= t[hi] along every cover step,
+    where ``above[v]`` is the mask of the values at or above v, in
+    ``product`` order.  Positions are filled left to right and a step is
+    checked as soon as both of its ends are set; by transitivity the
+    steps give every comparable pair."""
+    below = [sum(1 << w for w, mask in enumerate(above) if mask >> v & 1)
+             for v in range(len(above))]
+    # for each position, the earlier positions a step ties it to
+    lower, upper = [[] for _ in src.elements()], [[] for _ in src.elements()]
+    for lo, hi in src.covers:
+        if lo < hi:
+            lower[hi].append(lo)
+        else:
+            upper[lo].append(hi)
+    table = [0] * src.size
+
+    def fill(p):
+        if p == src.size:
+            yield tuple(table)
+            return
+        values = (1 << len(above)) - 1
+        for q in lower[p]:
+            values &= above[table[q]]
+        for q in upper[p]:
+            values &= below[table[q]]
+        for v in bits(values):
+            table[p] = v
+            yield from fill(p + 1)
+
+    return fill(0)
 
 
 def enumerate_interiors(lattice: FiniteLattice):

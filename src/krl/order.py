@@ -81,9 +81,9 @@ class ExplicitLattice(FiniteLattice):
     """A lattice given by its full order relation.
 
     ``up[a]`` is the bitmask of elements above ``a`` (inclusive);
-    ``down[b]`` the mask of elements below ``b``.  Meets and joins scan
-    the shared bound masks for their extremum, with binary results
-    cached.
+    ``down[b]`` the mask of elements below ``b``, built on first use.
+    Meets and joins scan the shared bound masks for their extremum, with
+    binary results cached.
     """
 
     def __init__(self, names, up_masks):
@@ -91,15 +91,18 @@ class ExplicitLattice(FiniteLattice):
         self.up = tuple(up_masks)
         self.size = len(self.names)
         self._full = (1 << self.size) - 1
-        down = [0] * self.size
-        for a in range(self.size):
-            for b in bits(self.up[a]):
-                down[b] |= 1 << a
-        self.down = tuple(down)
         self._meet2: dict[tuple[int, int], int] = {}
         self._join2: dict[tuple[int, int], int] = {}
         self._top: int | None = None
         self._bottom: int | None = None
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        down = [0] * self.size
+        for a in range(self.size):
+            for b in bits(self.up[a]):
+                down[b] |= 1 << a
+        return tuple(down)
 
     @classmethod
     def from_pairs(cls, names, pairs) -> "ExplicitLattice":

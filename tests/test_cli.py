@@ -162,6 +162,8 @@ def test_combinators_json(capsys):
 def test_enumerate_lattices(capsys):
     code, out, _ = run(capsys, "enumerate", "--kind", "lattice", "--size", "4")
     assert code == 0 and "total: 2" in out
+    code, out, _ = run(capsys, "enumerate", "--kind", "lattice", "--size", "8")
+    assert code == 0 and out.endswith("total: 3637\n")
 
 
 def test_enumerate_implications(capsys):

@@ -6,7 +6,7 @@ from krl.enumerators import (enumerate_alexandroff, enumerate_implications,
                              enumerate_interior_tables, enumerate_interiors,
                              enumerate_lattices, monotone_maps)
 from krl.interior import is_alexandroff
-from krl.order import ExplicitLattice, PowersetLattice, validate_lattice
+from krl.order import ExplicitLattice, PowersetLattice, bits, validate_lattice
 
 
 def brute_force_implications(lattice):
@@ -46,7 +46,7 @@ def test_implication_enumeration_matches_brute_force():
 
 def test_lattice_enumeration_counts_and_validity():
     counts = {}
-    for n in (1, 2, 3, 4, 5):
+    for n in (1, 2, 3, 4, 5, 7, 8):
         lattices = list(enumerate_lattices(n))
         counts[n] = len(lattices)
         for lattice in lattices:
@@ -55,6 +55,34 @@ def test_lattice_enumeration_counts_and_validity():
     # the two shapes on four points: the chain and the diamond
     assert counts[4] == 2
     assert counts[5] == 7
+    assert counts[7] == 320 and counts[8] == 3637
+
+
+def brute_force_lattices(n):
+    """Every relation on n order-consistently labeled points, in product
+    order, kept when it is transitive, has a top and all binary meets: the
+    filter that the pruned generation replaced."""
+    names = tuple(f"e{i}" for i in range(n))
+    strict = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = []
+    for choice in product((False, True), repeat=len(strict)):
+        up = [1 << i for i in range(n)]
+        for (i, j), chosen in zip(strict, choice):
+            if chosen:
+                up[i] |= 1 << j
+        if any(up[i] | up[j] != up[i] for i in range(n) for j in bits(up[i])):
+            continue
+        lattice = ExplicitLattice(names, tuple(up))
+        if (lattice._greatest((1 << n) - 1) is not None
+                and all(lattice._greatest(lattice.down[a] & lattice.down[b]) is not None
+                        for a in range(n) for b in range(a + 1, n))):
+            found.append(lattice)
+    return found
+
+
+def test_lattice_generation_matches_the_filter_in_order_up_to_six():
+    for n in range(7):
+        assert list(enumerate_lattices(n)) == brute_force_lattices(n)
 
 
 def test_lattice_enumeration_reaches_both_four_element_shapes():
@@ -96,7 +124,8 @@ def all_pairs_monotone_maps(src, tgt):
 
 
 def test_monotone_maps_match_the_all_pairs_filter_up_to_four():
-    lattices = [L for n in range(1, 5) for L in enumerate_lattices(n)]
+    # P(2) orders its masks downwards, so its cover steps run both ways
+    lattices = [L for n in range(1, 5) for L in enumerate_lattices(n)] + [PowersetLattice("ab")]
     for src, tgt in product(lattices, repeat=2):
         assert list(monotone_maps(src, tgt)) == all_pairs_monotone_maps(src, tgt)
 

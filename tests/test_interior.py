@@ -1,6 +1,8 @@
 """Interior operators, the open-set correspondence, approximation, and
 implication change."""
 
+from itertools import product
+
 import pytest
 
 from krl import interior
@@ -370,3 +372,17 @@ def test_validate_interior_decides_alexandroff_once(count_calls):
         counts.clear()
         assert validate_interior(op).data["class"] == klass
         assert counts["is_alexandroff"] == 1
+
+
+def test_monotone_clause_matches_the_pair_scan_on_every_table_up_to_four():
+    # the clause is decided on the cover steps; the scan over every
+    # comparable pair is its oracle, for the verdict and the witness
+    lattices = [L for n in range(1, 5) for L in enumerate_lattices(n)] + [PowersetLattice("ab")]
+    for L in lattices:
+        for table in product(L.elements(), repeat=L.size):
+            clause = next(c for c in validate_interior(InteriorOperator(L, table)).checks
+                          if c.clause == "interior.monotone")
+            witness = next((f"({L.name(a)}, {L.name(b)})"
+                            for a in L.elements() for b in L.elements()
+                            if L.leq(a, b) and not L.leq(table[a], table[b])), None)
+            assert (clause.passed, clause.witness) == (witness is None, witness)
