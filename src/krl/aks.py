@@ -76,6 +76,13 @@ class AbstractKrivineStructure:
         return tuple(sorted(perp_right(self, c) for c in classes))
 
     @cached_property
+    def class_points(self) -> dict[int, tuple[int, ...]]:
+        """The point table of each perp class c met so far: at each point
+        pi, the mask of every t.pi with t in c.  Filled by
+        :func:`_class_table`."""
+        return {}
+
+    @cached_property
     def separator_masks(self) -> tuple[int, ...]:
         """The separator of the realizability algebra, in ascending order:
         every subset that some quasi-proof is orthogonal to."""
@@ -116,27 +123,42 @@ def spec_preorder(aks: AbstractKrivineStructure, sigma: int, pi: int) -> bool:
     return bool(bar_closure(aks, 1 << sigma) >> pi & 1)
 
 
+def _class_table(aks: AbstractKrivineStructure, mask: int) -> tuple[int, ...]:
+    """The point table of the perp class of the mask, c = perp_left(mask):
+    entry pi is the mask of every t.pi with t in c.  Built once per class
+    and structure."""
+    c = perp_left(aks, mask)
+    table = aks.class_points.get(c)
+    if table is None:
+        table = []
+        for pi in range(aks.pi_size):
+            acc = 0
+            for t in bits(c):
+                acc |= 1 << aks.push[t][pi]
+            table.append(acc)
+        table = aks.class_points[c] = tuple(table)
+    return table
+
+
 def imp_sets(aks: AbstractKrivineStructure, p: int, q: int) -> int:
     """The implication on subsets: everything of the form t.pi with t
-    orthogonal to p and pi in q."""
+    orthogonal to p and pi in q, the union of the point table of p's perp
+    class over the points of q."""
+    table = _class_table(aks, p)
     out = 0
-    points = tuple(bits(q))
-    for t in bits(perp_left(aks, p)):
-        row = aks.push[t]
-        for pi in points:
-            out |= 1 << row[pi]
+    for pi in bits(q):
+        out |= table[pi]
     return out
 
 
 def app_sets(aks: AbstractKrivineStructure, p: int, q: int) -> int:
     """The adjoint application on subsets: stacks pi with t.pi in p for
-    every t orthogonal to q."""
-    out = aks.full
-    for t in bits(perp_left(aks, q)):
-        row = aks.push[t]
-        for pi in bits(out):
-            if not p >> row[pi] & 1:
-                out ^= 1 << pi
+    every t orthogonal to q, the points whose entry in the point table of
+    q's perp class lies within p."""
+    out = 0
+    for pi, reached in enumerate(_class_table(aks, q)):
+        if not reached & ~p:
+            out |= 1 << pi
     return out
 
 

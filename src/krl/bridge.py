@@ -14,7 +14,7 @@ element to its singleton, and the triangle identities hold on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
@@ -64,15 +64,31 @@ def functor_A_obj(aks: AbstractKrivineStructure, *, validate=True) -> FunctorIma
     return FunctorImageIA(powerset_algebra(aks), aks)
 
 
+class PowersetStructure(ImplicativeStructure):
+    """The implicative structure of A(X), carrying X: subsets of the
+    carrier under reverse inclusion, with ``imp_sets`` and ``app_sets``.
+    P -> Q reads P only through perp_left(P), and P Q reads Q only through
+    perp_left(Q), so the subsets of one perp class share their row and
+    their application column, and the least of them stands for the class."""
+
+    def __init__(self, aks: AbstractKrivineStructure):
+        super().__init__(PowersetLattice(aks.names),
+                         lambda p, q: aksmod.imp_sets(aks, p, q),
+                         app=lambda p, q: aksmod.app_sets(aks, p, q))
+        self.aks = aks
+
+    @cached_property
+    def classes(self) -> tuple[int, ...]:
+        first: dict[int, int] = {}
+        return tuple(first.setdefault(aksmod.perp_left(self.aks, p), p)
+                     for p in self.lattice.elements())
+
+
 def powerset_algebra(aks: AbstractKrivineStructure) -> ImplicativeAlgebra:
     """A(X), unchecked: subsets of the carrier under reverse inclusion,
     with the implication and application acting through the polarity;
     never materialized as an explicit table."""
-    structure = ImplicativeStructure(
-        PowersetLattice(aks.names),
-        lambda p, q: aksmod.imp_sets(aks, p, q),
-        app=lambda p, q: aksmod.app_sets(aks, p, q))
-    return ImplicativeAlgebra(structure, aks.separator_masks,
+    return ImplicativeAlgebra(PowersetStructure(aks), aks.separator_masks,
                               aks.perp_rows[aks.k_elem], aks.perp_rows[aks.s_elem])
 
 

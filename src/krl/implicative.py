@@ -68,18 +68,38 @@ class ImplicativeStructure:
         return acc
 
     @cached_property
+    def classes(self) -> tuple[int, ...]:
+        """For each element a, the least element known to share both its
+        row b -> a->b and its application column x -> x a.  Nothing is known
+        here, so each a stands for itself; a structure that knows more, such
+        as a powerset algebra, says so by overriding this."""
+        return tuple(self.lattice.elements())
+
+    @cached_property
+    def representatives(self) -> tuple[int, ...]:
+        """The least element of each class, ascending: a clause that reads a
+        only through its row or its column runs once per entry."""
+        return tuple(a for a, c in enumerate(self.classes) if a == c)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The row b -> a->b of every a, computed once per representative."""
+        elems = self.lattice.elements()
+        computed = {a: tuple(self.imp(a, b) for b in elems) for a in self.representatives}
+        return tuple(computed[c] for c in self.classes)
+
+    @cached_property
     def distinct_rows(self) -> dict[tuple[int, ...], int]:
         """Each distinct row b -> a->b, mapped to the first a that has it, in
         order of that a.  A clause that reads a only through its row runs
         once per entry."""
         rows: dict[tuple[int, ...], int] = {}
-        for a, row in enumerate(self.imp_table()):
-            rows.setdefault(row, a)
+        for a in self.representatives:
+            rows.setdefault(self.rows[a], a)
         return rows
 
     def imp_table(self):
-        n = self.lattice.size
-        return tuple(tuple(self.imp(a, b) for b in range(n)) for a in range(n))
+        return self.rows
 
 
 @dataclass(frozen=True)
@@ -135,7 +155,7 @@ def validate_structure(structure: ImplicativeStructure) -> Report:
     # per distinct row; rows come in the order of their first a, so the first
     # failing row names the first failing a.  The empty family B = {} is
     # tracked apart, for the quasi flag.
-    imp, leq, top = structure.imp, L.leq, L.top
+    rows, leq, top = structure.rows, L.leq, L.top
     witness = empty_witness = None
     for row, a in structure.distinct_rows.items():
         if empty_witness is None and row[top] != top:
@@ -154,15 +174,15 @@ def validate_structure(structure: ImplicativeStructure) -> Report:
     # g above x, so the a half is decided on those g and the top; the full
     # scan runs only to name a failure.
     covers, elems, variance = L.covers, L.elements(), None
-    if not binary or any(not leq(imp(hi, x), imp(lo, x))
+    if not binary or any(not leq(rows[hi][x], rows[lo][x])
                          for (lo, hi), x in product(covers, (*L.meet_irreducibles, top))):
         variance = next((f"(a'={nm(lo)}, a={nm(hi)}, b={nm(x)}, b'={nm(x)})"
                          for (lo, hi), x in product(covers, elems)
-                         if not leq(imp(hi, x), imp(lo, x))), None)
+                         if not leq(rows[hi][x], rows[lo][x])), None)
     if variance is None and not binary:
         variance = next((f"(a'={nm(x)}, a={nm(x)}, b={nm(lo)}, b'={nm(hi)})"
                          for (lo, hi), x in product(covers, elems)
-                         if not leq(imp(x, lo), imp(x, hi))), None)
+                         if not leq(rows[x][lo], rows[x][hi])), None)
     rep.check("imp.variance", variance is None, variance)
     rep.check("imp.meet-commutation", binary and empty_witness is None,
               witness or empty_witness)
@@ -178,16 +198,17 @@ def check_adjunction(structure: ImplicativeStructure) -> Report:
     Galois connection (``_application_is_adjoint``, with implication
     monotone in its second argument along the cover steps) passes both
     clauses; otherwise the triple scan decides them and names the
-    witnesses."""
+    witnesses.  Monotone in the second argument reads y only through its
+    row, so it runs on the representatives."""
     L = structure.lattice
     nm = L.name
     rep = Report("adjunction")
     half_witness = full_witness = None
-    imp, leq, elems = structure.imp, L.leq, L.elements()
-    galois = (all(leq(imp(y, lo), imp(y, hi)) for lo, hi in L.covers for y in elems)
+    rows, leq, elems = structure.rows, L.leq, L.elements()
+    galois = (all(leq(rows[y][lo], rows[y][hi])
+                  for lo, hi in L.covers for y in structure.representatives)
               and validate_lattice(L).ok and _application_is_adjoint(structure))
     if not galois:
-        rows = structure.imp_table()
         for a, b in product(elems, repeat=2):
             ab = structure.application(a, b)
             for c, bc in enumerate(rows[b]):
@@ -235,13 +256,36 @@ def _s_fold(structure: ImplicativeStructure, cs) -> int:
     equals the meet over the meet-irreducibles.
     """
     L = structure.lattice
-    imp, meet2 = structure.imp, L.meet2
+    rows, meet2 = structure.rows, L.meet2
     acc = L.top
     for row in structure.distinct_rows:
         for b, ab in enumerate(row):
             for c in cs:
-                acc = meet2(acc, imp(row[imp(b, c)], imp(ab, row[c])))
+                acc = meet2(acc, rows[row[rows[b][c]]][rows[ab][row[c]]])
     return acc
+
+
+def _k_fold(structure: ImplicativeStructure) -> int:
+    """``combinator_k`` on an implicative structure: the meet of
+    a -> (top -> a) over every a.  For each a the term a -> (b -> a) is
+    least at b = top: b <= top gives top -> a <= b -> a, as implication is
+    antitone in its first argument, and a -> . is monotone.  So the meet
+    over b is attained at the top."""
+    L = structure.lattice
+    rows, top = structure.rows, L.top
+    return L.meet([rows[a][rows[top][a]] for a in L.elements()])
+
+
+def _cc_fold(structure: ImplicativeStructure) -> int:
+    """``combinator_cc`` on an implicative structure: the meet of
+    ((a -> bottom) -> a) -> a over every a.  For each a the Peirce term
+    ((a -> b) -> a) -> a is least at b = bottom: bottom <= b gives
+    a -> bottom <= a -> b, as a -> . is monotone, and the two antitone
+    first arguments turn that twice, so the term at the bottom lies below
+    the term at b."""
+    L = structure.lattice
+    rows, bottom = structure.rows, L.bottom
+    return L.meet([rows[rows[rows[a][bottom]][a]][a] for a in L.elements()])
 
 
 def combinator_cc(structure: ImplicativeStructure) -> int:
@@ -315,13 +359,20 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
         return rep
     implicative = rep.ok
 
-    elems = L.elements()
-    witness = next((f"({nm(a)} <= {nm(b)})" for a in sep for b in elems
-                    if L.leq(a, b) and b not in sep), None)
+    # The order is a lattice from here on, so upward closure along the cover
+    # steps is upward closure, by transitivity.  Modus ponens reads a only
+    # through its row, so it runs once per distinct row of a separator
+    # element.  The scans run only to name a failure.
+    elems, rows = L.elements(), st.rows
+    witness = None if all(hi in sep for lo, hi in L.covers if lo in sep) else next(
+        f"({nm(a)} <= {nm(b)})" for a in sep for b in elems if L.leq(a, b) and b not in sep)
     rep.check("separator.upward-closed", witness is None, witness)
 
-    witness = next((f"(a={nm(a)}, b={nm(b)})" for a in sep for b in elems
-                    if st.imp(a, b) in sep and b not in sep), None)
+    outside = [b for b in elems if b not in sep]
+    sep_rows = {rows[c] for c in {st.classes[a] for a in sep}}
+    witness = None if not any(row[b] in sep for row in sep_rows for b in outside) else next(
+        f"(a={nm(a)}, b={nm(b)})" for a in sep for b in elems
+        if rows[a][b] in sep and b not in sep)
     rep.check("separator.modus-ponens", witness is None, witness)
 
     rep.check("separator.has-k", algebra.k in sep,
@@ -329,7 +380,7 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
     rep.check("separator.has-s", algebra.s in sep,
               None if algebra.s in sep else nm(algebra.s))
 
-    k_bound = combinator_k(st)
+    k_bound = _k_fold(st) if implicative else combinator_k(st)
     k_ok = rep.check("k.bound", L.leq(algebra.k, k_bound),
                      None if L.leq(algebra.k, k_bound) else f"k={nm(algebra.k)} > {nm(k_bound)}")
     s_bound = _s_fold(st, L.meet_irreducibles if implicative else elems)
@@ -352,7 +403,7 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
                       st.application(st.application(a, c), st.application(b, c)))), None)
     rep.check("law.s-applied", witness is None, witness)
 
-    rep.flag("classical", combinator_cc(st) in sep)
+    rep.flag("classical", (_cc_fold(st) if implicative else combinator_cc(st)) in sep)
     rep.flag("consistent", L.meet(L.elements()) not in sep)
     return rep
 
@@ -363,12 +414,13 @@ def _application_is_adjoint(st: ImplicativeStructure) -> bool:
     and in c with x <= y -> x y and (y -> c) y <= c is a Galois connection:
     x y <= c gives x <= y -> x y <= y -> c, and x <= y -> c gives
     x y <= (y -> c) y <= c.  Monotone in x is checked along the cover steps
-    of the order."""
-    L, app, imp, leq = st.lattice, st.application, st.imp, st.lattice.leq
-    elems = L.elements()
-    return (all(leq(app(lo, y), app(hi, y)) for lo, hi in L.covers for y in elems)
-            and all(leq(x, imp(y, app(x, y))) and leq(app(imp(y, x), y), x)
-                    for x in elems for y in elems))
+    of the order.  Each condition reads y only through its row y -> . and
+    its column . y, so one y per class, its representative, is enough."""
+    L, app, rows, leq = st.lattice, st.application, st.rows, st.lattice.leq
+    elems, reps = L.elements(), st.representatives
+    return (all(leq(app(lo, y), app(hi, y)) for lo, hi in L.covers for y in reps)
+            and all(leq(x, rows[y][app(x, y)]) and leq(app(rows[y][x], y), x)
+                    for x in elems for y in reps))
 
 
 def entails(algebra: ImplicativeAlgebra, a: int, b: int) -> EntailmentWitness | None:

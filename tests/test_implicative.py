@@ -1,7 +1,8 @@
 """Implicative structures: application, adjunction, combinators, separators."""
 
 import random
-from itertools import product
+from collections import Counter
+from itertools import islice, product
 
 import pytest
 
@@ -14,8 +15,8 @@ from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure,
                              check_adjunction, combinator_cc, combinator_i,
                              combinator_k, combinator_nu, combinator_s, entails,
                              separator_closure, uniform_entails, validate_algebra,
-                             validate_structure, _s_fold)
-from krl.order import ExplicitLattice, bits
+                             validate_structure, _application_is_adjoint, _s_fold)
+from krl.order import ExplicitLattice, bits, upward_closure
 
 
 def oracle_application(structure, a, b):
@@ -434,3 +435,93 @@ def test_applied_laws_by_the_bounds_match_their_scans():
                                        "k.bound", "s.bound"))
         failed += k_law is not None or s_law is not None
     assert by_theorem > 0 and failed > 0
+
+
+def scanned_validate_algebra(algebra):
+    """validate_algebra with the separator clauses, k.bound and the
+    classical flag decided by their full scans, as before the cover, row
+    and fold rules."""
+    st = algebra.structure
+    L = algebra.lattice
+    nm = L.name
+    sep = algebra.separator
+    rep = validate_structure(st)
+    rep.name = "implicative-algebra"
+    if rep.checks[0].clause.startswith("order."):
+        return rep
+    implicative = rep.ok
+
+    elems = L.elements()
+    witness = next((f"({nm(a)} <= {nm(b)})" for a in sep for b in elems
+                    if L.leq(a, b) and b not in sep), None)
+    rep.check("separator.upward-closed", witness is None, witness)
+
+    witness = next((f"(a={nm(a)}, b={nm(b)})" for a in sep for b in elems
+                    if st.imp(a, b) in sep and b not in sep), None)
+    rep.check("separator.modus-ponens", witness is None, witness)
+
+    rep.check("separator.has-k", algebra.k in sep,
+              None if algebra.k in sep else nm(algebra.k))
+    rep.check("separator.has-s", algebra.s in sep,
+              None if algebra.s in sep else nm(algebra.s))
+
+    k_bound = combinator_k(st)
+    k_ok = rep.check("k.bound", L.leq(algebra.k, k_bound),
+                     None if L.leq(algebra.k, k_bound) else f"k={nm(algebra.k)} > {nm(k_bound)}")
+    s_bound = _s_fold(st, L.meet_irreducibles if implicative else elems)
+    s_ok = rep.check("s.bound", L.leq(algebra.s, s_bound),
+                     None if L.leq(algebra.s, s_bound) else f"s={nm(algebra.s)} > {nm(s_bound)}")
+
+    adjoint = implicative and _application_is_adjoint(st)
+    witness = None if adjoint and k_ok else next(
+        (f"({nm(a)}, {nm(b)})" for a in elems for b in elems
+         if not L.leq(st.apply_chain(algebra.k, a, b), a)), None)
+    rep.check("law.k-applied", witness is None, witness)
+
+    witness = None if adjoint and s_ok else next(
+        (f"({nm(a)}, {nm(b)}, {nm(c)})" for a in elems for b in elems for c in elems
+         if not L.leq(st.apply_chain(algebra.s, a, b, c),
+                      st.application(st.application(a, c), st.application(b, c)))), None)
+    rep.check("law.s-applied", witness is None, witness)
+
+    rep.flag("classical", combinator_cc(st) in sep)
+    rep.flag("consistent", L.meet(L.elements()) not in sep)
+    return rep
+
+
+def separator_algebras(rng):
+    """On every lattice of 1 to 5 elements (the chains among them), up to 30
+    variance-respecting tables, on 5 elements half of them also
+    meet-commuting, and 10 random tables, each with four separators:
+    everything, the top alone, the up-set of an element, and a random
+    subset; k and s are the canonical bounds or random."""
+    for L in (L for n in (1, 2, 3, 4, 5) for L in enumerate_lattices(n)):
+        E, n = list(L.elements()), L.size
+        if n < 4:
+            tables = list(enumerate_implications(L))
+            tables = rng.sample(tables, min(len(tables), 30))
+        elif n == 4:
+            tables = list(islice(enumerate_implications(L), 0, 6_000, 200))
+        else:
+            tables = ([st.imp_table() for st in sampled_implicative_tables(L, 15, rng)]
+                      + list(islice(enumerate_implications(L), 0, 3_000, 200)))
+        tables += [[[rng.randrange(n) for _ in E] for _ in E] for _ in range(10)]
+        for table in tables:
+            st = ImplicativeStructure(L, table)
+            ks, ss = (combinator_k(st), rng.choice(E)), (combinator_s(st), rng.choice(E))
+            for sep in (E, [L.top], upward_closure(L, [rng.choice(E)]),
+                        rng.sample(E, rng.randint(1, n))):
+                yield ImplicativeAlgebra(st, sep, rng.choice(ks), rng.choice(ss))
+
+
+def test_separator_and_fold_rules_match_the_scans_on_small_lattices():
+    outcomes = Counter()
+    for algebra in separator_algebras(random.Random(3)):
+        rep, scanned = validate_algebra(algebra), scanned_validate_algebra(algebra)
+        assert (rep.checks, rep.flags, rep.data) == (scanned.checks, scanned.flags, scanned.data)
+        outcomes.update(c.clause for c in rep.failures())
+        outcomes["implicative"] += validate_structure(algebra.structure).ok
+        outcomes["classical"] += rep.flags["classical"]
+    for clause in ("separator.upward-closed", "separator.modus-ponens", "k.bound",
+                   "imp.variance", "implicative", "classical"):
+        assert outcomes[clause], clause
