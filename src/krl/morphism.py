@@ -183,9 +183,8 @@ def verify_certificate_ia(f: MorphismSpec, cert: DensityCertificate) -> Report:
     stray = sorted(b for b in h if h[b] not in A.separator)
     rep.check("cert.h-into-source-separator", not stray,
               lb.name_set(stray) if stray else None)
-    witness = _unmonotone_pair(h, [(lo, hi) for lo, hi in lb.covers if lo in h]
-                               if la.is_order and lb.is_order else None,
-                               lb.leq, la.leq, lb.name)
+    witness = next((f"({lb.name(b1)} <= {lb.name(b2)})" for b1 in h for b2 in h
+                    if lb.leq(b1, b2) and not la.leq(h[b1], h[b2])), None)
     rep.check("cert.h-monotone", witness is None, witness)
     if not missing:
         d = _density(f)
@@ -280,8 +279,8 @@ def verify_certificate_aks(f: MorphismSpec, cert: DensityCertificate) -> Report:
     stray = sorted(b for b in h if h[b] not in sep_a)
     rep.check("cert.h-into-source-separator", not stray,
               B.name_mask(stray[0]) if stray else None)
-    witness = _unmonotone_pair(h, [(b, b & ~(1 << i)) for b in h for i in bits(b)],
-                               _contains, _contains, B.name_mask)
+    witness = next((f"({B.name_mask(b1)} <= {B.name_mask(b2)})" for b1 in h for b2 in h
+                    if _contains(b1, b2) and not _contains(h[b1], h[b2])), None)
     rep.check("cert.h-monotone", witness is None, witness)
     if not missing:
         d = _density(f)
@@ -289,20 +288,6 @@ def verify_certificate_aks(f: MorphismSpec, cert: DensityCertificate) -> Report:
                        None)
         rep.check("cert.density", witness is None, witness)
     return rep
-
-
-def _unmonotone_pair(h, steps, leq_b, leq_a, name) -> str | None:
-    """The first pair b1 <= b2 of the table's domain with h[b1] not below
-    h[b2], named "(b1 <= b2)", or None.  ``steps`` are the cover steps
-    lo < hi of the target's order with lo in the domain, or None when the
-    two orders are not known to be partial orders.  When every step stays
-    in the domain, the domain is upward closed, so the cover steps that join
-    b1 <= b2 in it stay in it too, and by transitivity the steps decide the
-    clause.  The pair scan runs otherwise, and to name a failure."""
-    if steps is not None and all(hi in h and leq_a(h[lo], h[hi]) for lo, hi in steps):
-        return None
-    return next((f"({name(b1)} <= {name(b2)})" for b1 in h for b2 in h
-                 if leq_b(b1, b2) and not leq_a(h[b1], h[b2])), None)
 
 
 # ------------------------------------------------------------- shared api

@@ -51,12 +51,6 @@ class FiniteLattice:
         order, <= is the reflexive-transitive closure of these steps."""
         raise NotImplementedError
 
-    @property
-    def is_order(self) -> bool:
-        """Whether <= is reflexive, antisymmetric and transitive, so that
-        the cover steps generate it."""
-        return True
-
     @cached_property
     def meet_irreducibles(self) -> tuple[int, ...]:
         """The elements with exactly one upper cover, ascending.  On a
@@ -132,12 +126,6 @@ class ExplicitLattice(FiniteLattice):
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
-
-    @cached_property
-    def is_order(self) -> bool:
-        up, down = self.up, self.down
-        return all(up[a] & down[a] == 1 << a
-                   and not any(up[b] & ~up[a] for b in bits(up[a])) for a in range(self.size))
 
     def pairs(self):
         """All (a, b) with a <= b and a != b, in ascending order."""

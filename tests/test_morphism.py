@@ -1,7 +1,5 @@
 """Morphism checkers, certificate search, composition, and 2-cells."""
 
-import random
-from functools import partial
 from itertools import product
 
 import pytest
@@ -9,16 +7,13 @@ import pytest
 from krl import aks as aksmod
 from krl import morphism
 from krl.aks import full_polarity_aks
-from krl.bridge import functor_A_obj
 from krl.errors import ComposabilityError, SearchBudgetExceeded
 from krl.fixtures import (aks2, aks3, diamond, heyting3, l2, mined_corpus,
                           singleton_algebra)
-from krl.implicative import ImplicativeAlgebra, ImplicativeStructure
-from krl.morphism import (DensityCertificate, MorphismSpec, _contains, check_applicative,
+from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
                           check_applicative_aks, check_applicative_ia, check_comp_dense,
                           check_condition2_equiv, compose,
                           identity_morphism, two_cell_leq, verify_certificate)
-from krl.order import ExplicitLattice
 
 
 def candidate_maps(src, tgt):
@@ -151,66 +146,6 @@ def test_verify_rejects_non_monotone_h():
     bogus = DensityCertificate.make(2, {1: 2, 2: 1}, 2)
     rep = verify_certificate(f, bogus)
     assert any(c.clause == "cert.h-monotone" for c in rep.failures())
-
-
-def scanned_unmonotone_pair(h, leq_b, leq_a, name):
-    """cert.h-monotone by the scan over every pair of the domain."""
-    return next((f"({name(b1)} <= {name(b2)})" for b1 in h for b2 in h
-                 if leq_b(b1, b2) and not leq_a(h[b1], h[b2])), None)
-
-
-def monotone_clause(f, h):
-    """The clause on a certificate with table h, and h as the certificate
-    holds it, in key order."""
-    cert = DensityCertificate.make(0, h)
-    rep = verify_certificate(f, cert)
-    return next(c for c in rep.checks if c.clause == "cert.h-monotone"), cert.h_map
-
-
-def random_tables(elements, separator, rng, monotone):
-    """Tables on the separator (upward closed) or on a random domain, with
-    monotone values from ``monotone`` or random ones."""
-    for _ in range(150):
-        domain = separator if rng.random() < 0.5 else rng.sample(
-            elements, rng.randint(0, len(elements)))
-        values = monotone(rng) if rng.random() < 0.5 else lambda b: rng.choice(elements)
-        yield {b: values(b) for b in domain}
-
-
-def test_h_monotone_on_the_covers_matches_the_pair_scan():
-    rng = random.Random(4)
-    outcomes = set()
-    for algebra in (l2(), heyting3(), diamond(), functor_A_obj(aks2()).algebra,
-                    functor_A_obj(aks3()).algebra):
-        f, L = identity_morphism(algebra, "ia"), algebra.lattice
-        E = list(L.elements())
-        for h in random_tables(E, sorted(algebra.separator), rng,
-                               lambda rng: partial(L.meet2, rng.choice(E))):
-            clause, h = monotone_clause(f, h)
-            expected = scanned_unmonotone_pair(h, L.leq, L.leq, L.name)
-            assert (clause.passed, clause.witness) == (expected is None, expected)
-            outcomes.add(clause.passed)
-    for aks in (aks2(), aks3(), full_polarity_aks(3)):
-        f, masks = identity_morphism(aks, "aks"), list(range(1 << aks.pi_size))
-        for h in random_tables(masks, list(aks.separator_masks), rng,
-                               lambda rng: partial(int.__or__, rng.choice(masks))):
-            clause, h = monotone_clause(f, h)
-            expected = scanned_unmonotone_pair(h, _contains, _contains, aks.name_mask)
-            assert (clause.passed, clause.witness) == (expected is None, expected)
-            outcomes.add(clause.passed)
-    assert outcomes == {True, False}
-
-
-def test_h_monotone_scans_pairs_when_the_source_order_is_not_transitive():
-    # e0 <= e1 <= e2 but not e0 <= e2 in the source: the cover steps of the
-    # target chain hold, the pair (e0, e2) does not
-    chain = ExplicitLattice.chain(3)
-    loose = ExplicitLattice(chain.names, (0b011, 0b110, 0b100))
-    source = ImplicativeAlgebra(ImplicativeStructure(loose, [[2] * 3] * 3), {0, 1, 2}, 2, 2)
-    target = ImplicativeAlgebra(ImplicativeStructure(chain, [[2] * 3] * 3), {0, 1, 2}, 2, 2)
-    clause, _ = monotone_clause(MorphismSpec("ia", source, target, (0, 1, 2)),
-                                {0: 0, 1: 1, 2: 2})
-    assert (clause.passed, clause.witness) == (False, "(e0 <= e2)")
 
 
 def test_compose_with_identity_keeps_certificate():

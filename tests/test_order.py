@@ -165,20 +165,6 @@ def test_validate_reports_transitivity_failure():
     assert any(c.clause == "order.transitive" for c in rep.failures())
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_is_order_matches_the_order_clauses_on_every_relation(n):
-    orders = 0
-    for up in product(range(1 << n), repeat=n):
-        L = ExplicitLattice([f"e{i}" for i in range(n)], up)
-        clauses = {c.clause: c.passed for c in validate_lattice(L).checks}
-        expected = all(clauses[c] for c in ("order.reflexive", "order.antisymmetric",
-                                            "order.transitive"))
-        assert L.is_order == expected, up
-        orders += expected
-    assert orders == {1: 1, 2: 3, 3: 19}[n]
-    assert PowersetLattice("abc"[:n]).is_order
-
-
 def test_validate_fence_reports_completeness_witness():
     # two minimal points below two crossing maximal points: both the
     # minimal and the maximal pair lack a meet, and the oracle confirms
