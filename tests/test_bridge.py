@@ -7,20 +7,23 @@ from itertools import product
 
 import pytest
 
+from krl import aks as aks_module
 from krl import bridge
 from krl.aks import AbstractKrivineStructure, full_polarity_aks, validate_aks
-from krl.bridge import (AdjunctionData, FunctorImageAKS, check_adjunction_instance,
+from krl.bridge import (AdjunctionData, check_adjunction_instance,
                         composite_AK_check, composite_KA_check, counit_certificate,
                         functor_A_mor, functor_A_obj, functor_K_mor, functor_K_obj,
                         transport_density_A, transport_density_K, unit_certificate)
 from krl.errors import InvalidSource, SizeLimitExceeded
 from krl.fixtures import (aks1, aks2, aks3, diamond, heyting3, l2, mined_corpus,
                           singleton_algebra)
-from krl.implicative import ImplicativeAlgebra, ImplicativeStructure, validate_algebra
+from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, combinator_i,
+                             validate_algebra)
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
                           check_applicative_aks, check_comp_dense, identity_morphism,
                           verify_certificate)
-from krl.order import ExplicitLattice, bits
+from krl.order import ExplicitLattice, bits, upward_closure
+from krl.report import Report
 
 
 def test_functor_A_on_tiny_full_polarity():
@@ -29,6 +32,13 @@ def test_functor_A_on_tiny_full_polarity():
     assert algebra.lattice.size == 2
     assert algebra.separator == {0, 1}
     assert algebra.k == 1 and algebra.s == 1  # the whole carrier
+
+
+def test_functor_A_image_keeps_one_copy_of_its_source():
+    aks = aks3()
+    image = functor_A_obj(aks)
+    assert image.source_aks is aks is image.algebra.structure.aks
+    assert [f.name for f in dataclasses.fields(image)] == ["algebra"]
 
 
 def test_functor_A_separator_contains_top():
@@ -121,34 +131,122 @@ def test_composite_AK_matches_closed_form(algebra):
     assert brute_force_AK_witness(algebra, composite) is None
 
 
+def composite_AK_by_construction(algebra):
+    """``composite_AK_check`` built the way it was before it was decided per
+    key: A(K(L)) through both functors, with every family scanned."""
+    algebra = bridge.algebra_of(algebra)
+    L = algebra.lattice
+    n = L.size
+    composite = bridge.functor_A_obj(bridge.functor_K_obj(algebra).aks).algebra
+    rep = Report("composite-AK")
+
+    def closed_imp(c_mask, d):
+        inf_c = L.meet(list(bits(c_mask)))
+        out = 0
+        for c in L.elements():
+            if L.leq(c, inf_c):
+                out |= 1 << algebra.imp(c, d)
+        return out
+
+    witness = next((f"(C={L.name_set(bits(c_mask))}, D={L.name_set([d])})"
+                    for c_mask in range(1 << n) for d in L.elements()
+                    if composite.imp(c_mask, 1 << d) != closed_imp(c_mask, d)), None)
+    rep.check("composite.ak.implication", witness is None, witness)
+
+    k_up = sum(1 << x for x in upward_closure(L, [algebra.k]))
+    s_up = sum(1 << x for x in upward_closure(L, [algebra.s]))
+    rep.check("composite.ak.k-upset", composite.k == k_up,
+              None if composite.k == k_up else composite.lattice.name(composite.k))
+    rep.check("composite.ak.s-upset", composite.s == s_up,
+              None if composite.s == s_up else composite.lattice.name(composite.s))
+
+    closed_sep = frozenset(
+        m for m in range(1 << n) if L.meet(list(bits(m))) in algebra.separator)
+    rep.check("composite.ak.separator", composite.separator == closed_sep,
+              None if composite.separator == closed_sep else
+              f"differs at {sorted(composite.separator ^ closed_sep)[:4]}")
+    return rep
+
+
+# every algebra of at most 8 elements that the suite builds
+SMALL_ALGEBRAS = ([l2(), heyting3(), singleton_algebra(), diamond()]
+                  + [heyting_chain(n) for n in range(1, 9)]
+                  + [functor_A_obj(x).algebra
+                     for x in mined_corpus() + [full_polarity_aks(m) for m in (1, 2, 3)]])
+
+
+@pytest.mark.parametrize("algebra", SMALL_ALGEBRAS)
+def test_composite_AK_matches_the_construction(algebra):
+    assert composite_AK_check(algebra) == composite_AK_by_construction(algebra)
+
+
+def test_composite_AK_builds_no_composite_past_the_size_limit(count_calls):
+    # values, not time: neither the composite nor a scan over the 2^24
+    # families can come back unseen
+    counts = count_calls(aks_module.imp_sets, aks_module.perp_left,
+                         bridge.functor_A_obj, bridge.functor_K_obj)
+    assert composite_AK_check(heyting_chain(24)).ok
+    assert 0 < counts["imp_sets"] <= 24 ** 2 and counts["perp_left"] <= 24 ** 2
+    assert counts["functor_A_obj"] == counts["functor_K_obj"] == 0
+
+
+@pytest.mark.parametrize("algebra", [
+    ImplicativeAlgebra(l2().structure, {0}, k=0, s=0),
+    ImplicativeAlgebra(heyting3().structure, {2}, k=0, s=2),
+    ImplicativeAlgebra(ImplicativeStructure(
+        ExplicitLattice(("a", "b"), (0b01, 0b10)), ((0, 0), (0, 0))), {0}, k=0, s=0),
+], ids=["not-upward-closed", "k-outside", "not-a-lattice"])
+def test_composite_AK_rejects_an_invalid_source(algebra):
+    with pytest.raises(InvalidSource) as new:
+        composite_AK_check(algebra)
+    with pytest.raises(InvalidSource) as old:
+        composite_AK_by_construction(algebra)
+    assert str(new.value) == str(old.value) == "source algebra fails validation"
+    assert new.value.report == old.value.report == validate_algebra(algebra)
+
+
+def corrupt(aks, rng):
+    """K(L) with one push entry, one polarity bit, one quasi-proof bit or
+    the k or s point changed."""
+    n = aks.pi_size
+    t, pi = rng.randrange(n), rng.randrange(n)
+    kind = rng.randrange(4)
+    if kind == 0:
+        push = [list(row) for row in aks.push]
+        push[t][pi] = rng.randrange(n)
+        return dataclasses.replace(aks, push=tuple(map(tuple, push)))
+    if kind == 1:
+        rows = list(aks.perp_rows)
+        rows[t] ^= 1 << pi
+        return dataclasses.replace(aks, perp_rows=tuple(rows))
+    if kind == 2:
+        return dataclasses.replace(aks, qp=aks.qp ^ 1 << t)
+    return dataclasses.replace(aks, **{rng.choice(["k_elem", "s_elem"]): t})
+
+
 def test_composite_AK_witness_on_corrupted_composites(monkeypatch):
-    # one push entry or one polarity bit of K(A) changed: the check reads
-    # the corrupted composite, and the 4^n scan names the same witness
-    monkeypatch.setattr(bridge, "functor_A_obj",
-                        partial(bridge.functor_A_obj, validate=False))
+    # K(L) corrupted where both routes read it, and its validation skipped:
+    # the check names the witnesses of the construction, and its implication
+    # witness is the 4^n scan's
+    monkeypatch.setattr(aks_module, "validate_aks", lambda _aks: Report("aks"))
+    krivine_structure = bridge.krivine_structure
     rng = random.Random(0)
     failed = 0
+    failed_clauses = set()
     for _ in range(200):
         algebra = rng.choice([l2(), heyting3(), diamond(), heyting_chain(4)])
-        aks = functor_K_obj(algebra).aks
-        n = aks.pi_size
-        t, pi = rng.randrange(n), rng.randrange(n)
-        if rng.random() < 0.5:
-            push = [list(row) for row in aks.push]
-            push[t][pi] = rng.randrange(n)
-            aks = dataclasses.replace(aks, push=tuple(map(tuple, push)))
-        else:
-            rows = list(aks.perp_rows)
-            rows[t] ^= 1 << pi
-            aks = dataclasses.replace(aks, perp_rows=tuple(rows))
-        monkeypatch.setattr(bridge, "functor_K_obj",
-                            lambda _algebra, aks=aks: FunctorImageAKS(aks))
-        composite = bridge.functor_A_obj(aks).algebra
-        witness = next(c.witness for c in composite_AK_check(algebra).checks
-                       if c.clause == "composite.ak.implication")
+        aks = corrupt(krivine_structure(algebra), rng)
+        monkeypatch.setattr(bridge, "krivine_structure", lambda _algebra, aks=aks: aks)
+        rep = composite_AK_check(algebra)
+        assert rep == composite_AK_by_construction(algebra)
+        composite = bridge.functor_A_obj(aks, validate=False).algebra
+        witness = rep.checks[0].witness
         assert witness == brute_force_AK_witness(algebra, composite)
         failed += witness is not None
+        failed_clauses |= {c.clause for c in rep.failures()}
     assert 0 < failed < 200
+    assert failed_clauses == {"composite.ak.implication", "composite.ak.k-upset",
+                              "composite.ak.s-upset", "composite.ak.separator"}
 
 
 @pytest.mark.parametrize("aks", [full_polarity_aks(1), full_polarity_aks(2), aks2()])
@@ -376,6 +474,40 @@ def test_counit_closed_form_matches_the_certificate_check():
             failed |= {c.clause for c in rep.failures()}
     assert failed == {"cert.t-in-separator", "cert.r-in-separator", "cert.r-uniform",
                       "cert.density"}
+
+
+def test_counit_uniform_witness_matches_the_scan_over_every_alpha():
+    # alpha runs over the representatives only; the scan over every alpha
+    # names the same first (sigma, alpha)
+    # a valid algebra on the 4-chain whose clause first fails at alpha = e1
+    shifted = ImplicativeAlgebra(ImplicativeStructure(
+        ExplicitLattice.chain(4), ((2, 3, 3, 3),) + ((1, 2, 3, 3),) * 3), range(4), 3, 3)
+    assert validate_algebra(shifted).ok
+    failed = 0
+    for algebra in COUNIT_INPUTS + [functor_A_obj(aks3()).algebra, shifted]:
+        L, app = algebra.lattice, algebra.application
+        for r in L.elements():
+            rep = counit_certificate(algebra, r, r)
+            witness = next(
+                (f"(sigma={L.name(s)}, alpha={L.name(a)})"
+                 for s in sorted(algebra.separator) for a in L.elements()
+                 if not L.leq(app(app(r, s), a), app(s, a))), None)
+            assert rep.checks[2].clause == "cert.r-uniform"
+            assert rep.checks[2].witness == witness
+            failed += witness is not None
+    assert failed
+
+
+def test_counit_certificate_on_a_full_8_computes_few_applications():
+    # alpha runs over one representative per class, so the 256 * 256
+    # applications of the scan over every alpha cannot come back unseen
+    algebra = functor_A_obj(full_polarity_aks(8)).algebra
+    st, computed = algebra.structure, []
+    app = st._app
+    st._app = lambda a, b: computed.append((a, b)) or app(a, b)
+    i = combinator_i(st)
+    assert counit_certificate(algebra, i, i).ok
+    assert 0 < len(computed) <= 2 * 256
 
 
 def unit_matches_the_certificate_check(aks):
