@@ -47,14 +47,6 @@ class FunctorImageAKS:
     aks: AbstractKrivineStructure
 
 
-def algebra_of(obj) -> ImplicativeAlgebra:
-    return obj.algebra if isinstance(obj, FunctorImageIA) else obj
-
-
-def aks_of(obj) -> AbstractKrivineStructure:
-    return obj.aks if isinstance(obj, FunctorImageAKS) else obj
-
-
 def functor_A_obj(aks: AbstractKrivineStructure, *, validate=True) -> FunctorImageIA:
     """The realizability algebra of a Krivine structure, refused past
     ``MAX_POWERSET_BASE`` points and, unless told otherwise, checked by
@@ -96,11 +88,10 @@ def powerset_algebra(aks: AbstractKrivineStructure) -> ImplicativeAlgebra:
                               aks.perp_rows[aks.k_elem], aks.perp_rows[aks.s_elem])
 
 
-def functor_K_obj(algebra, *, validate=True) -> FunctorImageAKS:
+def functor_K_obj(algebra: ImplicativeAlgebra, *, validate=True) -> FunctorImageAKS:
     """The Krivine structure of an algebra, refused past
     ``MAX_KRIVINE_CARRIER`` elements and, unless told otherwise, checked by
     ``validate_algebra`` first."""
-    algebra = algebra_of(algebra)
     n = algebra.lattice.size
     if n > MAX_KRIVINE_CARRIER:
         raise SizeLimitExceeded(
@@ -177,7 +168,7 @@ def transport_density_K(f: MorphismSpec, cert: DensityCertificate,
         cert.t, table, check_applicative_aks(image).data["realizer"])
 
 
-def composite_AK_check(algebra) -> Report:
+def composite_AK_check(algebra: ImplicativeAlgebra) -> Report:
     """Compare the two-functor composite on an algebra with its closed
     form: the implication collects c -> d over lower bounds of the meet,
     the combinators become up-sets, and the separator the families whose
@@ -197,7 +188,6 @@ def composite_AK_check(algebra) -> Report:
     over D of their values at {d}, so the singletons D decide it.  The
     scans in mask order run only to name a failure.
     """
-    algebra = algebra_of(algebra)
     _require(validate_algebra(algebra), "source algebra fails validation")
     K = krivine_structure(algebra)
     _require(aksmod.validate_aks(K), "source structure fails validation")
@@ -279,10 +269,9 @@ class AdjunctionData:
     ``unit_certificate``); these materialized forms are their oracle."""
 
     @staticmethod
-    def counit_at(algebra) -> tuple[MorphismSpec, DensityCertificate]:
+    def counit_at(algebra: ImplicativeAlgebra) -> tuple[MorphismSpec, DensityCertificate]:
         """The meet map from the composite algebra back to the algebra,
         with its right inverse taking an element to its up-set."""
-        algebra = algebra_of(algebra)
         L = algebra.lattice
         src = functor_A_obj(functor_K_obj(algebra).aks).algebra
         carrier = tuple(L.meet(list(bits(m))) for m in range(1 << L.size))
@@ -405,8 +394,8 @@ def unit_certificate(aks: AbstractKrivineStructure, t: int, r: int) -> Report:
     return rep
 
 
-def check_adjunction_instance(algebra, aks, ia_test_morphisms=(),
-                              aks_test_morphisms=()) -> Report:
+def check_adjunction_instance(algebra: ImplicativeAlgebra, aks: AbstractKrivineStructure,
+                              ia_test_morphisms=(), aks_test_morphisms=()) -> Report:
     """Verify the adjunction data on one algebra L and one Krivine
     structure X.
 
@@ -422,8 +411,6 @@ def check_adjunction_instance(algebra, aks, ia_test_morphisms=(),
     ``naturality-unit[g]`` checks that g is a morphism: it fails with the
     first failed clause of ``check_applicative_aks(g)``.
     """
-    algebra = algebra_of(algebra)
-    aks = aks_of(aks)
     _require(aksmod.validate_aks(aks), "source structure fails validation")
     _require(validate_algebra(algebra), "source algebra fails validation")
     rep = Report("adjunction-instance")

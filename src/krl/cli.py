@@ -16,7 +16,7 @@ import sys
 
 from . import bridge, interior, morphism
 from .aks import AbstractKrivineStructure, validate_aks
-from .bridge import FunctorImageIA, algebra_of, functor_A_obj, functor_K_obj
+from .bridge import PowersetStructure, functor_A_obj, functor_K_obj
 from .enumerators import (enumerate_implications, enumerate_interiors,
                           enumerate_lattices)
 from .errors import (HypothesisFailed, InvalidSource, KrlError,
@@ -100,10 +100,10 @@ def _print_reports(reports, as_json) -> None:
 def _validate_object(name, obj) -> list[Report]:
     if isinstance(obj, ExplicitLattice):
         reports = [validate_lattice(obj)]
-    elif isinstance(obj, FunctorImageIA):
-        reports = [validate_aks(obj.source_aks), validate_algebra(obj.algebra)]
     elif isinstance(obj, ImplicativeAlgebra):
-        reports = [validate_algebra(obj)]
+        powerset = isinstance(obj.structure, PowersetStructure)
+        reports = [validate_aks(obj.structure.aks)] if powerset else []
+        reports.append(validate_algebra(obj))
     elif isinstance(obj, AbstractKrivineStructure):
         reports = [validate_aks(obj)]
     elif isinstance(obj, InteriorOperator):
@@ -152,10 +152,10 @@ def _single_object(ws: Workspace):
 def _denoted_algebra(name, obj) -> ImplicativeAlgebra:
     """The algebra a document denotes, its order not yet checked."""
     if isinstance(obj, AbstractKrivineStructure):
-        obj = functor_A_obj(obj, validate=False)
-    if not isinstance(obj, (ImplicativeAlgebra, FunctorImageIA)):
+        obj = functor_A_obj(obj, validate=False).algebra
+    if not isinstance(obj, ImplicativeAlgebra):
         raise SpecFileError(f"'{name}' does not describe an algebra")
-    return algebra_of(obj)
+    return obj
 
 
 def _as_algebra(name, obj) -> ImplicativeAlgebra:
@@ -209,14 +209,12 @@ def _dispatch(args) -> int:
             if not isinstance(obj, AbstractKrivineStructure):
                 raise SpecFileError(
                     f"functor A expects a Krivine structure, '{name}' is not one")
-            image = functor_A_obj(obj)
-            doc = document_for(image, f"A({name})")
+            doc = document_for(functor_A_obj(obj).algebra, f"A({name})")
         else:
-            if not isinstance(obj, (ImplicativeAlgebra, FunctorImageIA)):
+            if not isinstance(obj, ImplicativeAlgebra):
                 raise SpecFileError(
                     f"functor K expects an implicative algebra, '{name}' is not one")
-            image = functor_K_obj(obj)
-            doc = document_for(image.aks, f"K({name})")
+            doc = document_for(functor_K_obj(obj).aks, f"K({name})")
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_spec(doc))
         print(f"wrote {args.output}")
@@ -229,7 +227,7 @@ def _dispatch(args) -> int:
         # check_adjunction_instance validates both sides, the structure first
         if isinstance(obj, AbstractKrivineStructure):
             algebra, aks = bridge.powerset_algebra(obj), obj
-        elif isinstance(obj, (ImplicativeAlgebra, FunctorImageIA)):
+        elif isinstance(obj, ImplicativeAlgebra):
             algebra = _as_algebra(name, obj)
             aks = bridge.krivine_structure(algebra)
         else:
@@ -262,9 +260,11 @@ def _dispatch(args) -> int:
                 cert_rep = morphism.verify_certificate(spec, hint)
                 cert = hint if cert_rep.ok else None
             rep = Report(f"dense({name})")
+            failure = ("no certificate found" if hint is None
+                       else "hinted certificate fails verification")
             rep.check("morphism.computationally-dense", cert is not None,
-                      None if cert else "no certificate found")
-            if cert is not None:
+                      None if cert else failure)
+            if cert_rep is not None:
                 rep.extend(cert_rep)
             reports.append(rep)
         _print_reports(reports, args.as_json)
@@ -305,36 +305,32 @@ def _dispatch(args) -> int:
     if args.command == "enumerate":
         if args.size < 0:
             raise KrlError(f"--size must not be negative, got {args.size}")
-        if args.kind == "lattice":
-            count = 0
-            for lattice in enumerate_lattices(args.size):
-                count += 1
-                pairs = " ; ".join(f"{lattice.names[a]} <= {lattice.names[b]}"
-                                   for a, b in lattice.pairs())
-                print(f"lattice {count}: {pairs or '(discrete order)'}")
-            print(f"total: {count}")
-            return 0
-        chain = ExplicitLattice.chain(args.size)
-        if args.kind == "imp":
-            count = 0
-            for table in enumerate_implications(chain):
-                count += 1
-                rows = " ; ".join(
-                    f"{chain.names[a]} {chain.names[b]} -> {chain.names[table[a][b]]}"
-                    for a in range(args.size) for b in range(args.size))
-                print(f"imp {count}: {rows}")
-            print(f"total: {count}")
-            return 0
         count = 0
-        for op in enumerate_interiors(chain):
-            count += 1
-            rows = " ; ".join(f"{chain.names[a]} -> {chain.names[op.table[a]]}"
-                              for a in chain.elements())
-            print(f"interior {count}: {rows}")
+        for count, row in enumerate(_enumerated_rows(args.kind, args.size), start=1):
+            print(f"{args.kind} {count}: {row}")
         print(f"total: {count}")
         return 0
 
     raise SpecFileError(f"unknown command {args.command}")
+
+
+def _enumerated_rows(kind: str, n: int):
+    """The text of each model that ``krl enumerate`` lists, in order."""
+    if kind == "lattice":
+        for lattice in enumerate_lattices(n):
+            nm = lattice.names
+            pairs = " ; ".join(f"{nm[a]} <= {nm[b]}" for a, b in lattice.pairs())
+            yield pairs or "(discrete order)"
+        return
+    chain = ExplicitLattice.chain(n)
+    nm = chain.names
+    if kind == "imp":
+        for table in enumerate_implications(chain):
+            yield " ; ".join(f"{nm[a]} {nm[b]} -> {nm[table[a][b]]}"
+                             for a in range(n) for b in range(n))
+    else:
+        for op in enumerate_interiors(chain):
+            yield " ; ".join(f"{nm[a]} -> {nm[op.table[a]]}" for a in range(n))
 
 
 def _base_name(ws: Workspace, op_name: str) -> str:

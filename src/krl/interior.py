@@ -243,10 +243,6 @@ class ChangedAlgebra:
         return self.opens[self.algebra.k]
 
     @property
-    def s_iota(self) -> int:
-        return self.opens[self.algebra.s]
-
-    @property
     def separator_iota(self) -> frozenset:
         return frozenset(self.opens[i] for i in self.algebra.separator)
 

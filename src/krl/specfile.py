@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from .aks import AbstractKrivineStructure
-from .bridge import FunctorImageIA, aks_of, algebra_of, functor_A_obj
+from .bridge import PowersetStructure, functor_A_obj
 from .errors import IncompleteTable, ParseError, SpecFileError, UnknownElement
 from .implicative import ImplicativeAlgebra, ImplicativeStructure
 from .interior import InteriorOperator
@@ -46,6 +46,9 @@ ENTRY_SHAPES = {key: ("x",) for keys in KIND_SECTIONS.values() for key in keys} 
     "hint-h": ("x", "->", "x"),
     "perp": ("x", "x"),
 }
+# The document kinds a reference may name: the base of an interior, and
+# the endpoints of an ia or aks morphism.
+REFERENCE_KINDS = {"interior": ("lattice", "ia", "aks"), "ia": ("ia",), "aks": ("aks",)}
 _TOKEN = re.compile(r"\{[^}]*\}|[^\s;{}]+|[;{}]")
 
 
@@ -331,7 +334,7 @@ def build_lattice(doc: SpecDocument) -> ExplicitLattice:
 
 def build_algebra(doc: SpecDocument):
     if doc.section("pi") is not None:
-        return functor_A_obj(build_aks(doc), validate=False)
+        return functor_A_obj(build_aks(doc), validate=False).algebra
     lattice = build_lattice(doc)
     idx = lattice.index_of
     n = lattice.size
@@ -366,25 +369,20 @@ def build_aks(doc: SpecDocument) -> AbstractKrivineStructure:
         qp, idx(doc.section("K")[0][0]), idx(doc.section("S")[0][0]))
 
 
-def lattice_of(obj):
-    if isinstance(obj, (ExplicitLattice, PowersetLattice)):
-        return obj
-    if isinstance(obj, AbstractKrivineStructure):
-        return PowersetLattice(obj.names)
-    return algebra_of(obj).lattice
-
-
 def build_interior(doc: SpecDocument, base_obj) -> InteriorOperator:
-    lattice = lattice_of(base_obj)
+    """An operator on a lattice, on the lattice of an algebra, or on the
+    powerset of a Krivine structure's carrier."""
+    if isinstance(base_obj, AbstractKrivineStructure):
+        lattice = PowersetLattice(base_obj.names)
+    elif isinstance(base_obj, ImplicativeAlgebra):
+        lattice = base_obj.lattice
+    else:
+        lattice = base_obj
     return InteriorOperator(lattice, _read_map(doc, lattice, lattice))
 
 
-def build_morphism(doc: SpecDocument, source_obj, target_obj):
+def build_morphism(doc: SpecDocument, src, tgt):
     """Returns the morphism together with any hinted certificate."""
-    if doc.subkind == "ia":
-        src, tgt = algebra_of(source_obj), algebra_of(target_obj)
-    else:
-        src, tgt = aks_of(source_obj), aks_of(target_obj)
     spec = MorphismSpec(doc.subkind, src, tgt, _read_map(doc, src, tgt), doc.name)
 
     hint = None
@@ -414,10 +412,10 @@ def document_for(obj, name: str, **meta) -> SpecDocument:
             "order": [(obj.names[a], "<=", obj.names[b]) for a, b in obj.pairs()],
         }
         return SpecDocument("lattice", name, _normalize_sections("lattice", sections))
-    if isinstance(obj, FunctorImageIA):
-        inner = document_for(obj.source_aks, name)
-        return SpecDocument("ia", name, inner.sections)
     if isinstance(obj, ImplicativeAlgebra):
+        if isinstance(obj.structure, PowersetStructure):
+            inner = document_for(obj.structure.aks, name)
+            return SpecDocument("ia", name, inner.sections)
         if isinstance(obj.lattice, PowersetLattice):
             raise SpecFileError(
                 "powerset algebras are stored by their generating structure")
@@ -509,12 +507,25 @@ class Workspace:
                 self.objects[key] = build_aks(doc)
         for key, doc in self.documents.items():
             if doc.kind == "interior":
-                self.objects[key] = build_interior(doc, self._lookup(doc.base))
+                base = self._reference(key, doc.base, "interior")
+                self.objects[key] = build_interior(doc, base)
             elif doc.kind == "morphism":
-                spec, hint = build_morphism(doc, self._lookup(doc.source_name),
-                                            self._lookup(doc.target_name))
+                spec, hint = build_morphism(
+                    doc, self._reference(key, doc.source_name, doc.subkind),
+                    self._reference(key, doc.target_name, doc.subkind))
                 self.objects[key] = spec
                 self.morphism_hints[key] = hint
+
+    def _reference(self, key: str, name: str, slot: str):
+        """The object that document ``key`` names in one of its
+        references, refused unless its document is of a kind the slot
+        takes."""
+        kinds = REFERENCE_KINDS[slot]
+        doc = self.documents.get(name)
+        if doc is not None and doc.kind not in kinds:
+            raise SpecFileError(f"'{key}' refers to '{name}', a document of kind "
+                                f"{doc.kind}, where it needs {' or '.join(kinds)}")
+        return self._lookup(name)
 
     def _lookup(self, name: str):
         if name not in self.objects:

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_functor_K_on_heyting3():
 
 
 def test_functor_K_size_guard():
-    big = functor_A_obj(full_polarity_aks(4))
+    big = functor_A_obj(full_polarity_aks(4)).algebra
     with pytest.raises(SizeLimitExceeded):
         functor_K_obj(big)
 
@@ -134,7 +135,6 @@ def test_composite_AK_matches_closed_form(algebra):
 def composite_AK_by_construction(algebra):
     """``composite_AK_check`` built the way it was before it was decided per
     key: A(K(L)) through both functors, with every family scanned."""
-    algebra = bridge.algebra_of(algebra)
     L = algebra.lattice
     n = L.size
     composite = bridge.functor_A_obj(bridge.functor_K_obj(algebra).aks).algebra
@@ -550,3 +550,14 @@ def test_functor_images_of_the_oracle_inputs_validate():
         assert validate_aks(functor_K_obj(algebra).aks).ok
     for aks in UNIT_INPUTS:
         assert validate_algebra(functor_A_obj(aks).algebra).ok
+
+
+def test_only_the_functor_wraps_its_image():
+    # a powerset algebra is an ImplicativeAlgebra whose structure carries X;
+    # the wrapper types are functor_A_obj's and functor_K_obj's return values
+    src = Path(bridge.__file__).parent
+    wrapped = sorted(path.name for path in src.glob("*.py")
+                     if path.name not in ("bridge.py", "__init__.py")
+                     and any(name in path.read_text()
+                             for name in ("FunctorImageIA", "FunctorImageAKS")))
+    assert wrapped == []

@@ -253,6 +253,17 @@ def _write(tmp_path, name, text):
     return path
 
 
+def test_a_failed_hint_keeps_its_report(capsys, tmp_path):
+    text = (FIX / "id-l2.kmap").read_text()
+    kmap = _write(tmp_path, "id-l2.kmap", text.replace("hint-h: e1 -> e1", "hint-h: e0 -> e0"))
+    code, out, err = run(capsys, "morphism", "check", "--dense", kmap, FIX / "l2.krl")
+    assert (code, err) == (1, "")
+    dense = out.split("report dense(id-l2): FAIL\n", 1)[1].splitlines()
+    assert dense[0] == ("FAIL morphism.computationally-dense "
+                        "witness=hinted certificate fails verification")
+    assert "FAIL cert.h-total witness={e1}" in dense[1:]
+
+
 def test_unknown_name_in_aks_morphism_is_a_usage_error(capsys, tmp_path):
     kmap = _write(tmp_path, "bad.kmap", 'morphism aks "f" from "aks3" to "aks3"\n'
                   "map: a -> a ; b -> zz ; c -> c\n")

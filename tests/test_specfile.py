@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krl.bridge import FunctorImageIA, functor_A_obj
+from krl.bridge import functor_A_obj
 from krl.errors import (IncompleteTable, ParseError, SpecFileError,
                         UnknownElement)
 from krl.fixtures import aks3, heyting3, l2
@@ -184,7 +184,7 @@ def test_document_for_roundtrips_each_kind():
         (l2(), "two"),
         (heyting3(), "h3"),
         (aks3(), "k3"),
-        (functor_A_obj(aks3()), "A(k3)"),
+        (functor_A_obj(aks3()).algebra, "A(k3)"),
     ]
     for obj, name in objs:
         doc = document_for(obj, name)
@@ -193,11 +193,11 @@ def test_document_for_roundtrips_each_kind():
 
 def test_powerset_document_restores_functor_image():
     ws = Workspace()
-    ws.add_text(emit_spec(document_for(functor_A_obj(aks3()), "A3")))
+    ws.add_text(emit_spec(document_for(functor_A_obj(aks3()).algebra, "A3")))
     ws.resolve()
     image = ws.get("A3")
-    assert isinstance(image, FunctorImageIA)
-    assert image.algebra.separator == functor_A_obj(aks3()).algebra.separator
+    assert image.structure.aks == aks3()
+    assert image.separator == functor_A_obj(aks3()).algebra.separator
 
 
 def test_interior_document_on_krivine_base_uses_subset_names():
