@@ -315,7 +315,10 @@ def _dispatch(args) -> int:
 
 
 def _enumerated_rows(kind: str, n: int):
-    """The text of each model that ``krl enumerate`` lists, in order."""
+    """The text of each model that ``krl enumerate`` lists, in order.  No
+    complete lattice has 0 elements, so every kind lists none at size 0."""
+    if n == 0:
+        return
     if kind == "lattice":
         for lattice in enumerate_lattices(n):
             nm = lattice.names

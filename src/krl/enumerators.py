@@ -9,14 +9,14 @@ the 2^(n(n-1)/2) relations.  Monotone maps and implications are filled
 position by position and cut at the first broken cover step.  Each
 generator yields exactly what filtering the full ``product`` space would,
 in the same order.  Interior operators are generated through their open
-sets; the brute-force table filter over them is kept as a cross-check.
+sets by forced joins: only join-closed sets are built, in the order of
+the scan over all 2^n subsets that they replace, and the tests keep that
+scan and the brute-force table filter as cross-checks.
 """
 
 from __future__ import annotations
 
-from itertools import product
-
-from .interior import ClosedPart, InteriorOperator, _join_interior
+from .interior import InteriorOperator, _join_tables
 from .order import ExplicitLattice, FiniteLattice, bits
 
 
@@ -131,38 +131,47 @@ def _monotone_tables(src: FiniteLattice, above):
 
 
 def enumerate_interiors(lattice: FiniteLattice):
-    """All interior operators, generated from their open-element sets.
+    """All interior operators, one per join-closed set of opens, in the
+    ascending order of the opens' masks (bit a for element a).
 
-    Open sets are exactly the join-closed subsets, so this enumeration
-    is complete and never filters the full table space.
+    Only join-closed sets are generated.  Elements are decided from the
+    highest index down, each left out before it is taken in, so the masks
+    come in ascending order; the bottom starts out forced.  A pair of
+    comparable elements joins to one of the two, so when j is taken in
+    only the chosen elements incomparable to j can make a new join, and
+    all of them sit at higher positions.  A join at a higher position is
+    already decided, and if it was left out the branch is cut; a join at
+    a lower position is forced in, and a forced position has no absent
+    branch.  Each pair of members is checked when the lower of the two
+    is taken in, so every set that reaches the end is join-closed, and a
+    join-closed set is never cut, since its members force only members.
+    Nothing here needs the labels to follow the order.  The branches
+    live on an explicit stack, since a recursive ``yield from`` would pay
+    for every level on each operator it passes up.
     """
-    elems = list(lattice.elements())
-    n = len(elems)
-    for m in range(1 << n):
-        members = frozenset(elems[i] for i in bits(m))
-        part = ClosedPart(lattice, members, "P_c")
-        if part.validate().ok:
-            yield _join_interior(part)
-
-
-def enumerate_interior_tables(lattice: FiniteLattice):
-    """All interior operators by brute-force table filtering; only
-    sensible on very small carriers, used to cross-check the open-set
-    route."""
-    n = lattice.size
-    for table in product(range(n), repeat=n):
-        if not all(lattice.leq(table[a], a) for a in range(n)):
+    L = lattice
+    n = L.size
+    table = _join_tables(L)
+    incomparable = [sum(1 << b for b in L.elements() if not (L.leq(a, b) or L.leq(b, a)))
+                    for a in L.elements()]
+    # only elements above position j are chosen when j is taken in
+    joins = [{c: L.join2(j, c) for c in bits(incomparable[j] >> j << j)}
+             for j in L.elements()]
+    stack = [(n - 1, 0, 1 << L.bottom)]  # (next position, chosen, forced)
+    while stack:
+        p, chosen, forced = stack.pop()
+        if p < 0:
+            yield InteriorOperator(L, table(chosen))
             continue
-        if not all(table[table[a]] == table[a] for a in range(n)):
-            continue
-        if all(lattice.leq(table[a], table[b])
-               for a in range(n) for b in range(n) if lattice.leq(a, b)):
-            yield InteriorOperator(lattice, table)
-
-
-def enumerate_alexandroff(lattice: FiniteLattice):
-    for op in enumerate_interiors(lattice):
-        members = frozenset(op.opens())
-        if ClosedPart(lattice, members, "P_c_infty").validate().ok:
-            yield op
-
+        bit = 1 << p
+        forced_in = forced
+        for c in bits(chosen & incomparable[p]):
+            k = joins[p][c]
+            if k < p:
+                forced_in |= 1 << k
+            elif not chosen >> k & 1:
+                break
+        else:  # pushed first, so it is popped after the absent branch
+            stack.append((p - 1, chosen | bit, forced_in))
+        if not forced & bit:
+            stack.append((p - 1, chosen, forced))

@@ -159,15 +159,42 @@ def theta_inv(part: ClosedPart) -> InteriorOperator:
     if not rep.ok:
         first = rep.failures()[0]
         raise InvalidClosedPart(f"{first.clause} at {first.witness}")
-    return _join_interior(part)
+    return _join_interior(part.lattice, part.members)
 
 
-def _join_interior(part: ClosedPart) -> InteriorOperator:
-    """:func:`theta_inv` for a part already known to be join-closed."""
-    L = part.lattice
-    table = tuple(
-        L.join([b for b in part.members if L.leq(b, a)]) for a in L.elements())
-    return InteriorOperator(L, table)
+def _join_interior(L: FiniteLattice, members) -> InteriorOperator:
+    """:func:`theta_inv` for members already known to be join-closed."""
+    return InteriorOperator(L, _join_tables(L)(sum(1 << a for a in members)))
+
+
+def _join_tables(L: FiniteLattice):
+    """The table builder of ``L``: a function from a member mask S (bit a
+    for element a) to the table a -> join(S ∩ ↓a).
+
+    It goes along a linear extension and sets t[a] = a when a is in S,
+    and otherwise the join of t[c] over the lower covers c of a.  By
+    induction along the extension this is join(S ∩ ↓a) for every S: if
+    a is in S it is the greatest element of S ∩ ↓a; if not, every element
+    strictly below a lies below one of its lower covers (the order is
+    finite), so S ∩ ↓a is the union of the S ∩ ↓c and its join is the
+    join of their joins.  The bottom has no lower cover and keeps
+    itself, the empty join.  For a join-closed S every join(S ∩ ↓a) is a
+    member, and the table is the interior operator whose opens are S.
+    """
+    steps = tuple((1 << a, a, lower[0], lower[1:]) for a, lower in L.lower_covers)
+    join2, n = L.join2, L.size
+
+    def table(members: int) -> tuple[int, ...]:
+        t = list(range(n))
+        for bit, a, first, rest in steps:
+            if not members & bit:
+                v = t[first]
+                for c in rest:
+                    v = join2(v, t[c])
+                t[a] = v
+        return tuple(t)
+
+    return table
 
 
 def al_approx(op: InteriorOperator) -> InteriorOperator:
@@ -209,7 +236,7 @@ def _al_approx_general(op: InteriorOperator) -> InteriorOperator:
             break
         members |= extra
     # closed under binary joins and meets by the loop above
-    return _join_interior(ClosedPart(L, frozenset(members), "P_c_infty"))
+    return _join_interior(L, members)
 
 
 class ChangedAlgebra:

@@ -52,6 +52,24 @@ class FiniteLattice:
         raise NotImplementedError
 
     @cached_property
+    def lower_covers(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Each element but the bottom with the elements it covers, along
+        a linear extension: an element comes after every element below it."""
+        lower = [[] for _ in self.elements()]
+        upper = [[] for _ in self.elements()]
+        for lo, hi in self.covers:
+            lower[hi].append(lo)
+            upper[lo].append(hi)
+        pending = [len(cs) for cs in lower]
+        order = [a for a in self.elements() if not pending[a]]
+        for a in order:  # the loop also visits what it appends
+            for u in upper[a]:
+                pending[u] -= 1
+                if not pending[u]:
+                    order.append(u)
+        return tuple((a, tuple(lower[a])) for a in order if lower[a])
+
+    @cached_property
     def meet_irreducibles(self) -> tuple[int, ...]:
         """The elements with exactly one upper cover, ascending.  On a
         finite lattice every element but the top is the meet of those

@@ -16,8 +16,8 @@ from krl.bridge import (check_adjunction_instance,
                         functor_A_obj, functor_K_mor, functor_K_obj,
                         transport_density_A, transport_density_K)
 from krl.cli import run_cli
-from krl.enumerators import (enumerate_alexandroff, enumerate_implications,
-                             enumerate_interiors, enumerate_lattices)
+from krl.enumerators import (enumerate_implications, enumerate_interiors,
+                             enumerate_lattices)
 from krl.errors import HypothesisFailed
 from krl.fixtures import (aks2, aks3, diamond, diamond_open_x_interior,
                           hat_interior, heyting3, l2, mined_corpus,
@@ -32,6 +32,8 @@ from krl.morphism import (MorphismSpec, check_applicative, check_applicative_ia,
                           identity_morphism, verify_certificate)
 from krl.order import ExplicitLattice, PowersetLattice, bits
 from krl.specfile import Workspace, emit_spec, parse_spec
+
+from interior_oracles import alexandroff_interiors, interior_tables
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -206,15 +208,13 @@ def test_criterion_5_morphism_theory():
 def test_criterion_6_interior_correspondence_and_approximation():
     started = time.time()
     ok = True
-    from krl.enumerators import enumerate_interior_tables
-
     for n in (1, 2, 3, 4):
         for lattice in enumerate_lattices(n):
             # the open-set route really does reach every interior operator
             ok = ok and (sorted(op.table for op in enumerate_interiors(lattice))
                          == sorted(op.table
-                                   for op in enumerate_interior_tables(lattice)))
-            alexandroffs = [k.table for k in enumerate_alexandroff(lattice)]
+                                   for op in interior_tables(lattice)))
+            alexandroffs = [k.table for k in alexandroff_interiors(lattice)]
             for op in enumerate_interiors(lattice):
                 ok = ok and theta_inv(theta(op)).table == op.table
                 approx = al_approx(op)

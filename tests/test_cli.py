@@ -1,5 +1,6 @@
 """Golden command-line invocations: exit codes and report shapes."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -309,6 +310,24 @@ def test_non_integer_search_budget_is_a_usage_error(capsys, monkeypatch, tmp_pat
 def test_negative_enumerate_size_is_a_usage_error(capsys):
     code, out, err = run(capsys, "enumerate", "--kind", "imp", "--size", "-1")
     assert code == 2 and out == "" and "must not be negative" in err
+
+
+def test_every_kind_lists_nothing_at_size_zero(capsys):
+    # no complete lattice has 0 elements; the 1-element chain has one of each
+    for kind, one in (("lattice", "(discrete order)"), ("imp", "e0 e0 -> e0"),
+                      ("interior", "e0 -> e0")):
+        assert run(capsys, "enumerate", "--kind", kind, "--size", "0") == (0, "total: 0\n", "")
+        assert run(capsys, "enumerate", "--kind", kind, "--size", "1") == (
+            0, f"{kind} 1: {one}\ntotal: 1\n", "")
+
+
+def test_enumerate_interiors_text_is_unchanged_at_ten(capsys):
+    # the digest of the text that the scan over all 2^10 subsets printed
+    code, out, err = run(capsys, "enumerate", "--kind", "interior", "--size", "10")
+    assert (code, err) == (0, "")
+    assert out.endswith("total: 512\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "261fa45515c66455be12ef91440977ae0f353b483c0ad0b885d3702a1ae6b4ac")
 
 
 def test_apply_checks_the_order(capsys):

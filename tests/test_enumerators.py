@@ -2,11 +2,13 @@
 
 from itertools import product
 
-from krl.enumerators import (enumerate_alexandroff, enumerate_implications,
-                             enumerate_interior_tables, enumerate_interiors,
+from krl.enumerators import (enumerate_implications, enumerate_interiors,
                              enumerate_lattices, monotone_maps)
-from krl.interior import is_alexandroff
+from krl.interior import ClosedPart, is_alexandroff
 from krl.order import ExplicitLattice, PowersetLattice, bits, validate_lattice
+
+from interior_oracles import (alexandroff_interiors, interior_tables,
+                              oracle_lattices, subset_scan_interiors)
 
 
 def brute_force_implications(lattice):
@@ -97,13 +99,34 @@ def test_lattice_enumeration_reaches_both_four_element_shapes():
 def test_interior_enumerations_agree():
     for lattice in list(enumerate_lattices(3)) + list(enumerate_lattices(4)):
         via_opens = sorted(op.table for op in enumerate_interiors(lattice))
-        via_tables = sorted(op.table for op in enumerate_interior_tables(lattice))
+        via_tables = sorted(op.table for op in interior_tables(lattice))
         assert via_opens == via_tables
+
+
+def test_interior_generation_matches_the_subset_scan_in_order():
+    for lattice in oracle_lattices():
+        assert list(enumerate_interiors(lattice)) == list(subset_scan_interiors(lattice))
+
+
+def test_interior_generation_on_the_16_chain_builds_no_part_and_joins_nothing(monkeypatch):
+    counts = {"parts": 0, "joins": 0}
+    init, join2 = ClosedPart.__init__, ExplicitLattice.join2
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(ClosedPart, "__init__", counted("parts", init))
+    monkeypatch.setattr(ExplicitLattice, "join2", counted("joins", join2))
+    found = sum(1 for _ in enumerate_interiors(ExplicitLattice.chain(16)))
+    assert found == 2 ** 15
+    assert counts == {"parts": 0, "joins": 0}
 
 
 def test_alexandroff_enumeration_matches_direct_test():
     lattice = PowersetLattice(("a", "b"))
-    alex = {op.table for op in enumerate_alexandroff(lattice)}
+    alex = {op.table for op in alexandroff_interiors(lattice)}
     for op in enumerate_interiors(lattice):
         assert (op.table in alex) == is_alexandroff(op)[0]
 

@@ -8,8 +8,7 @@ import pytest
 from krl import interior
 from krl.aks import bar_closure
 from krl.bridge import functor_A_obj
-from krl.enumerators import (enumerate_alexandroff, enumerate_interior_tables,
-                             enumerate_interiors, enumerate_lattices)
+from krl.enumerators import enumerate_interiors, enumerate_lattices
 from krl.errors import HypothesisFailed, InvalidClosedPart, NotAlexandroff
 from krl.fixtures import (aks3, bar_interior, diamond, diamond_open_x_interior,
                           double_diamond, hat_interior, heyting3,
@@ -22,6 +21,10 @@ from krl.interior import (ClosedPart, InteriorOperator, al_approx,
                           _al_approx_general)
 from krl.morphism import verify_certificate, compose
 from krl.order import PowersetLattice, bits
+
+from interior_oracles import (alexandroff_interiors, interior_tables,
+                              oracle_lattices, scan_join_interior,
+                              subset_scan_interiors)
 
 
 def test_identity_operator_is_alexandroff():
@@ -115,10 +118,10 @@ def test_theta_inv_rejects_invalid_part():
 def test_theta_roundtrip_over_all_small_lattices():
     for n in (1, 2, 3, 4):
         for lattice in enumerate_lattices(n):
-            for op in enumerate_interior_tables(lattice):
+            for op in interior_tables(lattice):
                 assert theta_inv(theta(op)).table == op.table
             # and the open-set enumeration produces exactly the same family
-            via_tables = sorted(op.table for op in enumerate_interior_tables(lattice))
+            via_tables = sorted(op.table for op in interior_tables(lattice))
             via_opens = sorted(op.table for op in enumerate_interiors(lattice))
             assert via_tables == via_opens
 
@@ -134,7 +137,7 @@ def test_operator_order_gives_open_inclusion():
 
 def test_alexandroff_opens_are_meet_closed():
     for lattice in (diamond().lattice, double_diamond()):
-        for op in enumerate_alexandroff(lattice):
+        for op in alexandroff_interiors(lattice):
             opens = list(op.opens())
             for mask in range(1 << len(opens)):
                 sub = [opens[i] for i in bits(mask)]
@@ -158,7 +161,7 @@ def test_al_approx_of_bar_is_hat():
 
 
 def brute_force_least_alexandroff(op):
-    candidates = [k for k in enumerate_alexandroff(op.lattice)
+    candidates = [k for k in alexandroff_interiors(op.lattice)
                   if operator_leq(op, k)]
     for k in candidates:
         if all(operator_leq(k, other) for other in candidates):
@@ -205,7 +208,7 @@ def test_al_approx_adjointness():
     lattice = double_diamond()
     for op in enumerate_interiors(lattice):
         approx = al_approx(op)
-        for tau in enumerate_alexandroff(lattice):
+        for tau in alexandroff_interiors(lattice):
             assert operator_leq(approx, tau) == operator_leq(op, tau)
 
 
@@ -386,3 +389,21 @@ def test_monotone_clause_matches_the_pair_scan_on_every_table_up_to_four():
                             for a in L.elements() for b in L.elements()
                             if L.leq(a, b) and not L.leq(table[a], table[b])), None)
             assert (clause.passed, clause.witness) == (witness is None, witness)
+
+
+def test_table_builder_is_the_join_below_on_every_subset():
+    # the docstring's claim holds for every member set, join-closed or not,
+    # and for labellings that do not follow the order
+    for lattice in oracle_lattices():
+        table = interior._join_tables(lattice)
+        for members in range(1 << lattice.size):
+            assert table(members) == tuple(
+                lattice.join([b for b in bits(members) if lattice.leq(b, a)])
+                for a in lattice.elements())
+
+
+def test_theta_inv_matches_the_scan_on_every_join_closed_part():
+    for lattice in oracle_lattices():
+        for op in subset_scan_interiors(lattice):
+            part = ClosedPart(lattice, frozenset(op.opens()), "P_c")
+            assert theta_inv(part) == scan_join_interior(part) == op
