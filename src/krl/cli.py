@@ -224,12 +224,14 @@ def _dispatch(args) -> int:
         ws = _load([args.file])
         name, obj = _single_object(ws)
         # the other side is built unchecked and unlimited, since
-        # check_adjunction_instance validates both sides, the structure first
+        # check_adjunction_instance validates both sides, the structure
+        # first; a powerset algebra is paired with the X it carries
         if isinstance(obj, AbstractKrivineStructure):
             algebra, aks = bridge.powerset_algebra(obj), obj
         elif isinstance(obj, ImplicativeAlgebra):
             algebra = _as_algebra(name, obj)
-            aks = bridge.krivine_structure(algebra)
+            powerset = isinstance(algebra.structure, PowersetStructure)
+            aks = algebra.structure.aks if powerset else bridge.krivine_structure(algebra)
         else:
             raise SpecFileError(
                 f"adjunction expects an algebra or a Krivine structure, "

@@ -157,7 +157,8 @@ def enumerate_interiors(lattice: FiniteLattice):
     # only elements above position j are chosen when j is taken in
     joins = [{c: L.join2(j, c) for c in bits(incomparable[j] >> j << j)}
              for j in L.elements()]
-    stack = [(n - 1, 0, 1 << L.bottom)]  # (next position, chosen, forced)
+    # (next position, chosen, forced); the empty order has nothing to force
+    stack = [(n - 1, 0, 1 << L.bottom if n else 0)]
     while stack:
         p, chosen, forced = stack.pop()
         if p < 0:

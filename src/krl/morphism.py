@@ -3,9 +3,13 @@
 A morphism is a carrier map; being applicative or computationally dense
 is certified by finite witnesses: a uniform applicativity realizer, a
 monotone section-like table on the target separator, and a uniform
-density realizer.  Checkers either verify supplied witnesses
-search-free or look for them exhaustively, with the monotone-table
-search done greedily along a linear extension with backtracking, so a
+density realizer.  Applicativity has a checker per kind, since its
+clauses differ.  Density has one verifier and one search for both kinds:
+each reads the kind-specific data from ``_density`` (the separators,
+the lattices of the table, what a realizer must be and how witnesses
+are named), so a certificate is checked search-free by the same seven
+clauses for structure maps and for carrier maps.  The monotone-table
+search runs greedily along a linear extension with backtracking, so a
 missing certificate is a definitive negative while an exhausted budget
 is reported as its own outcome.
 """
@@ -20,7 +24,7 @@ from functools import partial
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
 from .errors import ComposabilityError, KrlError, SearchBudgetExceeded, VerificationFailed
-from .order import bits, unpreserved_meet
+from .order import PowersetLattice, bits, unpreserved_meet
 from .report import Report
 
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -159,40 +163,6 @@ def check_condition2_equiv(f: MorphismSpec) -> Report:
     return rep
 
 
-def verify_certificate_ia(f: MorphismSpec, cert: DensityCertificate) -> Report:
-    A, B = f.source, f.target
-    la, lb = A.lattice, B.lattice
-    rep = Report(f"certificate({f.name})")
-    h = cert.h_map
-
-    ok = cert.t in B.separator
-    rep.check("cert.t-in-separator", ok, None if ok else lb.name(cert.t))
-    ok = cert.r is not None and cert.r in B.separator
-    rep.check("cert.r-in-separator", ok,
-              None if ok else "missing" if cert.r is None else lb.name(cert.r))
-    if cert.r is not None:
-        witness = next((f"(s={la.name(s)}, a={la.name(a)})"
-                        for s in sorted(A.separator) for a in la.elements()
-                        if not lb.leq(B.apply_chain(cert.r, f(s), f(a)),
-                                      f(A.application(s, a)))), None)
-        rep.check("cert.r-uniform", witness is None, witness)
-
-    missing = sorted(b for b in B.separator if b not in h)
-    rep.check("cert.h-total", not missing,
-              lb.name_set(missing) if missing else None)
-    stray = sorted(b for b in h if h[b] not in A.separator)
-    rep.check("cert.h-into-source-separator", not stray,
-              lb.name_set(stray) if stray else None)
-    witness = next((f"({lb.name(b1)} <= {lb.name(b2)})" for b1 in h for b2 in h
-                    if lb.leq(b1, b2) and not la.leq(h[b1], h[b2])), None)
-    rep.check("cert.h-monotone", witness is None, witness)
-    if not missing:
-        d = _density(f)
-        witness = next((lb.name(b) for b in d.sep_b if not d.dense(cert.t, h[b], b)), None)
-        rep.check("cert.density", witness is None, witness)
-    return rep
-
-
 # --------------------------------------------------------------- AKS side
 
 
@@ -256,48 +226,40 @@ def check_applicative_aks(f: MorphismSpec) -> Report:
     return rep
 
 
-def verify_certificate_aks(f: MorphismSpec, cert: DensityCertificate) -> Report:
-    A, B = f.source, f.target
-    rep = Report(f"certificate({f.name})")
-    h = cert.h_map
-    sep_a = set(A.separator_masks)
-
-    ok = bool(B.qp >> cert.t & 1)
-    rep.check("cert.t-is-quasi-proof", ok, None if ok else B.name(cert.t))
-    ok = cert.r is not None and bool(B.qp >> cert.r & 1)
-    rep.check("cert.r-is-quasi-proof", ok,
-              None if ok else "missing" if cert.r is None else B.name(cert.r))
-    if cert.r is not None:
-        witness = next((f"(P'={A.name_mask(p2)}, P={A.name_mask(p)})"
-                        for p2, p, realizers in _uniform_family(f)
-                        if not realizers >> cert.r & 1), None)
-        rep.check("cert.r-uniform", witness is None, witness)
-
-    missing = [b for b in B.separator_masks if b not in h]
-    rep.check("cert.h-total", not missing,
-              B.name_mask(missing[0]) if missing else None)
-    stray = sorted(b for b in h if h[b] not in sep_a)
-    rep.check("cert.h-into-source-separator", not stray,
-              B.name_mask(stray[0]) if stray else None)
-    witness = next((f"({B.name_mask(b1)} <= {B.name_mask(b2)})" for b1 in h for b2 in h
-                    if _contains(b1, b2) and not _contains(h[b1], h[b2])), None)
-    rep.check("cert.h-monotone", witness is None, witness)
-    if not missing:
-        d = _density(f)
-        witness = next((B.name_mask(b) for b in d.sep_b if not d.dense(cert.t, h[b], b)),
-                       None)
-        rep.check("cert.density", witness is None, witness)
-    return rep
-
-
 # ------------------------------------------------------------- shared api
 
 
 def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
-    """Search-free validation; certificates are self-contained proofs."""
-    if f.kind == "ia":
-        return verify_certificate_ia(f, cert)
-    return verify_certificate_aks(f, cert)
+    """Search-free validation; certificates are self-contained proofs.
+    The clauses are the same for both kinds, and what they test and how
+    they name a witness comes from ``_density``."""
+    d = _density(f)
+    lt, ls = d.target, d.source
+    rep = Report(f"certificate({f.name})")
+    h = cert.h_map
+
+    ok = cert.t in d.realizers
+    rep.check(f"cert.t-{d.word}", ok, None if ok else d.name(cert.t))
+    ok = cert.r in d.realizers
+    rep.check(f"cert.r-{d.word}", ok,
+              None if ok else "missing" if cert.r is None else d.name(cert.r))
+    if cert.r is not None:
+        witness = next(d.uniform_failures(cert.r), None)
+        rep.check("cert.r-uniform", witness is None, witness)
+
+    missing = [b for b in d.sep_b if b not in h]
+    rep.check("cert.h-total", not missing, d.name_list(missing) if missing else None)
+    sep_a = set(d.sep_a)
+    stray = sorted(b for b in h if h[b] not in sep_a)
+    rep.check("cert.h-into-source-separator", not stray,
+              d.name_list(stray) if stray else None)
+    witness = next((f"({lt.name(b1)} <= {lt.name(b2)})" for b1 in h for b2 in h
+                    if lt.leq(b1, b2) and not ls.leq(h[b1], h[b2])), None)
+    rep.check("cert.h-monotone", witness is None, witness)
+    if not missing:
+        witness = next((lt.name(b) for b in d.sep_b if not d.dense(cert.t, h[b], b)), None)
+        rep.check("cert.density", witness is None, witness)
+    return rep
 
 
 def check_applicative(f: MorphismSpec) -> Report:
@@ -322,44 +284,66 @@ def search_certificate(f: MorphismSpec, r: int | None, budget: int | None = None
     search, for an applicative f with realizer r; None is definitive."""
     budget = budget if budget is not None else search_budget()
     d = _density(f)
-    sep_b = _sorted_by_height(d.sep_b, d.leq_b)
-    sep_a = _sorted_by_height(d.sep_a, d.leq_a)
-    for t in d.candidates:
-        table = _monotone_table_search(sep_b, sep_a, d.leq_b, d.leq_a,
+    leq_b, leq_a = d.target.leq, d.source.leq
+    sep_b = _sorted_by_height(d.sep_b, leq_b)
+    sep_a = _sorted_by_height(d.sep_a, leq_a)
+    for t in sorted(d.realizers):
+        table = _monotone_table_search(sep_b, sep_a, leq_b, leq_a,
                                        partial(d.dense, t), budget)
         if table is not None:
             return DensityCertificate.make(t, table, r)
     return None
 
 
-# the target and source separators (ascending) with their orders, the
-# candidate density realizers in trial order, and the test dense(t, s, b)
-# that t realizes f(s) -> b
-_Density = namedtuple("_Density", "sep_b sep_a leq_b leq_a candidates dense")
+def table_lattices(f: MorphismSpec):
+    """The lattices of f's target and source on which a density table
+    lives: the algebras' own for structure maps, and the powerset of each
+    carrier under reverse inclusion for carrier maps, whose separators are
+    sets of subsets."""
+    if f.kind == "ia":
+        return f.target.lattice, f.source.lattice
+    return PowersetLattice(f.target.names), PowersetLattice(f.source.names)
+
+
+# the lattices of the table (``table_lattices``), the target and source
+# separators in ascending order, the set the realizers t and r must lie
+# in, the test dense(t, s, b) that t realizes f(s) -> b, the clause word
+# for a realizer in that set, the namers of a realizer and of a list of
+# target separator elements, and uniform_failures(r), the witnesses of
+# r failing uniformity in scan order
+_Density = namedtuple("_Density", "target source sep_b sep_a realizers dense "
+                                  "word name name_list uniform_failures")
 
 
 def _density(f: MorphismSpec) -> _Density:
     """The kind-specific data of computational density.  For structure
-    maps the separators are sets of elements under the lattice order and
-    t realizes when t f(s) <= b; for carrier maps they are separator
-    masks under reverse inclusion and t realizes when t is orthogonal to
+    maps the separators are sets of elements under the lattice order, t
+    and r are separator elements, and t realizes when t f(s) <= b; for
+    carrier maps they are separator masks under reverse inclusion, t and
+    r are quasi-proofs, and t realizes when t is orthogonal to
     f(S) -> B."""
     A, B = f.source, f.target
+    lt, ls = table_lattices(f)
     if f.kind == "ia":
-        lb = B.lattice
-        sep_b = sorted(B.separator)
-        return _Density(sep_b, sorted(A.separator), lb.leq, A.lattice.leq, sep_b,
-                        lambda t, s, b: lb.leq(B.application(t, f(s)), b))
+        def dense(t, s, b):
+            return lt.leq(B.application(t, f(s)), b)
+
+        def uniform_failures(r):
+            return (f"(s={ls.name(s)}, a={ls.name(a)})"
+                    for s in sorted(A.separator) for a in ls.elements()
+                    if not lt.leq(B.apply_chain(r, f(s), f(a)), f(A.application(s, a))))
+        return _Density(lt, ls, sorted(B.separator), sorted(A.separator), B.separator,
+                        dense, "in-separator", lt.name, lt.name_set, uniform_failures)
 
     def dense(t, s, b):
         return aksmod.perp_left(B, aksmod.imp_sets(B, f.image_mask(s), b)) >> t & 1
-    return _Density(list(B.separator_masks), list(A.separator_masks), _contains,
-                    _contains, list(bits(B.qp)), dense)
 
-
-def _contains(x: int, y: int) -> bool:
-    """Reverse inclusion of masks, the order of separator subsets."""
-    return y & x == y
+    def uniform_failures(r):
+        return (f"(P'={ls.name(p2)}, P={ls.name(p)})"
+                for p2, p, realizers in _uniform_family(f) if not realizers >> r & 1)
+    return _Density(lt, ls, list(B.separator_masks), list(A.separator_masks),
+                    frozenset(bits(B.qp)), dense, "is-quasi-proof", B.name,
+                    lambda masks: lt.name(masks[0]), uniform_failures)
 
 
 def _monotone_table_search(sep_b, sep_a, leq_b, leq_a, admissible, budget):
@@ -421,6 +405,11 @@ def compose(f: MorphismSpec, g: MorphismSpec,
     if cf is None or cg is None:
         return gf, None
     hf, hg = cf.h_map, cg.h_map
+    uncovered = next((hg[c] for c in hg if hg[c] not in hf), None)
+    if uncovered is not None:
+        raise ComposabilityError(
+            f"the table of {g.name} reaches {table_lattices(f)[0].name(uncovered)}, "
+            f"which the table of {f.name} does not cover")
     h = {c: hf[hg[c]] for c in hg}
     cert = _complete_composed_certificate(gf, h)
     if cert is None:
@@ -434,7 +423,7 @@ def _complete_composed_certificate(gf: MorphismSpec, h: dict) -> DensityCertific
     if not rep.ok:
         return None
     d = _density(gf)
-    t = next((t for t in d.candidates if all(d.dense(t, h[b], b) for b in h)), None)
+    t = next((t for t in sorted(d.realizers) if all(d.dense(t, h[b], b) for b in h)), None)
     return None if t is None else DensityCertificate.make(t, h, rep.data["realizer"])
 
 

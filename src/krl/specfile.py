@@ -20,7 +20,7 @@ from .bridge import PowersetStructure, functor_A_obj
 from .errors import IncompleteTable, ParseError, SpecFileError, UnknownElement
 from .implicative import ImplicativeAlgebra, ImplicativeStructure
 from .interior import InteriorOperator
-from .morphism import DensityCertificate, MorphismSpec
+from .morphism import DensityCertificate, MorphismSpec, table_lattices
 from .order import ExplicitLattice, PowersetLattice, bits
 
 KIND_SECTIONS = {
@@ -387,15 +387,9 @@ def build_morphism(doc: SpecDocument, src, tgt):
 
     hint = None
     if doc.section("hint-t"):
-        src_idx, _, _ = _element_resolver(src)
         tgt_idx, _, _ = _element_resolver(tgt)
-        if doc.subkind == "ia":
-            h_src, h_tgt = tgt_idx, src_idx
-        else:
-            pl_src = PowersetLattice(src.names)
-            pl_tgt = PowersetLattice(tgt.names)
-            h_src, h_tgt = pl_tgt.index_of, pl_src.index_of
-        h = {h_src(a): h_tgt(b) for a, _, b in doc.section("hint-h") or ()}
+        h_tgt, h_src = table_lattices(spec)
+        h = {h_tgt.index_of(a): h_src.index_of(b) for a, _, b in doc.section("hint-h") or ()}
         t = doc.section("hint-t")[0][0]
         r_sec = doc.section("hint-r")
         t_id = tgt_idx(t)
@@ -459,13 +453,8 @@ def document_for(obj, name: str, **meta) -> SpecDocument:
                             for a in range(len(obj.carrier))]}
         cert = meta.get("cert")
         if cert is not None:
-            if obj.kind == "ia":
-                h_nm_src, h_nm_tgt = tgt_name, src_name
-            else:
-                h_nm_src = PowersetLattice(obj.target.names).name
-                h_nm_tgt = PowersetLattice(obj.source.names).name
-            sections["hint-h"] = [(h_nm_src(b), "->", h_nm_tgt(s))
-                                  for b, s in cert.h]
+            h_tgt, h_src = table_lattices(obj)
+            sections["hint-h"] = [(h_tgt.name(b), "->", h_src.name(s)) for b, s in cert.h]
             sections["hint-t"] = [(tgt_name(cert.t),)]
             if cert.r is not None:
                 sections["hint-r"] = [(tgt_name(cert.r),)]

@@ -3,12 +3,15 @@
 import hashlib
 import json
 import shlex
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from krl import aks, bridge, implicative, interior, morphism, order
 from krl.cli import run_cli
+from krl.fixtures import aks2, aks3
+from krl.specfile import Workspace, document_for, emit_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -478,3 +481,53 @@ def test_readme_commands_exit_zero(capsys, monkeypatch, tmp_path):
         argv = [ROOT / a if a.startswith("fixtures/") else a for a in argv]
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
+
+
+def test_adjunction_on_a_powerset_algebra_reads_its_structure(capsys, tmp_path, count_calls):
+    # an ia document written with Krivine sections carries its X: the
+    # check pairs A(X) with X, not with the 2^m points of K(A(X))
+    full = aks.full_polarity_aks(5)
+    as_ia = _write(tmp_path, "ia.krl",
+                   emit_spec(document_for(bridge.powerset_algebra(full), "X")))
+    as_aks = _write(tmp_path, "aks.krl", emit_spec(document_for(full, "X")))
+    assert as_ia.read_text().startswith('structure ia "X"\npi: ')
+    counts = count_calls(bridge.krivine_structure)
+    code, out, _ = run(capsys, "adjunction", as_ia)
+    assert code == 0 and counts["krivine_structure"] == 0
+    assert (code, out) == run(capsys, "adjunction", as_aks)[:2]
+
+
+def test_adjunction_on_an_invalid_powerset_algebra_reports_its_structure(capsys, tmp_path):
+    text = (FIX / "aks3.krl").read_text().replace("qp: a b", "qp: b")
+    as_aks = _write(tmp_path, "aks.krl", text)
+    as_ia = _write(tmp_path, "ia.krl", text.replace("structure aks", "structure ia"))
+    code, out, _ = run(capsys, "adjunction", as_ia)
+    assert code == 1 and "FAIL aks.qp-has-k witness=a" in out
+    assert (code, out) == run(capsys, "adjunction", as_aks)[:2]
+
+
+def test_aks_certificates_survive_the_document_format(capsys, tmp_path):
+    # a found certificate on the aks3 identity and on each map aks2 -> aks3
+    # that has one comes back from its emitted document and verifies there
+    maps = [morphism.identity_morphism(aks3(), "aks")] + [
+        morphism.MorphismSpec("aks", aks2(), aks3(), carrier)
+        for carrier in product(range(3), repeat=2)]
+    found = [(f, morphism.check_comp_dense(f)) for f in maps]
+    found = [(f, cert) for f, cert in found if cert is not None]
+    assert len(found) == 7
+    for f, cert in found:
+        source = "aks3" if f.source.pi_size == 3 else "aks2"
+        text = emit_spec(document_for(f, "f", cert=cert, source_name=source,
+                                      target_name="aks3"))
+        if source == "aks2":
+            assert "\nhint-h: {a b} -> {a} ; {a} -> {a} ; {b} -> {a} ; {} -> {a}\n" in text
+        ws = Workspace()
+        for path in (FIX / "aks2.krl", FIX / "aks3.krl"):
+            ws.add_path(path)
+        ws.add_text(text)
+        ws.resolve()
+        assert ws.morphism_hints["f"] == cert
+        kmap = _write(tmp_path, "f.kmap", text)
+        code, out, _ = run(capsys, "morphism", "check", "--dense", kmap,
+                           FIX / "aks2.krl", FIX / "aks3.krl")
+        assert code == 0 and "PASS cert.density" in out

@@ -3,7 +3,7 @@
 from itertools import product
 
 from krl.enumerators import (enumerate_implications, enumerate_interiors,
-                             enumerate_lattices, monotone_maps)
+                             enumerate_lattices, monotone_maps, monotone_selfmaps)
 from krl.interior import ClosedPart, is_alexandroff
 from krl.order import ExplicitLattice, PowersetLattice, bits, validate_lattice
 
@@ -169,3 +169,11 @@ def test_implications_match_the_all_pairs_filter():
     diamond = ExplicitLattice(("bot", "x", "y", "top"), (0b1111, 0b1010, 0b1100, 0b1000))
     for lattice in (ExplicitLattice.chain(2), ExplicitLattice.chain(3), diamond):
         assert list(enumerate_implications(lattice)) == all_pairs_implications(lattice)
+
+
+def test_the_empty_order_has_one_table_of_each_kind():
+    # nothing to force: the one empty operator, like the one empty map
+    empty = ExplicitLattice.chain(0)
+    assert [op.table for op in enumerate_interiors(empty)] == [()]
+    assert list(enumerate_implications(empty)) == [()]
+    assert list(monotone_selfmaps(empty)) == [()]

@@ -277,3 +277,15 @@ def test_uniform_family_keyed_by_perp_classes_matches_the_full_scan(monkeypatch)
     assert len(maps) == 56
     assert 0 < sum(not c.passed for answers in keyed for checks, _, _ in answers
                    for c in checks if c.clause == "cert.r-uniform")
+
+
+def test_compose_refuses_tables_that_do_not_compose():
+    # the second table reaches e0, which the first table leaves out
+    f = identity_morphism(l2(), "ia")
+    cert = DensityCertificate.make(1, {1: 0}, 1)
+    with pytest.raises(ComposabilityError, match="reaches e0, which the table of id"):
+        compose(f, f, cert, cert)
+    g = identity_morphism(aks3(), "aks")
+    cert = DensityCertificate.make(0, {3: 1}, 0)
+    with pytest.raises(ComposabilityError, match=r"reaches \{a\}, which"):
+        compose(g, g, cert, cert)
