@@ -160,9 +160,9 @@ def _denoted_algebra(name, obj) -> ImplicativeAlgebra:
 
 def _as_algebra(name, obj) -> ImplicativeAlgebra:
     algebra = _denoted_algebra(name, obj)
-    rep = validate_lattice(algebra.lattice)
-    if not rep.ok:
-        raise InvalidSource(f"'{name}' is not ordered as a complete lattice", rep)
+    if algebra.lattice.order_failures:
+        raise InvalidSource(f"'{name}' is not ordered as a complete lattice",
+                            validate_lattice(algebra.lattice))
     return algebra
 
 

@@ -20,7 +20,7 @@ from .implicative import (ImplicativeAlgebra, ImplicativeStructure,
                           combinator_i, combinator_nu, validate_algebra)
 from .morphism import DensityCertificate, MorphismSpec
 from .order import (ExplicitLattice, FiniteLattice, PowersetLattice, bits,
-                    first_failing_pair, unpreserved_meet, validate_lattice)
+                    first_failing_pair, unpreserved_meet)
 from .report import Report
 
 
@@ -66,7 +66,7 @@ def validate_interior(op: InteriorOperator) -> Report:
     L = op.lattice
     nm = L.name
     rep = Report("interior")
-    rep.checks.extend(validate_lattice(L).failures())
+    rep.checks.extend(L.order_failures)
     if not rep.ok:
         return rep
     witness = next((nm(a) for a in L.elements() if not L.leq(op.table[a], a)), None)

@@ -70,6 +70,13 @@ class FiniteLattice:
         return tuple((a, tuple(lower[a])) for a in order if lower[a])
 
     @cached_property
+    def order_failures(self) -> tuple:
+        """The failed clauses of :func:`validate_lattice`, computed once per
+        lattice object: every validator that needs the order reads this
+        verdict."""
+        return tuple(validate_lattice(self).failures())
+
+    @cached_property
     def meet_irreducibles(self) -> tuple[int, ...]:
         """The elements with exactly one upper cover, ascending.  On a
         finite lattice every element but the top is the meet of those
@@ -151,11 +158,15 @@ class ExplicitLattice(FiniteLattice):
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
+        # b in above(a) is a cover unless some other c in above(a) has b
+        # strictly above it, so the covers are above(a) minus every above(c)
+        strict = [m & ~(1 << c) for c, m in enumerate(self.up)]
         pairs = []
-        for a in range(self.size):
-            above = self.up[a] & ~(1 << a)
-            pairs.extend((a, b) for b in bits(above)
-                         if not above & self.down[b] & ~(1 << b))
+        for a, above in enumerate(strict):
+            beyond = 0
+            for c in bits(above):
+                beyond |= strict[c]
+            pairs.extend((a, b) for b in bits(above & ~beyond))
         return tuple(pairs)
 
     def _greatest(self, mask: int) -> int | None:
@@ -227,11 +238,16 @@ class ExplicitLattice(FiniteLattice):
     def name(self, a: int) -> str:
         return self.names[a]
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        # the first element of a name wins, as with tuple.index
+        return {name: a for a, name in reversed(tuple(enumerate(self.names)))}
+
     def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise LatticeError(f"no element named '{name}'") from None
+        got = self._positions.get(name)
+        if got is None:
+            raise LatticeError(f"no element named '{name}'")
+        return got
 
     def __eq__(self, other):
         return (isinstance(other, ExplicitLattice)
@@ -254,6 +270,8 @@ class PowersetLattice(FiniteLattice):
         self.base_size = len(self.base_names)
         self.size = 1 << self.base_size
         self._full = self.size - 1
+
+    order_failures = ()  # reverse inclusion is a complete lattice by construction
 
     def leq(self, a: int, b: int) -> bool:
         return b & a == b

@@ -6,6 +6,7 @@ from itertools import islice, product
 
 import pytest
 
+from krl import implicative
 from krl.aks import full_polarity_aks
 from krl.bridge import functor_A_obj
 from krl.enumerators import enumerate_implications, enumerate_lattices
@@ -17,6 +18,8 @@ from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure,
                              separator_closure, uniform_entails, validate_algebra,
                              validate_structure, _application_is_adjoint, _s_fold)
 from krl.order import ExplicitLattice, bits, upward_closure
+
+from test_bridge import heyting_chain
 
 
 def oracle_application(structure, a, b):
@@ -400,15 +403,21 @@ def applied_law_scans(algebra):
 
 def law_algebras():
     """Every fourth variance-respecting table on the chains of 1 to 3
-    elements with every choice of k and s; on the 2-chain, each of them
-    with every application table given as its closed form, adjoint or
-    not; the fixtures; and the powerset algebras of the mined and
-    full-polarity structures."""
+    elements with every choice of k and s; every table on the 3-chain that
+    is the top outside the bottom's row, most of them not monotone in the
+    second argument, with every k and s; on the 2-chain, each
+    variance-respecting table with every application table given as its
+    closed form, adjoint or not; the fixtures; and the powerset algebras
+    of the mined and full-polarity structures."""
     for n in (1, 2, 3):
         L = ExplicitLattice.chain(n)
         tables = list(enumerate_implications(L))[::4]
         for table, k, s in product(tables, L.elements(), L.elements()):
             yield ImplicativeAlgebra(ImplicativeStructure(L, table), {n - 1}, k, s)
+    L = ExplicitLattice.chain(3)
+    for row, k, s in product(product(range(3), repeat=3), range(3), range(3)):
+        st = ImplicativeStructure(L, (row, (2, 2, 2), (2, 2, 2)))
+        yield ImplicativeAlgebra(st, {2}, k, s)
     L = ExplicitLattice.chain(2)
     for table, flat in product(enumerate_implications(L), product(range(2), repeat=4)):
         app = ((flat[0], flat[1]), (flat[2], flat[3]))
@@ -435,6 +444,65 @@ def test_applied_laws_by_the_bounds_match_their_scans():
                                        "k.bound", "s.bound"))
         failed += k_law is not None or s_law is not None
     assert by_theorem > 0 and failed > 0
+
+
+def nu_outcome(algebra):
+    """The value of combinator_nu, or the message it raises."""
+    try:
+        return combinator_nu(algebra)
+    except VerificationFailed as exc:
+        return str(exc)
+
+
+def principal_algebras():
+    """Every variance-respecting table on every lattice of 1 to 3 elements,
+    with every principal separator and every k and s in it."""
+    for L in (L for n in (1, 2, 3) for L in enumerate_lattices(n)):
+        for table in enumerate_implications(L):
+            for x in L.elements():
+                sep = sorted(upward_closure(L, [x]))
+                for k, s in product(sep, repeat=2):
+                    yield ImplicativeAlgebra(ImplicativeStructure(L, table), sep, k, s)
+
+
+@pytest.mark.parametrize("source", [principal_algebras, law_algebras],
+                         ids=["lattices-up-to-3", "law-algebras"])
+def test_nu_by_rule_matches_the_triple_scan(source, monkeypatch):
+    # the rule must give the value or the message of the scan it skips
+    algebras = list(source())
+    decided = Counter()
+    rule = implicative._laws_follow
+
+    def counted(*args):
+        result = rule(*args)
+        decided[result] += 1
+        return result
+
+    monkeypatch.setattr(implicative, "_laws_follow", counted)
+    got = [nu_outcome(algebra) for algebra in algebras]
+    monkeypatch.setattr(implicative, "_laws_follow", lambda *args: False)
+    assert got == [nu_outcome(algebra) for algebra in algebras]
+    raised = sum(isinstance(outcome, str) for outcome in got)
+    assert decided[True] and decided[False] and 0 < raised < len(got)
+    if source is principal_algebras:
+        assert (len(got), raised) == (2481, 1324)
+
+
+def test_nu_on_valid_algebras_runs_no_triple_scan(monkeypatch):
+    chains = Counter()
+    apply_chain = ImplicativeStructure.apply_chain
+
+    def counted(self, *elems):
+        chains[len(elems)] += 1
+        return apply_chain(self, *elems)
+
+    monkeypatch.setattr(ImplicativeStructure, "apply_chain", counted)
+    full4, h24 = functor_A_obj(full_polarity_aks(4)).algebra, heyting_chain(24)
+    assert (combinator_nu(full4), combinator_nu(h24)) == (15, 23)
+    assert not chains
+    # the same calls with the rule taken away scan every triple
+    monkeypatch.setattr(implicative, "_laws_follow", lambda *args: False)
+    assert combinator_nu(full4) == 15 and chains == {4: 16 ** 3}
 
 
 def scanned_validate_algebra(algebra):

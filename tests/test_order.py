@@ -6,6 +6,7 @@ replaced live on here as their oracles, and the pair scan as the oracle
 of the witness where the point rule decides between powersets.
 """
 
+import random
 from collections import Counter
 from functools import cache
 from itertools import product
@@ -20,11 +21,13 @@ from krl.bridge import powerset_algebra
 from krl.enumerators import enumerate_interiors, enumerate_lattices
 from krl.errors import LatticeError
 from krl.fixtures import aks2, aks3
-from krl.implicative import ImplicativeStructure, validate_structure
+from krl.implicative import ImplicativeStructure, check_adjunction, validate_structure
 from krl.interior import ClosedPart, is_alexandroff, is_topological, validate_interior
 from krl.morphism import MorphismSpec, check_applicative_ia
 from krl.order import (ExplicitLattice, PowersetLattice, bits, first_failing_pair,
                        unpreserved_meet, upward_closure, validate_lattice)
+
+from interior_oracles import oracle_lattices
 
 L2 = ExplicitLattice.chain(2)
 L3 = ExplicitLattice.chain(3)
@@ -563,3 +566,53 @@ def test_covers_are_the_cover_relation():
     lattices = list(lattices_up_to(5)) + [PowersetLattice("abc"), PowersetLattice("")]
     for L in lattices:
         assert set(L.covers) == naive_covers(L) and len(L.covers) == len(set(L.covers))
+
+
+def pair_test_covers(L):
+    """The cover relation by testing each pair a < b against down[b]."""
+    pairs = []
+    for a in range(L.size):
+        above = L.up[a] & ~(1 << a)
+        pairs.extend((a, b) for b in bits(above) if not above & L.down[b] & ~(1 << b))
+    return tuple(pairs)
+
+
+def test_covers_match_the_pair_test_on_lattices_and_non_orders():
+    rng = random.Random(16)
+    relations = [ExplicitLattice([f"x{i}" for i in range(n)],
+                                 [rng.getrandbits(n) for _ in range(n)])
+                 for n in (rng.randint(0, 7) for _ in range(2000))]
+    lattices = [L for L in oracle_lattices() if isinstance(L, ExplicitLattice)]
+    for L in lattices + relations:
+        assert L.covers == pair_test_covers(L)
+
+
+def test_index_of_takes_the_first_name_as_tuple_index_does():
+    twice = ExplicitLattice(("a", "b", "a"), (0b111, 0b110, 0b100))
+    assert [twice.index_of(n) for n in ("a", "b")] == [0, 1]
+    for L in (twice, DIAMOND, L3):
+        assert all(L.index_of(n) == L.names.index(n) for n in L.names)
+    with pytest.raises(LatticeError, match="^no element named 'c'$"):
+        twice.index_of("c")
+
+
+def test_the_order_verdict_is_read_once_per_lattice(count_calls):
+    # counted where krl calls it, not in this module
+    counts = count_calls(validate_lattice)
+    names = ("x", "y", "z")
+    for up in product(range(8), repeat=3):
+        L = ExplicitLattice(names, up)
+        counts.clear()
+        failures = tuple(validate_lattice(L).failures())
+        st = ImplicativeStructure(L, ((0,) * 3,) * 3)
+        validate_structure(st)
+        if not failures:
+            check_adjunction(st)
+            validate_interior(interior.InteriorOperator(L, tuple(L.elements())))
+        assert L.order_failures == failures and counts == {"validate_lattice": 1}
+    P = PowersetLattice("ab")
+    counts.clear()
+    st = ImplicativeStructure(P, lambda a, b: b)
+    validate_structure(st), check_adjunction(st)
+    assert P.order_failures == () and not counts
+
