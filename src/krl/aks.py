@@ -83,6 +83,12 @@ class AbstractKrivineStructure:
         return {}
 
     @cached_property
+    def verdict(self) -> Report:
+        """The report of :func:`validate_aks`, computed once per structure.
+        Read it, do not change it: the validator hands out copies."""
+        return _aks_report(self)
+
+    @cached_property
     def separator_masks(self) -> tuple[int, ...]:
         """The separator of the realizability algebra, in ascending order:
         every subset that some quasi-proof is orthogonal to."""
@@ -167,7 +173,14 @@ def validate_aks(aks: AbstractKrivineStructure) -> Report:
 
     Strong compatibility (the biconditional form) is recorded as a flag
     rather than an axiom; the degenerate full polarity passes everything.
+    The report is computed once per structure
+    (``AbstractKrivineStructure.verdict``); each call returns a copy.
     """
+    return aks.verdict.copy()
+
+
+def _aks_report(aks: AbstractKrivineStructure) -> Report:
+    """The body of :func:`validate_aks`."""
     rep = Report("aks")
     nm = aks.name
     n = aks.pi_size

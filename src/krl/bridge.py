@@ -22,8 +22,8 @@ from .aks import AbstractKrivineStructure
 from .errors import InvalidSource, SizeLimitExceeded
 from .implicative import (ImplicativeAlgebra, ImplicativeStructure, combinator_i,
                           validate_algebra)
-from .morphism import (DensityCertificate, MorphismSpec, _applicative_realizer,
-                       check_applicative_aks, check_applicative_ia)
+from .morphism import (DensityCertificate, MorphismSpec, check_applicative_aks,
+                       check_applicative_ia)
 from .order import PowersetLattice, bits, unpreserved_meet, upward_closure
 from .report import Report
 
@@ -147,11 +147,12 @@ def transport_density_A(f: MorphismSpec, cert: DensityCertificate,
 
     The section table is reused verbatim and the density witness becomes
     the perp row of the witness quasi-proof; the applicativity realizer
-    is re-derived on the image by exhaustive search.
+    is the one ``check_applicative_ia`` found on the image by exhaustive
+    search, None when the image is not applicative.
     """
     tgt: AbstractKrivineStructure = f.target
     return DensityCertificate.make(
-        tgt.perp_rows[cert.t], cert.h_map, _applicative_realizer(image))
+        tgt.perp_rows[cert.t], cert.h_map, check_applicative_ia(image).data.get("realizer"))
 
 
 def transport_density_K(f: MorphismSpec, cert: DensityCertificate,

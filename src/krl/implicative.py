@@ -101,6 +101,46 @@ class ImplicativeStructure:
     def imp_table(self):
         return self.rows
 
+    # The verdicts below are computed once per structure, on first read.
+    # Read them, do not change them: the validators hand out copies.
+
+    @cached_property
+    def verdict(self) -> Report:
+        """The report of :func:`validate_structure`."""
+        return _structure_report(self)
+
+    @cached_property
+    def k_bound(self) -> int:
+        """:func:`combinator_k`: :func:`_k_fold` on an implicative structure."""
+        if self.verdict.ok:
+            return _k_fold(self)
+        L = self.lattice
+        return L.meet([self.imp(a, self.imp(b, a)) for a in L.elements() for b in L.elements()])
+
+    @cached_property
+    def s_bound(self) -> int:
+        """:func:`combinator_s`: :func:`_s_fold` over the meet-irreducibles on
+        an implicative structure, over every element otherwise."""
+        L = self.lattice
+        return _s_fold(self, L.meet_irreducibles if self.verdict.ok else L.elements())
+
+    @cached_property
+    def cc_bound(self) -> int:
+        """:func:`combinator_cc`: :func:`_cc_fold` on an implicative structure."""
+        if self.verdict.ok:
+            return _cc_fold(self)
+        L, imp = self.lattice, self.imp
+        acc = L.top
+        for a in L.elements():
+            for b in L.elements():
+                acc = L.meet2(acc, imp(imp(imp(a, b), a), a))
+        return acc
+
+    @cached_property
+    def adjoint(self) -> bool:
+        """The verdict of :func:`_application_is_adjoint`, on a lattice."""
+        return _application_is_adjoint(self)
+
 
 @dataclass(frozen=True)
 class EntailmentWitness:
@@ -117,10 +157,22 @@ class ImplicativeAlgebra:
     """
 
     def __init__(self, structure: ImplicativeStructure, separator, k: int, s: int):
-        self.structure = structure
-        self.separator = frozenset(separator)
-        self.k = k
-        self.s = s
+        self._structure = structure
+        self._separator = frozenset(separator)
+        self._k = k
+        self._s = s
+
+    # read-only, so that the verdict cannot describe an algebra since changed
+    structure = property(lambda self: self._structure)
+    separator = property(lambda self: self._separator)
+    k = property(lambda self: self._k)
+    s = property(lambda self: self._s)
+
+    @cached_property
+    def verdict(self) -> Report:
+        """The report of :func:`validate_algebra`, computed once per algebra.
+        Read it, do not change it: the validator hands out copies."""
+        return _algebra_report(self)
 
     @property
     def lattice(self) -> FiniteLattice:
@@ -142,8 +194,15 @@ def validate_structure(structure: ImplicativeStructure) -> Report:
     A structure whose implication commutes with nonempty meets only is
     flagged quasi-implicative instead of failing outright.  An order that
     is not a complete lattice is reported by its failed ``order.*``
-    clauses alone, since no meet clause makes sense on it.
+    clauses alone, since no meet clause makes sense on it.  The report is
+    computed once per structure (``ImplicativeStructure.verdict``); each
+    call returns a copy.
     """
+    return structure.verdict.copy()
+
+
+def _structure_report(structure: ImplicativeStructure) -> Report:
+    """The body of :func:`validate_structure`."""
     L = structure.lattice
     nm = L.name
     rep = Report("implicative-structure")
@@ -199,15 +258,20 @@ def check_adjunction(structure: ImplicativeStructure) -> Report:
     monotone in its second argument along the cover steps) passes both
     clauses; otherwise the triple scan decides them and names the
     witnesses.  Monotone in the second argument reads y only through its
-    row, so it runs on the representatives."""
+    row, so it runs on the representatives.  An order that is not a
+    complete lattice is reported by its failed ``order.*`` clauses alone,
+    as :func:`validate_structure` does."""
     L = structure.lattice
     nm = L.name
     rep = Report("adjunction")
+    rep.checks.extend(L.order_failures)
+    if not rep.ok:
+        return rep
     half_witness = full_witness = None
     rows, leq, elems = structure.rows, L.leq, L.elements()
     galois = (all(leq(rows[y][lo], rows[y][hi])
                   for lo, hi in L.covers for y in structure.representatives)
-              and not L.order_failures and _application_is_adjoint(structure))
+              and structure.adjoint)
     if not galois:
         for a, b in product(elems, repeat=2):
             ab = structure.application(a, b)
@@ -229,16 +293,15 @@ def combinator_i(structure: ImplicativeStructure) -> int:
 
 
 def combinator_k(structure: ImplicativeStructure) -> int:
-    L = structure.lattice
-    return L.meet([
-        structure.imp(a, structure.imp(b, a))
-        for a in L.elements() for b in L.elements()
-    ])
+    """The meet of every a -> b -> a, computed once per structure
+    (``ImplicativeStructure.k_bound``)."""
+    return structure.k_bound
 
 
 def combinator_s(structure: ImplicativeStructure) -> int:
-    """The meet of every (a -> b -> c) -> (a -> b) -> a -> c."""
-    return _s_fold(structure, structure.lattice.elements())
+    """The meet of every (a -> b -> c) -> (a -> b) -> a -> c, computed once
+    per structure (``ImplicativeStructure.s_bound``)."""
+    return structure.s_bound
 
 
 def _s_fold(structure: ImplicativeStructure, cs) -> int:
@@ -289,14 +352,9 @@ def _cc_fold(structure: ImplicativeStructure) -> int:
 
 
 def combinator_cc(structure: ImplicativeStructure) -> int:
-    """The Peirce element, quantified over all pairs a, b."""
-    L = structure.lattice
-    acc = L.top
-    for a in L.elements():
-        for b in L.elements():
-            peirce = structure.imp(structure.imp(structure.imp(a, b), a), a)
-            acc = L.meet2(acc, peirce)
-    return acc
+    """The Peirce element, the meet of every ((a -> b) -> a) -> a, computed
+    once per structure (``ImplicativeStructure.cc_bound``)."""
+    return structure.cc_bound
 
 
 def combinator_nu(algebra: ImplicativeAlgebra) -> int:
@@ -316,7 +374,8 @@ def combinator_nu(algebra: ImplicativeAlgebra) -> int:
       representative, whose column each element of the class shares.
 
     So the triple scan runs only where the rule does not apply; it names
-    the first failing triple.
+    the first failing triple.  The structure's verdict and bounds are read,
+    not recomputed.
     """
     st = algebra.structure
     L = algebra.lattice
@@ -325,8 +384,7 @@ def combinator_nu(algebra: ImplicativeAlgebra) -> int:
     if nu not in algebra.separator:
         raise VerificationFailed(
             f"composition combinator {L.name(nu)} escaped the separator")
-    if validate_structure(st).ok and _laws_follow(algebra, _k_fold(st),
-                                                  _s_fold(st, L.meet_irreducibles)):
+    if st.verdict.ok and _laws_follow(algebra, st.k_bound, st.s_bound):
         return nu
     for a in L.elements():
         for b in L.elements():
@@ -363,7 +421,13 @@ def separator_closure(structure: ImplicativeStructure, generators) -> frozenset:
 def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
     """Full validation: structure axioms, separator axioms, combinator
     bounds, the applied combinator laws, and the classical/consistent
-    flags."""
+    flags.  The report is computed once per algebra
+    (``ImplicativeAlgebra.verdict``); each call returns a copy."""
+    return algebra.verdict.copy()
+
+
+def _algebra_report(algebra: ImplicativeAlgebra) -> Report:
+    """The body of :func:`validate_algebra`."""
     st = algebra.structure
     L = algebra.lattice
     nm = L.name
@@ -395,10 +459,10 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
     rep.check("separator.has-s", algebra.s in sep,
               None if algebra.s in sep else nm(algebra.s))
 
-    k_bound = _k_fold(st) if implicative else combinator_k(st)
+    k_bound = st.k_bound
     rep.check("k.bound", L.leq(algebra.k, k_bound),
               None if L.leq(algebra.k, k_bound) else f"k={nm(algebra.k)} > {nm(k_bound)}")
-    s_bound = _s_fold(st, L.meet_irreducibles if implicative else elems)
+    s_bound = st.s_bound
     rep.check("s.bound", L.leq(algebra.s, s_bound),
               None if L.leq(algebra.s, s_bound) else f"s={nm(algebra.s)} > {nm(s_bound)}")
 
@@ -415,7 +479,7 @@ def validate_algebra(algebra: ImplicativeAlgebra) -> Report:
                       st.application(st.application(a, c), st.application(b, c)))), None)
     rep.check("law.s-applied", witness is None, witness)
 
-    rep.flag("classical", (_cc_fold(st) if implicative else combinator_cc(st)) in sep)
+    rep.flag("classical", st.cc_bound in sep)
     rep.flag("consistent", L.meet(L.elements()) not in sep)
     return rep
 
@@ -431,7 +495,7 @@ def _laws_follow(algebra: ImplicativeAlgebra, k_bound: int, s_bound: int) -> boo
     derives its composition law from the same condition."""
     L = algebra.lattice
     return (L.leq(algebra.k, k_bound) and L.leq(algebra.s, s_bound)
-            and _application_is_adjoint(algebra.structure))
+            and algebra.structure.adjoint)
 
 
 def _application_is_adjoint(st: ImplicativeStructure) -> bool:

@@ -13,6 +13,7 @@ are both computationally dense, with explicit witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (HypothesisFailed, InvalidClosedPart, NotAlexandroff,
                      VerificationFailed)
@@ -243,27 +244,44 @@ class ChangedAlgebra:
     """An algebra on the open elements of a compatible operator.
 
     ``opens`` lists the open elements by their base ids; ``algebra`` is
-    the induced algebra on the re-indexed open carrier.  The attached
-    report records the construction-time verification: the changed
-    structure validates, and its application is the closure of the
-    original application on every open pair.  ``i_comb`` and ``nu`` are
-    the base algebra's identity and composition combinators.
+    the induced algebra on the re-indexed open carrier.  ``i_comb`` and
+    ``nu`` are the base algebra's identity and composition combinators.
     """
 
     def __init__(self, base: ImplicativeAlgebra, iota: InteriorOperator,
-                 opens, algebra: ImplicativeAlgebra, closure,
-                 strong_imp_condition: bool, report: Report,
-                 i_comb: int, nu: int):
+                 opens, algebra: ImplicativeAlgebra,
+                 strong_imp_condition: bool, i_comb: int, nu: int):
         self.base = base
         self.iota = iota
         self.opens = tuple(opens)
         self.algebra = algebra
-        self.closure = tuple(closure)
         self.strong_imp_condition = strong_imp_condition
-        self.report = report
         self.i_comb = i_comb
         self.nu = nu
         self.to_sub = {b: i for i, b in enumerate(self.opens)}
+
+    @cached_property
+    def closure(self) -> tuple[int, ...]:
+        """The closure whose fixed points are the opens
+        (:func:`closure_from_interior`)."""
+        return _alexandroff_closure(self.iota)
+
+    @cached_property
+    def report(self) -> Report:
+        """The verification of the change: the changed algebra validates,
+        and its application is the closure of the base application on every
+        open pair.  :func:`change_implication` computes it before it
+        returns."""
+        L, st, opens, to_sub = self.base.lattice, self.base.structure, self.opens, self.to_sub
+        closure, algebra = self.closure, self.algebra
+        report = validate_algebra(algebra)
+        report.name = "changed-algebra"
+        witness = next((f"({L.name(a)}, {L.name(b)})" for a in opens for b in opens
+                        if opens[algebra.application(to_sub[a], to_sub[b])]
+                        != closure[st.application(a, b)]), None)
+        report.check("change.application-is-closure", witness is None, witness)
+        report.flag("imp-invariance", self.strong_imp_condition)
+        return report
 
     @property
     def k_iota(self) -> int:
@@ -308,7 +326,8 @@ class ChangedAlgebra:
 
 
 def change_implication(base: ImplicativeAlgebra, iota: InteriorOperator) -> ChangedAlgebra:
-    """Build the changed algebra, checking the three hypotheses first.
+    """Build the changed algebra, checking the three hypotheses first, and
+    verify it (``ChangedAlgebra.report``).
 
     The operator must be Alexandroff, compatible with the separator, and
     must dominate the action of the identity combinator; the stronger
@@ -316,6 +335,13 @@ def change_implication(base: ImplicativeAlgebra, iota: InteriorOperator) -> Chan
     since it implies the last hypothesis and unlocks the density
     certificate of the corestricted map.
     """
+    changed = _changed_algebra(base, iota)
+    changed.report  # the verification belongs to this call, not to a later read
+    return changed
+
+
+def _changed_algebra(base: ImplicativeAlgebra, iota: InteriorOperator) -> ChangedAlgebra:
+    """:func:`change_implication` without the verification."""
     L = base.lattice
     st = base.structure
     alex, witness = is_alexandroff(iota)
@@ -349,20 +375,12 @@ def change_implication(base: ImplicativeAlgebra, iota: InteriorOperator) -> Chan
     s_iota = iota.table[st.apply_chain(nu, st.application(nu_i, nu_i), base.s)]
     algebra = ImplicativeAlgebra(sub_structure, sub_separator,
                                  to_sub[k_iota], to_sub[s_iota])
-
-    closure = _alexandroff_closure(iota)
-    report = validate_algebra(algebra)
-    report.name = "changed-algebra"
-    witness = next((f"({L.name(a)}, {L.name(b)})" for a in opens for b in opens
-                    if opens[algebra.application(to_sub[a], to_sub[b])]
-                    != closure[st.application(a, b)]), None)
-    report.check("change.application-is-closure", witness is None, witness)
-    report.flag("imp-invariance", strong)
-    return ChangedAlgebra(base, iota, opens, algebra, closure, strong, report,
-                          i_comb, nu)
+    return ChangedAlgebra(base, iota, opens, algebra, strong, i_comb, nu)
 
 
 def density_certificates(base: ImplicativeAlgebra, iota: InteriorOperator):
     """The two computationally dense maps around the algebra changed along
-    ``iota``; see :meth:`ChangedAlgebra.density_certificates`."""
-    return change_implication(base, iota).density_certificates()
+    ``iota``; see :meth:`ChangedAlgebra.density_certificates`.  The changed
+    algebra is built but not verified: that report is
+    :func:`change_implication`'s."""
+    return _changed_algebra(base, iota).density_certificates()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
@@ -40,7 +40,7 @@ def search_budget() -> int:
         raise KrlError(f"KRL_SEARCH_BUDGET must be an integer, got '{value}'") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class MorphismSpec:
     kind: str                      # "ia" or "aks"
     source: object
@@ -49,7 +49,13 @@ class MorphismSpec:
     name: str = "f"
 
     def __post_init__(self):
-        self.carrier = tuple(self.carrier)
+        object.__setattr__(self, "carrier", tuple(self.carrier))
+
+    @cached_property
+    def verdict(self) -> Report:
+        """The report of :func:`check_applicative`, computed once per map.
+        Read it, do not change it: the checkers hand out copies."""
+        return (_applicative_ia if self.kind == "ia" else _applicative_aks)(self)
 
     def __call__(self, x: int) -> int:
         return self.carrier[x]
@@ -97,7 +103,13 @@ def identity_morphism(obj, kind: str, name: str = "id") -> MorphismSpec:
 def check_applicative_ia(f: MorphismSpec) -> Report:
     """Separator preservation, exact meet preservation, and an exhaustive
     search for the uniform applicativity realizer.  The found realizer is
-    stored under ``data['realizer']``."""
+    stored under ``data['realizer']``.  The report is computed once per map
+    (``MorphismSpec.verdict``); each call returns a copy."""
+    return f.verdict.copy()
+
+
+def _applicative_ia(f: MorphismSpec) -> Report:
+    """The body of :func:`check_applicative_ia`."""
     A, B = f.source, f.target
     rep = Report(f"applicative({f.name})")
 
@@ -199,7 +211,13 @@ def _uniform_family(f: MorphismSpec):
 def check_applicative_aks(f: MorphismSpec) -> Report:
     """The two applicative clauses for carrier maps, scanned over every
     subset (pair of subsets) of the source carrier.  The clause-b witness
-    is stored under ``data['realizer']``."""
+    is stored under ``data['realizer']``.  The report is computed once per
+    map (``MorphismSpec.verdict``); each call returns a copy."""
+    return f.verdict.copy()
+
+
+def _applicative_aks(f: MorphismSpec) -> Report:
+    """The body of :func:`check_applicative_aks`."""
     A: AbstractKrivineStructure = f.source
     B: AbstractKrivineStructure = f.target
     rep = Report(f"applicative({f.name})")
@@ -263,6 +281,7 @@ def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
 
 
 def check_applicative(f: MorphismSpec) -> Report:
+    """The applicativity report of f's kind; each call returns a copy."""
     return check_applicative_ia(f) if f.kind == "ia" else check_applicative_aks(f)
 
 
@@ -376,9 +395,13 @@ def _monotone_table_search(sep_b, sep_a, leq_b, leq_a, admissible, budget):
             del assignment[b]
         return False
 
-    if extend(0):
-        return dict(assignment)
-    return None
+    try:
+        found = extend(0)
+    finally:
+        # extend refers to itself; without this the cycle would keep f and
+        # its structures, with their verdicts, alive until a collection
+        del extend
+    return dict(assignment) if found else None
 
 
 def _sorted_by_height(elems, leq):

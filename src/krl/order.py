@@ -70,10 +70,15 @@ class FiniteLattice:
         return tuple((a, tuple(lower[a])) for a in order if lower[a])
 
     @cached_property
+    def verdict(self) -> Report:
+        """The report of :func:`validate_lattice`, computed once per lattice
+        object.  Read it, do not change it: the validator hands out copies."""
+        return _lattice_report(self)
+
+    @cached_property
     def order_failures(self) -> tuple:
-        """The failed clauses of :func:`validate_lattice`, computed once per
-        lattice object: every validator that needs the order reads this
-        verdict."""
+        """The failed clauses of :func:`validate_lattice`: every validator
+        that needs the order reads this verdict."""
         return tuple(validate_lattice(self).failures())
 
     @cached_property
@@ -387,8 +392,15 @@ def validate_lattice(lattice: FiniteLattice) -> Report:
     """Check the order axioms and completeness, with witnesses.
 
     Powerset backends satisfy everything by construction; the same
-    clauses are still emitted so reports stay uniform.
+    clauses are still emitted so reports stay uniform.  The report is
+    computed once per lattice (``FiniteLattice.verdict``); each call
+    returns a copy.
     """
+    return lattice.verdict.copy()
+
+
+def _lattice_report(lattice: FiniteLattice) -> Report:
+    """The body of :func:`validate_lattice`."""
     rep = Report("lattice")
     if isinstance(lattice, PowersetLattice):
         for clause in ("order.reflexive", "order.antisymmetric", "order.transitive",
@@ -397,12 +409,12 @@ def validate_lattice(lattice: FiniteLattice) -> Report:
         return rep
 
     nm = lattice.name
-    up, elems = lattice.up, lattice.elements()
+    up, down, elems = lattice.up, lattice.down, lattice.elements()
     witness = next((nm(a) for a in elems if not up[a] >> a & 1), None)
     rep.check("order.reflexive", witness is None, witness)
 
     witness = next((f"({nm(a)}, {nm(next(bits(both)))})" for a in elems
-                    if (both := up[a] & lattice.down[a] & ~(1 << a))), None)
+                    if (both := up[a] & down[a] & ~(1 << a))), None)
     rep.check("order.antisymmetric", witness is None, witness)
 
     witness = next((f"({nm(a)}, {nm(b)}, {nm(next(bits(skipped)))})"
@@ -411,11 +423,22 @@ def validate_lattice(lattice: FiniteLattice) -> Report:
     rep.check("order.transitive", witness is None, witness)
 
     # completeness: all binary meets plus a greatest element suffice on a
-    # finite carrier (the empty meet is the top, folds give the rest)
+    # finite carrier (the empty meet is the top, folds give the rest).  On
+    # a partial order a set has a greatest element m exactly when it is
+    # the down-set of m: m lies in it and bounds it, and by transitivity
+    # everything below m lies below what bounds the set.  So one lookup
+    # among the principal down-sets decides each pair; any other relation
+    # keeps the scan for a greatest element.
+    principal = set(down) if rep.ok else None
+
+    def has_greatest(mask):
+        if principal is not None:
+            return mask in principal
+        return lattice._greatest(mask) is not None
     witness = next((lattice.name_set((a, b))
                     for a in elems for b in range(a + 1, lattice.size)
-                    if lattice._greatest(lattice.down[a] & lattice.down[b]) is None), None)
-    if witness is None and lattice._greatest(lattice._full) is None:
+                    if not has_greatest(down[a] & down[b])), None)
+    if witness is None and not has_greatest(lattice._full):
         witness = "{} (no top element)"
     rep.check("order.complete", witness is None, witness)
     return rep

@@ -43,6 +43,13 @@ class Report:
         if note:
             self.data.setdefault("flag_notes", {})[name] = note
 
+    def copy(self) -> "Report":
+        """A report equal to this one that a caller may rename or extend
+        without changing this one."""
+        data = {key: dict(value) if isinstance(value, dict) else value
+                for key, value in self.data.items()}
+        return Report(self.name, list(self.checks), dict(self.flags), data)
+
     def extend(self, other: "Report") -> None:
         self.checks.extend(other.checks)
         self.flags.update(other.flags)

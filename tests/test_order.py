@@ -616,3 +616,80 @@ def test_the_order_verdict_is_read_once_per_lattice(count_calls):
     validate_structure(st), check_adjunction(st)
     assert P.order_failures == () and not counts
 
+
+
+def scanned_completeness_witness(lattice):
+    """The order.complete witness by the scan for a greatest element of each
+    pair's common lower bounds and of the whole carrier."""
+    greatest, down, n = lattice._greatest, lattice.down, lattice.size
+    witness = next((lattice.name_set((a, b)) for a in range(n) for b in range(a + 1, n)
+                    if greatest(down[a] & down[b]) is None), None)
+    if witness is None and greatest(lattice._full) is None:
+        witness = "{} (no top element)"
+    return witness
+
+
+def random_partial_order(n, rng):
+    """The transitive closure of random pairs a < b, under shuffled names."""
+    up = [1 << a for a in range(n)]
+    for a, b in product(range(n), repeat=2):
+        if a < b and rng.random() < 0.4:
+            up[a] |= 1 << b
+    for a in reversed(range(n)):
+        for b in bits(up[a] & ~(1 << a)):
+            up[a] |= up[b]
+    perm = rng.sample(range(n), n)
+    moved = [0] * n
+    for a in range(n):
+        moved[perm[a]] = sum(1 << perm[b] for b in bits(up[a]))
+    return ExplicitLattice([f"e{i}" for i in range(n)], moved)
+
+
+def assert_completeness_matches_the_scan(lattice):
+    clause = validate_lattice(lattice).checks[3]
+    witness = scanned_completeness_witness(lattice)
+    assert (clause.clause, clause.passed, clause.witness) == (
+        "order.complete", witness is None, witness)
+    return validate_lattice(lattice).ok
+
+
+def test_completeness_by_down_sets_matches_the_scan_on_every_relation_on_three():
+    verdicts = Counter()
+    for up in product(range(8), repeat=3):
+        verdicts[assert_completeness_matches_the_scan(ExplicitLattice("xyz", up))] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+def test_completeness_by_down_sets_matches_the_scan_on_random_relations_up_to_seven():
+    rng = random.Random(17)
+    lattices = orders = 0
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        relation = ExplicitLattice([f"e{i}" for i in range(n)],
+                                   [rng.randrange(1 << n) | rng.choice((0, 1 << a))
+                                    for a in range(n)])
+        assert_completeness_matches_the_scan(relation)
+        order = random_partial_order(n, rng)
+        lattices += assert_completeness_matches_the_scan(order)
+        orders += validate_lattice(order).checks[2].passed
+    assert orders == 600 and 0 < lattices < 600
+
+
+def test_check_adjunction_reports_the_order_on_every_relation_on_three():
+    # a relation that is not a complete lattice gets its failed order.*
+    # clauses, as from validate_structure, and raises nothing
+    lattices = 0
+    for up in product(range(8), repeat=3):
+        L = ExplicitLattice(("e0", "e1", "e2"), up)
+        st = ImplicativeStructure(L, ((0,) * 3,) * 3)
+        rep = check_adjunction(st)
+        if L.order_failures:
+            assert rep.checks == list(L.order_failures) == validate_structure(st).checks
+        else:
+            lattices += 1
+            assert [c.clause for c in rep.checks] == ["adjunction.half", "adjunction.full"]
+    assert lattices == 6  # the labelled 3-chains
+    fork = ExplicitLattice.from_pairs(["e0", "e1", "e2"], [(0, 1), (0, 2)])
+    rep = check_adjunction(ImplicativeStructure(fork, ((0,) * 3,) * 3))
+    assert [(c.clause, c.witness) for c in rep.checks] == [
+        ("order.complete", "{} (no top element)")]

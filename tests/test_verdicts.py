@@ -1,0 +1,281 @@
+"""One verdict per object.
+
+A lattice, an implicative structure, an algebra, a Krivine structure and a
+map each compute their validator's report once; an implicative structure
+also keeps its combinator bounds and its adjoint verdict.  The validators
+hand out copies, and every answer equals the answer on a freshly built
+object, whichever question comes first.
+"""
+
+import dataclasses
+import gc
+from dataclasses import FrozenInstanceError
+from itertools import product
+
+import pytest
+
+from krl import aks as aks_module
+from krl import implicative, morphism, order
+from krl.aks import full_polarity_aks, validate_aks
+from krl.bridge import (PowersetStructure, check_adjunction_instance, composite_AK_check,
+                        composite_KA_check, functor_A_mor, functor_A_obj, functor_K_obj,
+                        transport_density_A)
+from krl.errors import VerificationFailed
+from krl.fixtures import (aks2, aks3, diamond, hat_interior, heyting3, identity_interior, l2,
+                          mined_corpus, singleton_algebra)
+from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, check_adjunction,
+                             combinator_cc, combinator_i, combinator_k, combinator_nu,
+                             combinator_s, separator_closure, validate_algebra,
+                             validate_structure)
+from krl.interior import change_implication, density_certificates
+from krl.morphism import (MorphismSpec, check_applicative, check_applicative_aks,
+                          check_applicative_ia, check_comp_dense, identity_morphism)
+from krl.order import ExplicitLattice, PowersetLattice, validate_lattice
+
+from test_implicative import law_algebras, principal_algebras
+
+BODIES = (order._lattice_report, implicative._structure_report,
+          implicative._algebra_report, implicative._k_fold, implicative._s_fold,
+          implicative._cc_fold, implicative._application_is_adjoint,
+          aks_module._aks_report, morphism._applicative_ia, morphism._applicative_aks,
+          morphism._applicative_realizer)
+
+
+def assert_once_per_object(counts, *ran):
+    assert counts.per_object and max(counts.per_object.values()) == 1
+    assert set(ran) <= set(counts), counts
+
+
+# ------------------------------------------------------ (a) one body run
+
+
+@pytest.mark.parametrize("algebra", [
+    l2(), heyting3(), diamond(), singleton_algebra(), functor_A_obj(aks2()).algebra,
+], ids=["l2", "heyting3", "diamond", "singleton", "A(aks2)"])
+def test_the_algebra_chain_computes_each_verdict_once(algebra, count_calls):
+    counts = count_calls(*BODIES)
+    assert validate_algebra(algebra).ok
+    functor_K_obj(algebra)
+    assert composite_AK_check(algebra).ok
+    combinator_nu(algebra)
+    assert check_adjunction(algebra.structure).ok
+    assert_once_per_object(counts, "_structure_report", "_algebra_report", "_k_fold",
+                           "_s_fold", "_cc_fold", "_application_is_adjoint", "_aks_report")
+    # of the two K(L) built, the functor's and the composite's, the
+    # composite validates its own
+    assert (counts["_algebra_report"], counts["_aks_report"]) == (1, 1)
+
+
+@pytest.mark.parametrize("aks", mined_corpus() + [full_polarity_aks(m) for m in (1, 2, 3)])
+def test_the_structure_chain_computes_each_verdict_once(aks, count_calls):
+    counts = count_calls(*BODIES)
+    assert validate_aks(aks).ok
+    image = functor_A_obj(aks).algebra
+    assert composite_KA_check(aks).ok
+    assert check_adjunction_instance(image, aks).ok
+    assert_once_per_object(counts, "_aks_report", "_algebra_report", "_structure_report")
+    # X once; A(X) once as the instance's algebra and once inside the composite
+    assert (counts["_aks_report"], counts["_algebra_report"]) == (1, 2)
+
+
+def applicative_maps():
+    return [MorphismSpec("aks", src, tgt, carrier)
+            for src, tgt in product((aks2(), aks3()), repeat=2)
+            for carrier in product(range(tgt.pi_size), repeat=src.pi_size)
+            if check_applicative(MorphismSpec("aks", src, tgt, carrier)).ok]
+
+
+def test_the_map_chain_computes_each_verdict_once(count_calls):
+    maps = applicative_maps()
+    counts = count_calls(*BODIES)
+    dense = 0
+    for f in maps:
+        assert check_applicative(f).ok
+        cert = check_comp_dense(f)
+        image = functor_A_mor(f)
+        if cert is not None:
+            dense += 1
+            assert transport_density_A(f, cert, image).r == check_applicative_ia(image).data[
+                "realizer"]
+    assert dense and counts["_applicative_aks"] == counts["_applicative_ia"] == len(maps)
+    # the image's realizer is searched once, by its applicativity check
+    assert_once_per_object(counts, "_applicative_aks", "_applicative_ia",
+                           "_applicative_realizer")
+
+
+@pytest.mark.parametrize("base,iota", [
+    (heyting3(), identity_interior(heyting3().lattice)),
+    (functor_A_obj(aks3()).algebra, hat_interior(aks3())),
+], ids=["heyting3-id", "A(aks3)-hat"])
+def test_density_certificates_leave_the_changed_algebra_unvalidated(base, iota, count_calls):
+    counts = count_calls(implicative.validate_algebra, implicative._algebra_report)
+    assert change_implication(base, iota).report.ok
+    assert counts == {"validate_algebra": 1, "_algebra_report": 1}
+    counts.clear()
+    density_certificates(base, iota)
+    assert not counts
+
+
+# ----------------------------------------- (b) the same answers, any order
+
+
+def rebuilt(algebra):
+    """The algebra built afresh from the same data: new lattice, structure
+    and, for a powerset algebra, Krivine structure, with nothing computed."""
+    st = algebra.structure
+    if isinstance(st, PowersetStructure):
+        st = PowersetStructure(dataclasses.replace(st.aks))
+    else:
+        L = algebra.lattice
+        st = ImplicativeStructure(ExplicitLattice(L.names, L.up), st._imp, app=st._app)
+    return ImplicativeAlgebra(st, algebra.separator, algebra.k, algebra.s)
+
+
+def as_data(answer):
+    if hasattr(answer, "checks"):
+        return answer.name, answer.checks, answer.flags, answer.data
+    return answer
+
+
+def nu_outcome(algebra):
+    try:
+        return combinator_nu(algebra)
+    except VerificationFailed as exc:
+        return str(exc)
+
+
+STRUCTURE_QUESTIONS = (
+    lambda A: validate_lattice(A.lattice),
+    lambda A: validate_structure(A.structure),
+    lambda A: check_adjunction(A.structure),
+    lambda A: combinator_i(A.structure),
+    lambda A: combinator_k(A.structure),
+    lambda A: combinator_s(A.structure),
+    lambda A: combinator_cc(A.structure),
+)
+ALGEBRA_QUESTIONS = (
+    nu_outcome,
+    lambda A: separator_closure(A.structure, A.separator),
+    validate_algebra,
+)
+QUESTIONS = STRUCTURE_QUESTIONS + ALGEBRA_QUESTIONS
+
+
+def structure_key(algebra):
+    """What the structure questions read: the order, the implication and
+    any closed-form application, as tables."""
+    st, L = algebra.structure, algebra.lattice
+    if isinstance(st, PowersetStructure):
+        return st.aks
+    pairs = list(product(L.elements(), repeat=2))
+    return (L.names, L.up, tuple(st._imp(a, b) for a, b in pairs),
+            st._app and tuple(st._app(a, b) for a, b in pairs))
+
+
+def answers_in_every_order(algebra, asked_alone):
+    """Each answer on an object of its own, then every answer on one object
+    with the validators asked first, then with the combinators first.  The
+    answers to the structure questions on their own are kept in
+    ``asked_alone`` by :func:`structure_key`."""
+    key = structure_key(algebra)
+    if key not in asked_alone:
+        asked_alone[key] = [as_data(q(rebuilt(algebra))) for q in STRUCTURE_QUESTIONS]
+    alone = asked_alone[key] + [as_data(q(rebuilt(algebra))) for q in ALGEBRA_QUESTIONS]
+    first, last = rebuilt(algebra), rebuilt(algebra)
+    validators_first = [as_data(q(first)) for q in QUESTIONS[::-1]][::-1]
+    combinators_first = [as_data(q(last)) for q in QUESTIONS]
+    return alone, validators_first, combinators_first
+
+
+def every_corpus_algebra():
+    yield from (l2(), heyting3(), diamond(), singleton_algebra())
+    yield from (functor_A_obj(aks).algebra for aks in mined_corpus())
+    yield from law_algebras()
+    yield from principal_algebras()
+
+
+def test_answers_do_not_depend_on_what_was_asked_before():
+    asked, asked_alone = 0, {}
+    for algebra in every_corpus_algebra():
+        alone, validators_first, combinators_first = answers_in_every_order(
+            algebra, asked_alone)
+        assert alone == validators_first == combinators_first
+        asked += 1
+    assert asked > 2481 + 752
+
+
+@pytest.mark.parametrize("aks", mined_corpus() + [aks2(), full_polarity_aks(2)])
+def test_structure_and_map_answers_do_not_depend_on_the_order(aks):
+    questions = (validate_aks, lambda X: check_applicative(identity_morphism(X, "aks")))
+    alone = [as_data(q(dataclasses.replace(aks))) for q in questions]
+    for order in (questions, questions[::-1]):
+        X = dataclasses.replace(aks)
+        asked = {q: as_data(q(X)) for q in order}
+        assert [asked[q] for q in questions] == alone
+
+
+# ------------------------------------------------ (c) callers get copies
+
+
+def reports_of(algebra, X):
+    f = identity_morphism(algebra, "ia")
+    g = identity_morphism(X, "aks")
+    return [
+        lambda: validate_lattice(algebra.lattice),
+        lambda: validate_lattice(PowersetLattice(X.names)),
+        lambda: validate_structure(algebra.structure),
+        lambda: validate_algebra(algebra),
+        lambda: validate_aks(X),
+        lambda: check_applicative(f),
+        lambda: check_applicative_ia(f),
+        lambda: check_applicative(g),
+        lambda: check_applicative_aks(g),
+    ]
+
+
+QUASI = ImplicativeAlgebra(  # its structure report carries a flag note
+    ImplicativeStructure(ExplicitLattice.chain(2), ((0, 0), (0, 0))), {1}, 1, 1)
+
+
+@pytest.mark.parametrize("algebra,X", [(heyting3(), aks3()), (l2(), aks2()),
+                                       (QUASI, full_polarity_aks(2))])
+def test_changing_a_returned_report_leaves_the_next_one_alone(algebra, X):
+    for ask in reports_of(algebra, X):
+        before = as_data(ask())
+        rep = ask()
+        rep.name = "renamed"
+        rep.check("extra.clause", False, "w")
+        rep.flag("extra-flag", True, "a note")
+        rep.data["realizer"] = -1
+        rep.extend(validate_algebra(diamond()))
+        assert as_data(ask()) == before
+
+
+# --------------------------------------- what carries a verdict is frozen
+
+
+def test_what_carries_a_verdict_cannot_be_reassigned():
+    algebra = heyting3()
+    for field, value in (("separator", frozenset({0})), ("k", 0), ("s", 0),
+                         ("structure", l2().structure)):
+        with pytest.raises(AttributeError):
+            setattr(algebra, field, value)
+    f = identity_morphism(algebra, "ia")
+    for field, value in (("kind", "aks"), ("source", l2()), ("target", l2()),
+                         ("carrier", (0, 0, 0)), ("name", "g")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(f, field, value)
+    assert validate_algebra(algebra).ok and check_applicative(f).ok
+
+
+def test_a_certificate_search_leaves_no_reference_cycle():
+    # a verdict lives as long as its object, and no cycle keeps a map alive
+    gc.collect()
+    gc.disable()
+    try:
+        for f in (identity_morphism(heyting3(), "ia"), identity_morphism(aks3(), "aks")):
+            assert check_comp_dense(f) is not None
+        del f
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
