@@ -15,7 +15,7 @@ from functools import cached_property, partial
 from itertools import product
 
 from .errors import UnknownElement
-from .order import bits
+from .order import bits, positions_of
 from .report import Report
 
 
@@ -54,11 +54,15 @@ class AbstractKrivineStructure:
     def name_mask(self, mask: int) -> str:
         return "{" + " ".join(self.names[i] for i in bits(mask)) + "}"
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return positions_of(self.names)
+
     def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise UnknownElement(name, "the carrier") from None
+        got = self._positions.get(name)
+        if got is None:
+            raise UnknownElement(name, "the carrier")
+        return got
 
     @cached_property
     def closed_masks(self) -> tuple[int, ...]:

@@ -29,7 +29,7 @@ class ImplicativeStructure:
     """
 
     def __init__(self, lattice: FiniteLattice, imp, app=None):
-        self.lattice = lattice
+        object.__setattr__(self, "lattice", lattice)
         if callable(imp):
             self._imp = imp
         else:
@@ -38,6 +38,12 @@ class ImplicativeStructure:
         self._app = app
         self._imp_cache: dict[tuple[int, int], int] = {}
         self._app_cache: dict[tuple[int, int], int] = {}
+
+    def __setattr__(self, attr, value):
+        # read-only, so that the verdict cannot describe a structure since changed
+        if attr == "lattice":
+            raise AttributeError("ImplicativeStructure.lattice is read-only")
+        object.__setattr__(self, attr, value)
 
     def imp(self, a: int, b: int) -> int:
         key = (a, b)

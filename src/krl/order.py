@@ -24,6 +24,15 @@ def bits(mask: int):
         mask ^= low
 
 
+_store = object.__setattr__  # a store past ExplicitLattice's guard
+
+
+def positions_of(names) -> dict[str, int]:
+    """Each name's position in ``names``; the first of a repeated name
+    wins, as with ``tuple.index``."""
+    return dict(zip(reversed(names), range(len(names) - 1, -1, -1)))
+
+
 class FiniteLattice:
     """Interface shared by the explicit and powerset backends."""
 
@@ -116,15 +125,28 @@ class ExplicitLattice(FiniteLattice):
     binary results cached.
     """
 
+    # The guard below makes each store a Python call, and the enumerators
+    # build lattices by the ten thousand: __init__ stores past it, and the
+    # extrema and the full mask are found when first asked for.
+    _top = _bottom = None
+
     def __init__(self, names, up_masks):
-        self.names = tuple(names)
-        self.up = tuple(up_masks)
-        self.size = len(self.names)
-        self._full = (1 << self.size) - 1
-        self._meet2: dict[tuple[int, int], int] = {}
-        self._join2: dict[tuple[int, int], int] = {}
-        self._top: int | None = None
-        self._bottom: int | None = None
+        names = tuple(names)
+        _store(self, "names", names)
+        _store(self, "up", tuple(up_masks))
+        _store(self, "size", len(names))
+        _store(self, "_meet2", {})
+        _store(self, "_join2", {})
+
+    def __setattr__(self, attr, value):
+        # read-only, so that the verdict cannot describe a lattice since changed
+        if attr in ("names", "up", "size"):
+            raise AttributeError(f"ExplicitLattice.{attr} is read-only")
+        _store(self, attr, value)
+
+    @property
+    def _full(self) -> int:
+        return (1 << self.size) - 1
 
     @cached_property
     def down(self) -> tuple[int, ...]:
@@ -245,8 +267,7 @@ class ExplicitLattice(FiniteLattice):
 
     @cached_property
     def _positions(self) -> dict[str, int]:
-        # the first element of a name wins, as with tuple.index
-        return {name: a for a, name in reversed(tuple(enumerate(self.names)))}
+        return positions_of(self.names)
 
     def index_of(self, name: str) -> int:
         got = self._positions.get(name)

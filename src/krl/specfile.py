@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .aks import AbstractKrivineStructure
 from .bridge import PowersetStructure, functor_A_obj
@@ -21,7 +23,7 @@ from .errors import IncompleteTable, ParseError, SpecFileError, UnknownElement
 from .implicative import ImplicativeAlgebra, ImplicativeStructure
 from .interior import InteriorOperator
 from .morphism import DensityCertificate, MorphismSpec, table_lattices
-from .order import ExplicitLattice, PowersetLattice, bits
+from .order import ExplicitLattice, PowersetLattice, bits, positions_of
 
 KIND_SECTIONS = {
     "lattice": ("elements", "order"),
@@ -76,11 +78,10 @@ class SpecDocument:
 
 
 def _normalize_sections(kind_key: str, raw: dict) -> tuple:
+    """Every section of the kind, in order, an absent one empty."""
     out = []
     for key in KIND_SECTIONS[kind_key]:
-        if key not in raw:
-            continue
-        entries = tuple(raw[key])
+        entries = tuple(raw.get(key, ()))
         if key not in UNSORTED_SECTIONS:
             entries = tuple(sorted(entries))
         out.append((key, entries))
@@ -110,9 +111,20 @@ def _split_entries(tokens: list[str]) -> list[list[str]]:
     return [e for e in entries if e]
 
 
+def _section_entries(payload: str, line_no: int) -> list[tuple[str, ...]]:
+    """The non-empty entries of a section payload, each a tuple of tokens.
+    Without braces a token is a run of non-space characters other than
+    ';', so two string splits find them; a brace token may hold ';' and
+    spaces, and takes the tokenizer."""
+    if "{" in payload or "}" in payload:
+        return list(map(tuple, _split_entries(tokenize(payload, line_no))))
+    return list(filter(None, map(tuple, map(str.split, payload.split(";")))))
+
+
 def _quoted(text: str, line_no: int) -> str:
     text = text.strip()
-    if not (text.startswith('"') and text.endswith('"') and len(text) >= 2):
+    if not (text.startswith('"') and text.endswith('"') and len(text) >= 2
+            and '"' not in text[1:-1]):
         raise ParseError(f"expected a quoted name, got '{text}'", line_no, '"..."')
     return text[1:-1]
 
@@ -182,7 +194,7 @@ def parse_spec(text: str) -> SpecDocument:
         key = key.strip()
         if key in raw_sections:
             raise ParseError(f"duplicate section '{key}'", no)
-        raw_sections[key] = _split_entries(tokenize(payload, no))
+        raw_sections[key] = _section_entries(payload, no)
         section_lines[key] = no
 
     kind_key = kind
@@ -196,11 +208,10 @@ def parse_spec(text: str) -> SpecDocument:
     shaped = {}
     for key, entries in raw_sections.items():
         if key in LIST_SECTIONS:
-            shaped[key] = [(tok,) for entry in entries for tok in entry]
-        else:
-            shaped[key] = [tuple(e) for e in entries]
-        _check_entry_shapes(key, shaped[key], section_lines[key])
-        if key in SINGLETON_SECTIONS and len(shaped[key]) != 1:
+            entries = list(zip(chain.from_iterable(entries)))
+        shaped[key] = entries
+        _check_entry_shapes(key, entries, section_lines[key])
+        if key in SINGLETON_SECTIONS and len(entries) != 1:
             raise ParseError(f"section '{key}' takes a single element",
                              section_lines[key])
     if "hint-t" not in shaped and {"hint-h", "hint-r"} & shaped.keys():
@@ -208,7 +219,6 @@ def parse_spec(text: str) -> SpecDocument:
     for key in KIND_SECTIONS[kind_key]:
         if key not in shaped and key not in OPTIONAL_SECTIONS:
             raise ParseError(f"missing section '{key}'", header_no)
-        shaped.setdefault(key, [])
 
     doc = SpecDocument(kind, name, _normalize_sections(kind_key, shaped),
                        subkind, base, source_name, target_name)
@@ -216,9 +226,19 @@ def parse_spec(text: str) -> SpecDocument:
     return doc
 
 
+def _column(entries, i) -> set:
+    """The tokens at position ``i`` of entries known to be long enough."""
+    return set(map(itemgetter(i), entries))
+
+
 def _check_entry_shapes(key, entries, line_no):
+    """Every entry has the section's length and its literal tokens; the
+    first entry that does not, in document order, is the error."""
     shape = ENTRY_SHAPES[key]
     literals = [(i, word) for i, word in enumerate(shape) if word != "x"]
+    if set(map(len, entries)) <= {len(shape)} and all(
+            _column(entries, i) <= {word} for i, word in literals):
+        return
     for entry in entries:
         if len(entry) == len(shape) and all(entry[i] == word for i, word in literals):
             continue
@@ -253,17 +273,29 @@ def _check_carrier(names, section):
 
 
 def _check_names(doc, keys, known):
+    """Every name slot holds a declared name; the error names the first
+    unknown one, by section and then by sorted entry."""
     for key in keys:
         slots = [i for i, word in enumerate(ENTRY_SHAPES[key]) if word == "x"]
-        for entry in doc.section(key) or ():
+        entries = doc.section(key) or ()
+        if all(_column(entries, i) <= known for i in slots):
+            continue
+        for entry in entries:
             for i in slots:
                 if entry[i] not in known:
                     raise UnknownElement(entry[i], f"section '{key}'")
 
 
 def _check_table(doc, key, left_names, right_names):
+    """Each pair of names has exactly one entry.  The names are checked
+    already, so entries as many as the cells, with distinct pairs, fill
+    every cell once; the scan runs only to name the first fault."""
+    entries = doc.section(key)
+    cells = len(left_names) * len(right_names)
+    if len(entries) == cells and len(set(map(itemgetter(0, 1), entries))) == cells:
+        return
     seen = set()
-    for entry in doc.section(key):
+    for entry in entries:
         pair = (entry[0], entry[1])
         if pair in seen:
             raise ParseError(f"duplicate {key} entry for {pair[0]} {pair[1]}")
@@ -307,66 +339,76 @@ def _element_resolver(obj):
     return lattice.index_of, lattice.name, lattice.size
 
 
-def _read_map(doc: SpecDocument, source, target) -> tuple[int, ...]:
-    """The ``map:`` section as a table on the source carrier.  Names
-    resolve through the carriers, a repeated row is an error, and missing
-    rows are reported by name."""
-    src_idx, src_name, size = _element_resolver(source)
-    tgt_idx, _, _ = _element_resolver(target)
+def _read_rows(doc: SpecDocument, key, source, target) -> dict[int, int]:
+    """The ``a -> b`` rows of a section as a dict on the source carrier;
+    names resolve through the carriers and a repeated row is an error."""
+    src_idx = _element_resolver(source)[0]
+    tgt_idx = _element_resolver(target)[0]
     table = {}
-    for a, _, b in doc.section("map"):
+    for a, _, b in doc.section(key) or ():
         ia = src_idx(a)
         if ia in table:
-            raise ParseError(f"duplicate map entry for {a}")
+            raise ParseError(f"duplicate {key} entry for {a}")
         table[ia] = tgt_idx(b)
+    return table
+
+
+def _read_map(doc: SpecDocument, source, target) -> tuple[int, ...]:
+    """The ``map:`` section as a table on the source carrier, with
+    missing rows reported by name."""
+    table = _read_rows(doc, "map", source, target)
+    _, src_name, size = _element_resolver(source)
     missing = [src_name(x) for x in range(size) if x not in table]
     if missing:
         raise IncompleteTable("map", missing)
     return tuple(table[x] for x in range(size))
 
 
-def build_lattice(doc: SpecDocument) -> ExplicitLattice:
+def _lattice(doc: SpecDocument) -> tuple[ExplicitLattice, dict[str, int]]:
+    """The lattice of a lattice or explicit ia document, with its name
+    table; the parser has checked every name."""
     names = [e[0] for e in doc.section("elements")]
-    idx = {n: i for i, n in enumerate(names)}
+    idx = positions_of(names)
     pairs = [(idx[a], idx[b]) for a, _, b in doc.section("order") or ()]
-    return ExplicitLattice.from_pairs(names, pairs)
+    return ExplicitLattice.from_pairs(names, pairs), idx
+
+
+def _table(entries, idx, n) -> tuple[tuple[int, ...], ...]:
+    """The ``a b -> c`` entries of a complete table, as rows of ids."""
+    table = [[0] * n for _ in range(n)]
+    for a, b, _, c in entries:
+        table[idx[a]][idx[b]] = idx[c]
+    return tuple(map(tuple, table))
+
+
+def build_lattice(doc: SpecDocument) -> ExplicitLattice:
+    return _lattice(doc)[0]
 
 
 def build_algebra(doc: SpecDocument):
     if doc.section("pi") is not None:
         return functor_A_obj(build_aks(doc), validate=False).algebra
-    lattice = build_lattice(doc)
-    idx = lattice.index_of
-    n = lattice.size
-    table = [[0] * n for _ in range(n)]
-    for a, b, _, c in doc.section("imp"):
-        table[idx(a)][idx(b)] = idx(c)
-    structure = ImplicativeStructure(lattice, tuple(map(tuple, table)))
-    separator = frozenset(idx(e[0]) for e in doc.section("separator"))
+    lattice, idx = _lattice(doc)
+    structure = ImplicativeStructure(lattice, _table(doc.section("imp"), idx, lattice.size))
+    separator = frozenset(idx[e[0]] for e in doc.section("separator"))
     return ImplicativeAlgebra(structure, separator,
-                              idx(doc.section("k")[0][0]),
-                              idx(doc.section("s")[0][0]))
+                              idx[doc.section("k")[0][0]], idx[doc.section("s")[0][0]])
 
 
 def build_aks(doc: SpecDocument) -> AbstractKrivineStructure:
     names = tuple(e[0] for e in doc.section("pi"))
-    idx = names.index
+    idx = positions_of(names)
     n = len(names)
     rows = [0] * n
     for t, pi in doc.section("perp") or ():
-        rows[idx(t)] |= 1 << idx(pi)
-    push = [[0] * n for _ in range(n)]
-    app = [[0] * n for _ in range(n)]
-    for a, b, _, c in doc.section("push"):
-        push[idx(a)][idx(b)] = idx(c)
-    for a, b, _, c in doc.section("app"):
-        app[idx(a)][idx(b)] = idx(c)
+        rows[idx[t]] |= 1 << idx[pi]
     qp = 0
     for (e,) in doc.section("qp"):
-        qp |= 1 << idx(e)
+        qp |= 1 << idx[e]
     return AbstractKrivineStructure(
-        names, tuple(rows), tuple(map(tuple, push)), tuple(map(tuple, app)),
-        qp, idx(doc.section("K")[0][0]), idx(doc.section("S")[0][0]))
+        names, tuple(rows), _table(doc.section("push"), idx, n),
+        _table(doc.section("app"), idx, n),
+        qp, idx[doc.section("K")[0][0]], idx[doc.section("S")[0][0]])
 
 
 def build_interior(doc: SpecDocument, base_obj) -> InteriorOperator:
@@ -388,8 +430,7 @@ def build_morphism(doc: SpecDocument, src, tgt):
     hint = None
     if doc.section("hint-t"):
         tgt_idx, _, _ = _element_resolver(tgt)
-        h_tgt, h_src = table_lattices(spec)
-        h = {h_tgt.index_of(a): h_src.index_of(b) for a, _, b in doc.section("hint-h") or ()}
+        h = _read_rows(doc, "hint-h", *table_lattices(spec))
         t = doc.section("hint-t")[0][0]
         r_sec = doc.section("hint-r")
         t_id = tgt_idx(t)

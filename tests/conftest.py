@@ -8,7 +8,8 @@ import pytest
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Wrap krl functions wherever a krl module binds them and count calls.
+    """Wrap krl functions wherever a krl module binds them, and methods on
+    the classes krl modules bind, and count calls.
 
     ``count_calls(f, g, ...)`` returns a Counter keyed by function name
     that fills as the wrapped functions run.  Its ``per_object`` Counter
@@ -28,10 +29,12 @@ def count_calls(monkeypatch):
                     first_args.append(args[0])
                     counts.per_object[_fn.__name__, id(args[0])] += 1
                 return _fn(*args, **kwargs)
-            for mod in modules:
-                for attr, value in list(vars(mod).items()):
+            owners = modules + [v for m in modules for v in vars(m).values()
+                                if isinstance(v, type)]
+            for owner in owners:
+                for attr, value in list(vars(owner).items()):
                     if value is fn:
-                        monkeypatch.setattr(mod, attr, counted)
+                        monkeypatch.setattr(owner, attr, counted)
         return counts
 
     return install

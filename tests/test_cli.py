@@ -431,8 +431,18 @@ VALIDATE = ["validate", None]
     ("id-l2.kmap", "hint-t: e1\n", "",
      ["morphism", "check", "--dense", None, FIX / "l2.krl"],
      "error: missing section 'hint-t' for the given hints (line 1)\n"),
+    ("id-l2.kmap", "hint-h: e1 -> e1", "hint-h: e1 -> e1 ; e1 -> e0",
+     ["morphism", "check", "--dense", None, FIX / "l2.krl"],
+     "error: duplicate hint-h entry for e1\n"),
+    ("l2.krl", '"L2-classical"', '"L2" "classical"', VALIDATE,
+     'error: expected a quoted name, got \'"L2" "classical"\' (line 1), expected "..."\n'),
+    ("aks3-hat.kop", '"aks3"', '"aks" "3"', VALIDATE,
+     'error: expected a quoted name, got \'"aks" "3"\' (line 1), expected "..."\n'),
+    ("id-l2.kmap", '"id-l2"', '"id"l2"', ["morphism", "check", None, FIX / "l2.krl"],
+     'error: expected a quoted name, got \'"id"l2"\' (line 1), expected "..."\n'),
 ], ids=["order-slot", "perp-slot", "push-slot", "imp-slot", "empty-k", "empty-K",
-        "empty-hint-t", "hints-without-hint-t"])
+        "empty-hint-t", "hints-without-hint-t", "repeated-hint-h", "quote-in-structure-name",
+        "quote-in-interior-base", "quote-in-morphism-name"])
 def test_malformed_entries_are_usage_errors(capsys, tmp_path, fixture, old, new, argv, error):
     text = (FIX / fixture).read_text()
     assert old in text

@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krl.bridge import functor_A_obj
+from krl.cli import run_cli
 from krl.errors import (IncompleteTable, ParseError, SpecFileError,
                         UnknownElement)
 from krl.fixtures import aks3, heyting3, l2
+from krl.implicative import ImplicativeAlgebra, ImplicativeStructure
 from krl.interior import InteriorOperator
 from krl.morphism import DensityCertificate, MorphismSpec, identity_morphism
+from krl.order import ExplicitLattice
 from krl.specfile import (Workspace, document_for, emit_spec, parse_spec,
                           tokenize)
+from specfile_oracles import char_loop_tokenize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -68,34 +72,6 @@ def test_parse_errors_carry_line_numbers():
 def test_unclosed_brace_is_an_error():
     with pytest.raises(ParseError):
         parse_spec('interior on "X"\nmap: {a -> {a}\n')
-
-
-def char_loop_tokenize(payload, line_no):
-    """The tokenizer as a character loop: the oracle for the regex."""
-    tokens = []
-    i, n = 0, len(payload)
-    while i < n:
-        ch = payload[i]
-        if ch.isspace():
-            i += 1
-        elif ch == ";":
-            tokens.append(";")
-            i += 1
-        elif ch == "{":
-            j = payload.find("}", i)
-            if j < 0:
-                raise ParseError("unclosed brace token", line_no, "'}'")
-            tokens.append(payload[i:j + 1])
-            i = j + 1
-        elif ch == "}":
-            raise ParseError("unmatched '}'", line_no)
-        else:
-            j = i
-            while j < n and not payload[j].isspace() and payload[j] not in ";{}":
-                j += 1
-            tokens.append(payload[i:j])
-            i = j
-    return tokens
 
 
 def _tokens_or_error(fn, payload):
@@ -260,3 +236,49 @@ def test_named_interior_header_roundtrip():
     doc = parse_spec(text)
     assert doc.name == "hat" and doc.base == "base"
     assert emit_spec(doc) == text
+
+
+@pytest.mark.parametrize("header", [
+    'structure ia "a" "b"',
+    'interior on "a" "b"',
+    'morphism ia "f" from "a" "b" to "c"',
+    'morphism ia "f" from "a" to "b"c"',
+])
+def test_quoted_names_may_not_hold_a_quote(header):
+    with pytest.raises(ParseError) as exc:
+        parse_spec(header + "\n")
+    assert exc.value.line == 1 and "expected a quoted name" in str(exc.value)
+
+
+def test_repeated_hint_rows_are_refused():
+    ws = Workspace()
+    for name in ("heyting3.krl", "l2.krl"):
+        ws.add_path(FIXTURES / name)
+    ws.add_text((FIXTURES / "h3-to-l2.kmap").read_text().replace(
+        "hint-h: e1 -> e1", "hint-h: e1 -> e1 ; e1 -> e0"))
+    with pytest.raises(ParseError) as exc:
+        ws.resolve()
+    assert str(exc.value) == "duplicate hint-h entry for e1"
+
+
+def heyting_chain(n):
+    chain = ExplicitLattice.chain(n)
+    top = n - 1
+    table = [[top if a <= b else b for b in range(n)] for a in range(n)]
+    return ImplicativeAlgebra(ImplicativeStructure(chain, table), {top}, top, top)
+
+
+def test_reading_a_brace_free_document_costs_no_token_scan(tmp_path, count_calls, capsys):
+    path = tmp_path / "H24.krl"
+    path.write_text(emit_spec(document_for(heyting_chain(24), "H24")))
+    counts = count_calls(tokenize, ExplicitLattice.index_of)
+    parse_spec(path.read_text())
+    assert counts["tokenize"] == 0
+    # a brace token takes the tokenizer
+    parse_spec((FIXTURES / "aks3-hat.kop").read_text())
+    assert counts["tokenize"] == 1
+    # resolution reads one name table per carrier: the only names looked
+    # up one at a time are the two that apply is given
+    assert run_cli(["apply", str(path), "e20", "e11"]) == 0
+    assert capsys.readouterr().out == "e11\n"
+    assert counts["index_of"] == 2

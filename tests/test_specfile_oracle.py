@@ -1,0 +1,157 @@
+"""The document reader against the per-token scans it replaced
+(``specfile_oracles``): section payloads over a small alphabet, and
+generated documents, emitted from random lattices, algebras, Krivine
+structures, operators on their powersets and maps between them, read
+whole and with one entry corrupted."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from krl.aks import AbstractKrivineStructure
+from krl.bridge import powerset_algebra
+from krl.errors import SpecFileError
+from krl.implicative import ImplicativeAlgebra, ImplicativeStructure
+from krl.interior import InteriorOperator
+from krl.morphism import DensityCertificate, MorphismSpec
+from krl.order import ExplicitLattice, PowersetLattice
+from krl.specfile import (LIST_SECTIONS, _section_entries, document_for, emit_spec,
+                          parse_spec)
+from specfile_oracles import parse_with_scans, section_entries
+
+ALPHABET = ["{", "}", ";", " ", "\x1c", "\u00a0", "\u2028", "->", "a", "b", ":", "<="]
+# element names: short, unsorted against their ids, never a literal token
+NAMES = st.text(alphabet="ab1_.:<>-", min_size=1, max_size=3).filter(
+    lambda s: s not in ("->", "<="))
+DOC_NAMES = st.text(alphabet="abXY -1", max_size=5)
+# tokens a corruption puts in; '?' is never declared
+POOL = ["?", "->", "<=", ";", "{", "}", "{?}", "{}"]
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the class and text of the error it raises."""
+    try:
+        return fn(*args)
+    except SpecFileError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.lists(st.sampled_from(ALPHABET), max_size=14).map("".join))
+def test_the_section_reader_agrees_with_the_scans(payload):
+    assert outcome(_section_entries, payload, 7) == outcome(section_entries, payload, 7)
+
+
+def carriers(max_size):
+    return st.lists(NAMES, min_size=1, max_size=max_size, unique=True)
+
+
+@st.composite
+def lattices(draw):
+    """Any relation on a carrier: the document format does not check the
+    order axioms."""
+    names = draw(carriers(5))
+    n = len(names)
+    return ExplicitLattice(names, [1 << a | draw(st.integers(0, (1 << n) - 1))
+                                   for a in range(n)])
+
+
+@st.composite
+def algebras(draw):
+    lattice = draw(lattices())
+    elems = st.integers(0, lattice.size - 1)
+    table = [[draw(elems) for _ in lattice.elements()] for _ in lattice.elements()]
+    return ImplicativeAlgebra(ImplicativeStructure(lattice, table), draw(st.sets(elems)),
+                              draw(elems), draw(elems))
+
+
+@st.composite
+def krivine_structures(draw):
+    names = tuple(draw(carriers(3)))
+    m = len(names)
+    elems, masks = st.integers(0, m - 1), st.integers(0, (1 << m) - 1)
+
+    def table():
+        return tuple(tuple(draw(elems) for _ in names) for _ in names)
+    return AbstractKrivineStructure(names, tuple(draw(masks) for _ in names), table(),
+                                    table(), draw(masks), draw(elems), draw(elems))
+
+
+@st.composite
+def documents(draw):
+    name = draw(DOC_NAMES)
+    kind = draw(st.sampled_from(["lattice", "ia", "aks", "ia-powerset", "interior",
+                                 "morphism"]))
+    if kind == "lattice":
+        return document_for(draw(lattices()), name)
+    if kind == "ia":
+        return document_for(draw(algebras()), name)
+    if kind == "aks":
+        return document_for(draw(krivine_structures()), name)
+    if kind == "ia-powerset":
+        return document_for(powerset_algebra(draw(krivine_structures())), name)
+    if kind == "interior":
+        # subset names are brace tokens
+        lattice = PowersetLattice(draw(krivine_structures()).names)
+        table = tuple(draw(st.integers(0, lattice.size - 1)) for _ in lattice.elements())
+        return document_for(InteriorOperator(lattice, table), name,
+                            op_name=draw(st.none() | DOC_NAMES))
+    source, target = draw(algebras()), draw(algebras())
+    src_elems = st.integers(0, source.lattice.size - 1)
+    tgt_elems = st.integers(0, target.lattice.size - 1)
+    carrier = tuple(draw(tgt_elems) for _ in source.lattice.elements())
+    cert = draw(st.none() | st.builds(
+        DensityCertificate.make, tgt_elems, st.dictionaries(tgt_elems, src_elems),
+        st.none() | tgt_elems))
+    return document_for(MorphismSpec("ia", source, target, carrier, name), name, cert=cert,
+                        source_name=draw(DOC_NAMES), target_name=draw(DOC_NAMES))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(documents())
+def test_emit_then_parse_is_the_identity(doc):
+    text = emit_spec(doc)
+    assert parse_spec(text) == doc
+    assert parse_with_scans(text) == doc
+    assert emit_spec(parse_spec(text)) == text
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(documents(), st.data())
+def test_a_corrupted_entry_reads_as_with_the_scans(doc, data):
+    lines = emit_spec(doc).splitlines()
+    # the tables, whose check counts pairs, draw about half the corruptions
+    tables = [i for i, line in enumerate(lines) if line.startswith(("imp:", "push:", "app:"))]
+    li = data.draw(st.sampled_from(tables) if tables and data.draw(st.booleans())
+                   else st.integers(1, len(lines) - 1))
+    key, payload = lines[li].split(": ", 1)
+    sep = " " if key in LIST_SECTIONS else " ; "
+    entries = payload.split(sep) if payload else []
+    names = sorted({tok for line in lines[1:] for tok in line.split(": ", 1)[1].split()})
+    op = data.draw(st.sampled_from(["drop", "repeat", "move", "replace", "insert",
+                                    "delete"]))
+    if not entries:
+        entries, op = ["?"], "insert"
+    ei = data.draw(st.integers(0, len(entries) - 1))
+    if op == "drop":
+        del entries[ei]
+    elif op == "repeat":
+        entries.insert(ei, entries[ei])
+    elif op == "move":
+        # another entry's first two tokens: in a table, a second row for
+        # one cell and none for another
+        other = entries[data.draw(st.integers(0, len(entries) - 1))].split(" ")
+        entries[ei] = " ".join(other[:2] + entries[ei].split(" ")[2:])
+    else:
+        words = entries[ei].split(" ")
+        pos = data.draw(st.integers(0, len(words) - 1))
+        token = data.draw(st.sampled_from(names) | st.sampled_from(POOL))
+        if op == "replace":
+            words[pos] = token
+        elif op == "insert":
+            words.insert(pos, token)
+        else:
+            del words[pos]
+        entries[ei] = " ".join(words)
+    lines[li] = f"{key}: " + sep.join(entries)
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse_spec, text) == outcome(parse_with_scans, text)

@@ -268,6 +268,20 @@ def test_what_carries_a_verdict_cannot_be_reassigned():
     assert validate_algebra(algebra).ok and check_applicative(f).ok
 
 
+def test_a_validated_lattice_and_structure_cannot_be_reassigned():
+    L = ExplicitLattice.chain(3)
+    assert validate_lattice(L).ok
+    for field, value in (("up", (1, 2, 4)), ("names", ("x", "y", "z")), ("size", 5)):
+        with pytest.raises(AttributeError):
+            setattr(L, field, value)
+    assert (L.names, L.up, L.size) == (("e0", "e1", "e2"), ExplicitLattice.chain(3).up, 3)
+    assert validate_lattice(L).ok
+    structure = heyting3().structure
+    with pytest.raises(AttributeError):
+        structure.lattice = L
+    assert validate_structure(structure).ok
+
+
 def test_a_certificate_search_leaves_no_reference_cycle():
     # a verdict lives as long as its object, and no cycle keeps a map alive
     gc.collect()
