@@ -14,18 +14,17 @@ from .bridge import (AdjunctionData, FunctorImageAKS, FunctorImageIA,
                      composite_KA_check, functor_A_mor, functor_A_obj,
                      functor_K_mor, functor_K_obj, transport_density_A,
                      transport_density_K)
-from .implicative import (EntailmentWitness, ImplicativeAlgebra,
-                          ImplicativeStructure, check_adjunction, combinator_cc,
-                          combinator_i, combinator_k, combinator_nu,
-                          combinator_s, entails, separator_closure,
-                          uniform_entails, validate_algebra, validate_structure)
+from .implicative import (ImplicativeAlgebra, ImplicativeStructure,
+                          check_adjunction, combinator_cc, combinator_i,
+                          combinator_k, combinator_nu, combinator_s,
+                          separator_closure, validate_algebra, validate_structure)
 from .interior import (ChangedAlgebra, ClosedPart, InteriorOperator, al_approx,
                        change_implication, closure_from_interior,
                        density_certificates, theta, theta_inv,
                        validate_interior)
 from .morphism import (DensityCertificate, MorphismSpec, check_applicative,
-                       check_comp_dense, check_condition2_equiv, compose,
-                       identity_morphism, two_cell_leq, verify_certificate)
+                       check_comp_dense, compose, identity_morphism,
+                       two_cell_leq, verify_certificate)
 from .order import (ExplicitLattice, FiniteLattice, PowersetLattice,
                     upward_closure, validate_lattice)
 from .report import CheckResult, Report

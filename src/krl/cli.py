@@ -246,16 +246,11 @@ def _dispatch(args) -> int:
         if len(specs) != 1:
             raise SpecFileError("expected exactly one morphism document")
         name, spec = specs[0]
-        app_rep = check_applicative(spec)
-        reports = [app_rep]
+        reports = [check_applicative(spec)]
         if args.dense:
             hint = ws.morphism_hints.get(name)
             if hint is None:
-                # a bad budget is a usage error even for a map that is not
-                # applicative; the search reuses the realizer found above
-                budget = morphism.search_budget()
-                cert = (morphism.search_certificate(spec, app_rep.data["realizer"], budget)
-                        if app_rep.ok else None)
+                cert = morphism.check_comp_dense(spec)
                 cert_rep = None if cert is None else morphism.verify_certificate(spec, cert)
             else:
                 # a hinted certificate is verified search-free, once

@@ -10,7 +10,6 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
@@ -39,10 +38,12 @@ class ImplicativeStructure:
         self._imp_cache: dict[tuple[int, int], int] = {}
         self._app_cache: dict[tuple[int, int], int] = {}
 
+    # read-only, so that the verdict cannot describe a structure since changed
+    _read_only = ("lattice",)
+
     def __setattr__(self, attr, value):
-        # read-only, so that the verdict cannot describe a structure since changed
-        if attr == "lattice":
-            raise AttributeError("ImplicativeStructure.lattice is read-only")
+        if attr in self._read_only:
+            raise AttributeError(f"{type(self).__name__}.{attr} is read-only")
         object.__setattr__(self, attr, value)
 
     def imp(self, a: int, b: int) -> int:
@@ -146,13 +147,6 @@ class ImplicativeStructure:
     def adjoint(self) -> bool:
         """The verdict of :func:`_application_is_adjoint`, on a lattice."""
         return _application_is_adjoint(self)
-
-
-@dataclass(frozen=True)
-class EntailmentWitness:
-    realizer: int
-    lhs: int
-    rhs: int
 
 
 class ImplicativeAlgebra:
@@ -517,21 +511,3 @@ def _application_is_adjoint(st: ImplicativeStructure) -> bool:
     return (all(leq(app(lo, y), app(hi, y)) for lo, hi in L.covers for y in reps)
             and all(leq(x, rows[y][app(x, y)]) and leq(app(rows[y][x], y), x)
                     for x in elems for y in reps))
-
-
-def entails(algebra: ImplicativeAlgebra, a: int, b: int) -> EntailmentWitness | None:
-    """A separator element realizing a |- b, canonically a -> b itself."""
-    r = algebra.imp(a, b)
-    if r in algebra.separator:
-        return EntailmentWitness(r, a, b)
-    return None
-
-
-def uniform_entails(algebra: ImplicativeAlgebra, pairs) -> int | None:
-    """The meet of all f(x) -> g(x), when it lies in the separator.
-
-    The meet itself is the canonical uniform realizer: it is below every
-    instance by construction.
-    """
-    m = algebra.lattice.meet([algebra.imp(a, b) for a, b in pairs])
-    return m if m in algebra.separator else None

@@ -3,8 +3,8 @@
 A morphism is a carrier map; being applicative or computationally dense
 is certified by finite witnesses: a uniform applicativity realizer, a
 monotone section-like table on the target separator, and a uniform
-density realizer.  Applicativity has a checker per kind, since its
-clauses differ.  Density has one verifier and one search for both kinds:
+density realizer.  Applicativity has one checker, whose clauses differ
+by kind.  Density has one verifier and one search for both kinds:
 each reads the kind-specific data from ``_density`` (the separators,
 the lattices of the table, what a realizer must be and how witnesses
 are named), so a certificate is checked search-free by the same seven
@@ -100,16 +100,8 @@ def identity_morphism(obj, kind: str, name: str = "id") -> MorphismSpec:
 # ---------------------------------------------------------------- IA side
 
 
-def check_applicative_ia(f: MorphismSpec) -> Report:
-    """Separator preservation, exact meet preservation, and an exhaustive
-    search for the uniform applicativity realizer.  The found realizer is
-    stored under ``data['realizer']``.  The report is computed once per map
-    (``MorphismSpec.verdict``); each call returns a copy."""
-    return f.verdict.copy()
-
-
 def _applicative_ia(f: MorphismSpec) -> Report:
-    """The body of :func:`check_applicative_ia`."""
+    """The body of :func:`check_applicative` on a structure map."""
     A, B = f.source, f.target
     rep = Report(f"applicative({f.name})")
 
@@ -140,39 +132,6 @@ def _applicative_realizer(f: MorphismSpec) -> int | None:
         if all(lb.leq(B.apply_chain(r, fs, fa), fsa) for fs, fa, fsa in pairs):
             return r
     return None
-
-
-def _implication_realizer(f: MorphismSpec) -> int | None:
-    """Least r with r <= f(a -> a') -> f(a) -> f(a') whenever a -> a' is
-    in the source separator."""
-    A, B = f.source, f.target
-    la, lb = A.lattice, B.lattice
-    bounds = []
-    for a in la.elements():
-        for a2 in la.elements():
-            if A.imp(a, a2) in A.separator:
-                bounds.append(B.imp(f(A.imp(a, a2)), B.imp(f(a), f(a2))))
-    for r in sorted(B.separator):
-        if all(lb.leq(r, x) for x in bounds):
-            return r
-    return None
-
-
-def check_condition2_equiv(f: MorphismSpec) -> Report:
-    """Decide the implication form and the application form of the
-    uniformity condition independently and assert they agree."""
-    rep = Report(f"condition2({f.name})")
-    r_imp = _implication_realizer(f)
-    r_app = _applicative_realizer(f)
-    rep.check("condition2.implication-form", r_imp is not None,
-              None if r_imp is not None else "no uniform realizer")
-    rep.check("condition2.application-form", r_app is not None,
-              None if r_app is not None else "no uniform realizer")
-    rep.check("condition2.equivalence", (r_imp is None) == (r_app is None),
-              f"implication-form={r_imp}, application-form={r_app}")
-    rep.data["realizer_implication"] = r_imp
-    rep.data["realizer_application"] = r_app
-    return rep
 
 
 # --------------------------------------------------------------- AKS side
@@ -208,16 +167,8 @@ def _uniform_family(f: MorphismSpec):
             yield p2, p, aksmod.perp_left(B, tgt)
 
 
-def check_applicative_aks(f: MorphismSpec) -> Report:
-    """The two applicative clauses for carrier maps, scanned over every
-    subset (pair of subsets) of the source carrier.  The clause-b witness
-    is stored under ``data['realizer']``.  The report is computed once per
-    map (``MorphismSpec.verdict``); each call returns a copy."""
-    return f.verdict.copy()
-
-
 def _applicative_aks(f: MorphismSpec) -> Report:
-    """The body of :func:`check_applicative_aks`."""
+    """The body of :func:`check_applicative` on a carrier map."""
     A: AbstractKrivineStructure = f.source
     B: AbstractKrivineStructure = f.target
     rep = Report(f"applicative({f.name})")
@@ -281,8 +232,16 @@ def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
 
 
 def check_applicative(f: MorphismSpec) -> Report:
-    """The applicativity report of f's kind; each call returns a copy."""
-    return check_applicative_ia(f) if f.kind == "ia" else check_applicative_aks(f)
+    """Whether f is applicative.  A structure map must preserve the
+    separator and meets exactly, and some r in the target separator must
+    satisfy r f(s) f(a) <= f(sa).  A carrier map must keep quasi-proof
+    subsets, and some target term must be orthogonal to
+    f(P' -> P) -> f(P') -> f(P) whenever P' -> P is in the source
+    separator.  The least such realizer, None if there is none, is stored
+    under ``data['realizer']``, on a structure map only once both
+    preservation clauses pass.  The report is computed once per map
+    (``MorphismSpec.verdict``); each call returns a copy."""
+    return f.verdict.copy()
 
 
 def check_comp_dense(f: MorphismSpec, hint: DensityCertificate | None = None,
@@ -292,6 +251,7 @@ def check_comp_dense(f: MorphismSpec, hint: DensityCertificate | None = None,
     passes the slot positionally)."""
     if hint is not None:
         return hint if verify_certificate(f, hint).ok else None
+    # read first: a bad budget is an error also on a map that is not applicative
     budget = budget if budget is not None else search_budget()
     rep = check_applicative(f)
     return search_certificate(f, rep.data["realizer"], budget) if rep.ok else None

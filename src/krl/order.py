@@ -24,7 +24,7 @@ def bits(mask: int):
         mask ^= low
 
 
-_store = object.__setattr__  # a store past ExplicitLattice's guard
+_store = object.__setattr__  # a store past the lattices' guards
 
 
 def positions_of(names) -> dict[str, int]:
@@ -37,6 +37,14 @@ class FiniteLattice:
     """Interface shared by the explicit and powerset backends."""
 
     size: int
+    # read-only, so that the verdict cannot describe a lattice since changed;
+    # each backend stores its fields past the guard in __init__
+    _read_only: tuple[str, ...] = ()
+
+    def __setattr__(self, attr, value):
+        if attr in self._read_only:
+            raise AttributeError(f"{type(self).__name__}.{attr} is read-only")
+        _store(self, attr, value)
 
     def leq(self, a: int, b: int) -> bool:
         raise NotImplementedError
@@ -125,10 +133,11 @@ class ExplicitLattice(FiniteLattice):
     binary results cached.
     """
 
-    # The guard below makes each store a Python call, and the enumerators
+    # The read-only guard makes each store a Python call, and the enumerators
     # build lattices by the ten thousand: __init__ stores past it, and the
     # extrema and the full mask are found when first asked for.
     _top = _bottom = None
+    _read_only = ("names", "up", "size")
 
     def __init__(self, names, up_masks):
         names = tuple(names)
@@ -137,12 +146,6 @@ class ExplicitLattice(FiniteLattice):
         _store(self, "size", len(names))
         _store(self, "_meet2", {})
         _store(self, "_join2", {})
-
-    def __setattr__(self, attr, value):
-        # read-only, so that the verdict cannot describe a lattice since changed
-        if attr in ("names", "up", "size"):
-            raise AttributeError(f"ExplicitLattice.{attr} is read-only")
-        _store(self, attr, value)
 
     @property
     def _full(self) -> int:
@@ -292,12 +295,14 @@ class PowersetLattice(FiniteLattice):
     """
 
     def __init__(self, base_names):
-        self.base_names = tuple(base_names)
-        self.base_size = len(self.base_names)
-        self.size = 1 << self.base_size
-        self._full = self.size - 1
+        base_names = tuple(base_names)
+        _store(self, "base_names", base_names)
+        _store(self, "base_size", len(base_names))
+        _store(self, "size", 1 << len(base_names))
+        _store(self, "_full", self.size - 1)
 
     order_failures = ()  # reverse inclusion is a complete lattice by construction
+    _read_only = ("base_names", "base_size", "size")
 
     def leq(self, a: int, b: int) -> bool:
         return b & a == b

@@ -21,8 +21,7 @@ from krl.fixtures import (aks1, aks2, aks3, diamond, heyting3, l2, mined_corpus,
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, combinator_i,
                              validate_algebra)
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
-                          check_applicative_aks, check_comp_dense, identity_morphism,
-                          verify_certificate)
+                          check_comp_dense, identity_morphism, verify_certificate)
 from krl.order import ExplicitLattice, bits, upward_closure
 from krl.report import Report
 
@@ -254,6 +253,62 @@ def test_composite_KA_matches_closed_form(aks):
     assert composite_KA_check(aks).ok
 
 
+def composite_KA_by_construction(aks):
+    """``composite_KA_check`` as it was before it was decided by its
+    definitions: K(A(X)) built through both functors, and each of its 4^m
+    pairs compared with the closed form."""
+    composite = bridge.functor_K_obj(bridge.functor_A_obj(aks).algebra).aks
+    rep = Report("composite-KA")
+    size = 1 << aks.pi_size
+    nm = aks.name_mask
+
+    witness = next((nm(p) for p in range(size)
+                    if composite.perp_rows[p] != sum(1 << q for q in range(size) if q & p == q)),
+                   None)
+    rep.check("composite.ka.polarity", witness is None, witness)
+
+    witness = next((f"(P={nm(p)}, Q={nm(q)})" for p in range(size) for q in range(size)
+                    if composite.push[p][q] != aks_module.imp_sets(aks, p, q)
+                    or composite.app[p][q] != aks_module.app_sets(aks, p, q)), None)
+    rep.check("composite.ka.push-app", witness is None, witness)
+
+    qp_expected = sum(1 << p for p in aks.separator_masks)
+    rep.check("composite.ka.quasi-proofs", composite.qp == qp_expected)
+    rep.check("composite.ka.k", composite.k_elem == aks.perp_rows[aks.k_elem])
+    rep.check("composite.ka.s", composite.s_elem == aks.perp_rows[aks.s_elem])
+    return rep
+
+
+@pytest.mark.parametrize("aks", mined_corpus() + [full_polarity_aks(m) for m in range(1, 6)]
+                         + [functor_K_obj(heyting_chain(n)).aks for n in range(1, 5)])
+def test_composite_KA_matches_the_construction(aks, monkeypatch):
+    # A(X) has 2^m elements; the oracle builds K(A(X)) on all of them
+    monkeypatch.setattr(bridge, "MAX_KRIVINE_CARRIER", 1 << 5)
+    assert composite_KA_check(aks) == composite_KA_by_construction(aks)
+
+
+def test_composite_KA_rejects_an_invalid_source():
+    broken = AbstractKrivineStructure(
+        ("a", "b"), (0b01, 0b00), ((0, 0), (0, 0)), ((0, 0), (0, 0)),
+        qp=0b11, k_elem=0, s_elem=0)
+    with pytest.raises(InvalidSource) as new:
+        composite_KA_check(broken)
+    with pytest.raises(InvalidSource) as old:
+        composite_KA_by_construction(broken)
+    assert str(new.value) == str(old.value) == "source structure fails validation"
+    assert new.value.report == old.value.report == validate_aks(broken)
+
+
+def test_composite_KA_builds_no_composite(count_calls):
+    passing = composite_KA_by_construction(full_polarity_aks(2))
+    counts = count_calls(bridge.krivine_structure, bridge.functor_K_obj)
+    for m in range(4, 11):
+        assert composite_KA_check(full_polarity_aks(m)) == passing
+    assert counts["krivine_structure"] == counts["functor_K_obj"] == 0
+    with pytest.raises(SizeLimitExceeded):
+        composite_KA_check(full_polarity_aks(11))
+
+
 def test_identity_morphism_images():
     ident = identity_morphism(aks3(), "aks")
     image = functor_A_mor(ident)
@@ -446,7 +501,7 @@ def test_naturality_unit_fails_exactly_on_maps_that_are_not_morphisms():
     squares = [c for c in rep.checks if c.clause.startswith("adjunction.naturality-unit")]
     expected = [(f"adjunction.naturality-unit[{g.name}]", not failed,
                  failed[0].clause if failed else None)
-                for g in maps for failed in [check_applicative_aks(g).failures()]]
+                for g in maps for failed in [check_applicative(g).failures()]]
     assert [(c.clause, c.passed, c.witness) for c in squares] == expected
     assert sum(not c.passed for c in squares) == 3
 

@@ -382,12 +382,35 @@ def _unhinted(tmp_path, kmap):
 
 
 def test_dense_search_runs_the_aks_applicativity_check_once(capsys, tmp_path, count_calls):
-    counts = count_calls(morphism.check_applicative_aks)
+    counts = count_calls(morphism._applicative_aks)
     kmap = _write(tmp_path, "id.kmap", 'morphism aks "id" from "aks3" to "aks3"\n'
                   "map: a -> a ; b -> b ; c -> c\n")
     code, out, _ = run(capsys, "morphism", "check", "--dense", kmap, FIX / "aks3.krl")
     assert code == 0 and "PASS cert.density" in out
-    assert counts == {"check_applicative_aks": 1}
+    assert counts == {"_applicative_aks": 1}
+
+
+def test_dense_search_has_one_entry(capsys, tmp_path, monkeypatch, count_calls):
+    # an unhinted map is searched through check_comp_dense, a hinted one
+    # only verified; a bad budget still stops a map that is not applicative
+    counts = count_calls(morphism.check_comp_dense)
+    kmap = _write(tmp_path, "aks3-id.kmap", 'morphism aks "id" from "aks3" to "aks3"\n'
+                  "map: a -> a ; b -> b ; c -> c\n")
+    code, out, _ = run(capsys, "morphism", "check", "--dense", kmap, FIX / "aks3.krl")
+    assert code == 0 and "PASS cert.density" in out
+    assert counts == {"check_comp_dense": 1}
+    code, out, _ = run(capsys, "morphism", "check", "--dense",
+                       FIX / "id-l2.kmap", FIX / "l2.krl")
+    assert code == 0 and "PASS cert.density" in out
+    assert counts == {"check_comp_dense": 1}
+    const = _write(tmp_path, "const.kmap",
+                   'morphism ia "const" from "L2-classical" to "L2-classical"\n'
+                   "map: e0 -> e0 ; e1 -> e0\n")
+    monkeypatch.setenv("KRL_SEARCH_BUDGET", "abc")
+    code, out, err = run(capsys, "morphism", "check", "--dense", const, FIX / "l2.krl")
+    assert (code, out) == (2, "")
+    assert err == "error: KRL_SEARCH_BUDGET must be an integer, got 'abc'\n"
+    assert counts == {"check_comp_dense": 2}
 
 
 def test_dense_search_finds_the_ia_realizer_once(capsys, tmp_path, count_calls):

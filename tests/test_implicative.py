@@ -14,11 +14,12 @@ from krl.errors import VerificationFailed
 from krl.fixtures import diamond, heyting3, l2, mined_corpus, singleton_algebra
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure,
                              check_adjunction, combinator_cc, combinator_i,
-                             combinator_k, combinator_nu, combinator_s, entails,
-                             separator_closure, uniform_entails, validate_algebra,
+                             combinator_k, combinator_nu, combinator_s,
+                             separator_closure, validate_algebra,
                              validate_structure, _application_is_adjoint, _s_fold)
 from krl.order import ExplicitLattice, bits, upward_closure
 
+from entailment_oracles import entails, uniform_entails
 from test_bridge import heyting_chain
 
 

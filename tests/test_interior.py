@@ -297,7 +297,7 @@ def test_density_certificates_on_aks3_hat():
 
 
 def test_interior_morphisms_satisfy_both_uniformity_forms():
-    from krl.morphism import check_condition2_equiv
+    from condition2_oracles import check_condition2_equiv
 
     A3 = functor_A_obj(aks3()).algebra
     (inc, _), (cor, _) = density_certificates(A3, hat_interior(aks3()))

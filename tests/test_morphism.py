@@ -11,9 +11,10 @@ from krl.errors import ComposabilityError, SearchBudgetExceeded
 from krl.fixtures import (aks2, aks3, diamond, heyting3, l2, mined_corpus,
                           singleton_algebra)
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
-                          check_applicative_aks, check_applicative_ia, check_comp_dense,
-                          check_condition2_equiv, compose,
-                          identity_morphism, two_cell_leq, verify_certificate)
+                          check_comp_dense, compose, identity_morphism,
+                          two_cell_leq, verify_certificate)
+
+from condition2_oracles import check_condition2_equiv
 
 
 def candidate_maps(src, tgt):
@@ -21,7 +22,7 @@ def candidate_maps(src, tgt):
     out = []
     for table in product(range(tgt.lattice.size), repeat=src.lattice.size):
         f = MorphismSpec("ia", src, tgt, table)
-        rep = check_applicative_ia(f)
+        rep = check_applicative(f)
         by_clause = {c.clause: c.passed for c in rep.checks}
         if (by_clause["morphism.separator-preservation"]
                 and by_clause["morphism.meet-preservation"]):
@@ -48,7 +49,7 @@ def brute_force_dense(f):
 
 def test_identity_is_applicative_with_realizer_top():
     f = identity_morphism(l2(), "ia")
-    rep = check_applicative_ia(f)
+    rep = check_applicative(f)
     assert rep.ok and rep.data["realizer"] == 1
 
 
@@ -66,7 +67,7 @@ def test_constant_top_map_is_applicative():
     # of images are meets of tops, and any separator element realizes
     # uniformity
     f = MorphismSpec("ia", l2(), l2(), (1, 1), "const-top")
-    rep = check_applicative_ia(f)
+    rep = check_applicative(f)
     assert rep.ok
     assert check_comp_dense(f) is not None
 
@@ -82,7 +83,7 @@ def test_search_refuses_maps_that_are_not_applicative():
 def test_non_preserving_map_reports_clause():
     # swapping the chain breaks separator preservation and monotonicity
     f = MorphismSpec("ia", l2(), l2(), (1, 0), "swap")
-    rep = check_applicative_ia(f)
+    rep = check_applicative(f)
     failed = {c.clause for c in rep.failures()}
     assert "morphism.separator-preservation" in failed
 
@@ -91,7 +92,7 @@ def test_meet_preservation_failure_has_witness():
     # on a chain every monotone map preserves meets, so a genuine failure
     # needs incomparable elements: send both midpoints of the diamond up
     f = MorphismSpec("ia", diamond(), l2(), (0, 1, 1, 1), "squash")
-    rep = check_applicative_ia(f)
+    rep = check_applicative(f)
     clause = next(c for c in rep.checks if c.clause == "morphism.meet-preservation")
     assert not clause.passed and clause.witness == "{x, y}"
 
@@ -262,7 +263,7 @@ def unkeyed_uniform_family(f):
 def uniform_answers(f):
     """The applicativity report, and the certificate report for every
     candidate realizer r, as plain data."""
-    reports = [check_applicative_aks(f)] + [
+    reports = [check_applicative(f)] + [
         verify_certificate(f, DensityCertificate(0, (), r)) for r in range(f.target.pi_size)]
     return [(rep.checks, rep.flags, rep.data) for rep in reports]
 

@@ -23,7 +23,7 @@ from krl.errors import LatticeError
 from krl.fixtures import aks2, aks3
 from krl.implicative import ImplicativeStructure, check_adjunction, validate_structure
 from krl.interior import ClosedPart, is_alexandroff, is_topological, validate_interior
-from krl.morphism import MorphismSpec, check_applicative_ia
+from krl.morphism import MorphismSpec, check_applicative
 from krl.order import (ExplicitLattice, PowersetLattice, bits, first_failing_pair,
                        unpreserved_meet, upward_closure, validate_lattice)
 
@@ -262,7 +262,7 @@ def test_meet_preservation_matches_the_subset_scan_on_maps_up_to_three():
         for carrier in product(lb.elements(), repeat=la.size):
             f = MorphismSpec("ia", A, B, carrier)
             family = next(failing_families(la, lb, f, elems), None)
-            clause = next(c for c in check_applicative_ia(f).checks
+            clause = next(c for c in check_applicative(f).checks
                           if c.clause == "morphism.meet-preservation")
             assert clause.passed == (family is None)
             assert clause.witness == (None if family is None else la.name_set(family))
@@ -333,7 +333,7 @@ A_AKS2, A_AKS3 = powerset_algebra(aks2()), powerset_algebra(aks3())
 @given(powerset_tables(2, 3))
 def test_meet_preservation_names_the_pair_scan_witness_from_aks2_to_aks3(carrier):
     f = MorphismSpec("ia", A_AKS2, A_AKS3, carrier)
-    clause = next(c for c in check_applicative_ia(f).checks
+    clause = next(c for c in check_applicative(f).checks
                   if c.clause == "morphism.meet-preservation")
     passed = assert_meet_matches_the_scans(A_AKS2.lattice, A_AKS3.lattice, carrier,
                                            clause.witness)

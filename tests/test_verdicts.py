@@ -28,8 +28,7 @@ from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, check_adj
                              combinator_s, separator_closure, validate_algebra,
                              validate_structure)
 from krl.interior import change_implication, density_certificates
-from krl.morphism import (MorphismSpec, check_applicative, check_applicative_aks,
-                          check_applicative_ia, check_comp_dense, identity_morphism)
+from krl.morphism import MorphismSpec, check_applicative, check_comp_dense, identity_morphism
 from krl.order import ExplicitLattice, PowersetLattice, validate_lattice
 
 from test_implicative import law_algebras, principal_algebras
@@ -95,7 +94,7 @@ def test_the_map_chain_computes_each_verdict_once(count_calls):
         image = functor_A_mor(f)
         if cert is not None:
             dense += 1
-            assert transport_density_A(f, cert, image).r == check_applicative_ia(image).data[
+            assert transport_density_A(f, cert, image).r == check_applicative(image).data[
                 "realizer"]
     assert dense and counts["_applicative_aks"] == counts["_applicative_ia"] == len(maps)
     # the image's realizer is searched once, by its applicativity check
@@ -227,9 +226,7 @@ def reports_of(algebra, X):
         lambda: validate_algebra(algebra),
         lambda: validate_aks(X),
         lambda: check_applicative(f),
-        lambda: check_applicative_ia(f),
         lambda: check_applicative(g),
-        lambda: check_applicative_aks(g),
     ]
 
 
@@ -280,6 +277,19 @@ def test_a_validated_lattice_and_structure_cannot_be_reassigned():
     with pytest.raises(AttributeError):
         structure.lattice = L
     assert validate_structure(structure).ok
+    P = PowersetLattice(aks3().names)
+    assert validate_lattice(P).ok
+    for field, value in (("base_names", ("x",)), ("base_size", 1), ("size", 2)):
+        with pytest.raises(AttributeError):
+            setattr(P, field, value)
+    assert (P.base_names, P.base_size, P.size) == (("a", "b", "c"), 3, 8)
+    assert validate_lattice(P).ok
+    powerset = PowersetStructure(aks3())
+    assert validate_structure(powerset).ok
+    for field, value in (("aks", aks2()), ("lattice", L)):
+        with pytest.raises(AttributeError):
+            setattr(powerset, field, value)
+    assert powerset.aks.names == aks3().names and validate_structure(powerset).ok
 
 
 def test_a_certificate_search_leaves_no_reference_cycle():
