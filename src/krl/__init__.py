@@ -6,6 +6,8 @@ that relates them, and change implications along Alexandroff interior
 operators, with every claim turned into an executable check.
 """
 
+from types import ModuleType as _ModuleType
+
 from .aks import (AbstractKrivineStructure, app_sets, bar_closure, hat_closure,
                   imp_sets, mine_aks, perp_left, perp_right, spec_preorder,
                   validate_aks)
@@ -30,4 +32,5 @@ from .order import (ExplicitLattice, FiniteLattice, PowersetLattice,
 from .report import CheckResult, Report
 from .specfile import SpecDocument, Workspace, document_for, emit_spec, parse_spec
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -278,10 +278,13 @@ def _dispatch(args) -> int:
             _print_reports([rep], args.as_json)
             return 1
         if args.subcommand == "approx":
-            approx = al_approx(op)
-            doc = document_for(approx, _base_name(ws, op_name),
-                               op_name=f"approx({op_name})")
-            print(emit_spec(doc), end="")
+            approx, base = al_approx(op), _base_name(ws, op_name)
+            name, L = f"approx({op_name})", approx.lattice
+            if args.as_json:
+                print(json.dumps({"name": name, "base": base, "map": {
+                    L.name(a): L.name(approx(a)) for a in L.elements()}}))
+            else:
+                print(emit_spec(document_for(approx, base, op_name=name)), end="")
             return 0
         # validate_interior has checked the order of the base
         base_name = _base_name(ws, op_name)

@@ -9,20 +9,21 @@ from pathlib import Path
 import pytest
 
 from krl import aks as aks_module
-from krl import bridge
-from krl.aks import AbstractKrivineStructure, full_polarity_aks, validate_aks
+from krl import bridge, implicative
+from krl.aks import AbstractKrivineStructure, full_polarity_aks, mine_aks, validate_aks
 from krl.bridge import (AdjunctionData, check_adjunction_instance,
                         composite_AK_check, composite_KA_check, counit_certificate,
                         functor_A_mor, functor_A_obj, functor_K_mor, functor_K_obj,
                         transport_density_A, transport_density_K, unit_certificate)
+from krl.enumerators import enumerate_implications
 from krl.errors import InvalidSource, SizeLimitExceeded
-from krl.fixtures import (aks1, aks2, aks3, diamond, heyting3, l2, mined_corpus,
+from krl.fixtures import (AKS3_PERP, aks1, aks2, aks3, diamond, heyting3, l2, mined_corpus,
                           singleton_algebra)
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, combinator_i,
                              validate_algebra)
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
                           check_comp_dense, identity_morphism, verify_certificate)
-from krl.order import ExplicitLattice, bits, upward_closure
+from krl.order import ExplicitLattice, PowersetLattice, bits, upward_closure
 from krl.report import Report
 
 
@@ -48,7 +49,11 @@ def test_functor_A_separator_contains_top():
 
 
 def test_functor_A_output_validates():
-    for aks in mined_corpus():
+    # the theorem composite_KA_check decides A(X) by, also on every tenth
+    # structure of three points the miner finds
+    mined = mine_aks(3, AKS3_PERP, max_results=10 ** 9)
+    assert len(mined) == 8338
+    for aks in mined_corpus() + mined[::10]:
         assert validate_algebra(functor_A_obj(aks).algebra).ok
 
 
@@ -180,13 +185,75 @@ def test_composite_AK_matches_the_construction(algebra):
 
 
 def test_composite_AK_builds_no_composite_past_the_size_limit(count_calls):
-    # values, not time: neither the composite nor a scan over the 2^24
+    # values, not time: on an algebra whose application is the adjoint,
+    # neither K(L), its validation, the composite nor a scan over the 2^24
     # families can come back unseen
-    counts = count_calls(aks_module.imp_sets, aks_module.perp_left,
+    counts = count_calls(bridge.krivine_structure, aks_module._aks_report,
+                         aks_module.imp_sets, aks_module.perp_left,
                          bridge.functor_A_obj, bridge.functor_K_obj)
     assert composite_AK_check(heyting_chain(24)).ok
-    assert 0 < counts["imp_sets"] <= 24 ** 2 and counts["perp_left"] <= 24 ** 2
-    assert counts["functor_A_obj"] == counts["functor_K_obj"] == 0
+    assert not counts
+
+
+def supplied_application_algebras():
+    """Every variance-respecting table on the 2-chain with every
+    application table given as its closed form, adjoint or not, with every
+    principal separator and every k and s in it."""
+    L = ExplicitLattice.chain(2)
+    for table, flat in product(enumerate_implications(L), product(range(2), repeat=4)):
+        app = ((flat[0], flat[1]), (flat[2], flat[3]))
+        st = ImplicativeStructure(L, table, app=lambda a, b, app=app: app[a][b])
+        for x in L.elements():
+            sep = sorted(upward_closure(L, [x]))
+            for k, s in product(sep, repeat=2):
+                yield ImplicativeAlgebra(st, sep, k, s)
+
+
+def sweep_algebras():
+    """The principal algebras on every lattice of at most 3 elements, and
+    the 2-chain algebras with a supplied application."""
+    from test_implicative import principal_algebras  # which imports this module
+    return list(principal_algebras()) + list(supplied_application_algebras())
+
+
+def composite_AK_outcome(check, algebra):
+    try:
+        return check(algebra)
+    except InvalidSource as exc:
+        return str(exc), exc.report
+
+
+def test_composite_AK_by_definition_matches_the_construction():
+    algebras = sweep_algebras()
+    outcomes = [composite_AK_outcome(composite_AK_check, a) for a in algebras]
+    assert outcomes == [composite_AK_outcome(composite_AK_by_construction, a)
+                        for a in algebras]
+    refused = {o[0] for o in outcomes if isinstance(o, tuple)}
+    assert len(algebras) == 2961 and refused == {
+        "source algebra fails validation", "source structure fails validation"}
+
+
+def test_K_of_a_valid_adjoint_algebra_validates():
+    # the theorem composite_AK_check decides K(L) by: 218 principal
+    # algebras and 10 with a supplied application that is the adjoint
+    adjoint = [a for a in sweep_algebras() if validate_algebra(a).ok and a.structure.adjoint]
+    assert len(adjoint) == 228
+    assert all(validate_aks(bridge.krivine_structure(a)).ok for a in adjoint)
+
+
+def test_composite_AK_needs_the_adjoint_condition():
+    # with a supplied application that is not the adjoint, a valid L may
+    # give an invalid K(L); decided as if adjoint, those would pass
+    valid = [a for a in supplied_application_algebras() if validate_algebra(a).ok]
+    invalid_k = [a for a in valid if not validate_aks(bridge.krivine_structure(a)).ok]
+    assert (len(valid), len(invalid_k)) == (28, 13)
+    assert not any(a.structure.adjoint for a in invalid_k)
+    for algebra in invalid_k:
+        with pytest.raises(InvalidSource, match="source structure fails validation"):
+            composite_AK_check(algebra)
+    for algebra in invalid_k:
+        algebra.structure.__dict__["adjoint"] = True  # the condition dropped
+        assert composite_AK_check(algebra).ok
 
 
 @pytest.mark.parametrize("algebra", [
@@ -224,20 +291,24 @@ def corrupt(aks, rng):
 
 
 def test_composite_AK_witness_on_corrupted_composites(monkeypatch):
-    # K(L) corrupted where both routes read it, and its validation skipped:
-    # the check names the witnesses of the construction, and its implication
-    # witness is the 4^n scan's
+    # K(L) corrupted where the construction reads it, and its validation
+    # skipped: the construction names the witnesses of the 4^n scan, while
+    # the check, which decides K(L) valid on these adjoint algebras, never
+    # builds it and passes
     monkeypatch.setattr(aks_module, "validate_aks", lambda _aks: Report("aks"))
     krivine_structure = bridge.krivine_structure
+    passing = composite_AK_check(l2())
     rng = random.Random(0)
     failed = 0
     failed_clauses = set()
     for _ in range(200):
         algebra = rng.choice([l2(), heyting3(), diamond(), heyting_chain(4)])
         aks = corrupt(krivine_structure(algebra), rng)
-        monkeypatch.setattr(bridge, "krivine_structure", lambda _algebra, aks=aks: aks)
-        rep = composite_AK_check(algebra)
-        assert rep == composite_AK_by_construction(algebra)
+        built = []
+        monkeypatch.setattr(bridge, "krivine_structure",
+                            lambda _algebra, aks=aks: built.append(aks) or aks)
+        assert composite_AK_check(algebra) == passing and not built
+        rep = composite_AK_by_construction(algebra)
         composite = bridge.functor_A_obj(aks, validate=False).algebra
         witness = rep.checks[0].witness
         assert witness == brute_force_AK_witness(algebra, composite)
@@ -301,10 +372,11 @@ def test_composite_KA_rejects_an_invalid_source():
 
 def test_composite_KA_builds_no_composite(count_calls):
     passing = composite_KA_by_construction(full_polarity_aks(2))
-    counts = count_calls(bridge.krivine_structure, bridge.functor_K_obj)
+    counts = count_calls(bridge.krivine_structure, bridge.functor_K_obj,
+                         implicative._algebra_report)
     for m in range(4, 11):
         assert composite_KA_check(full_polarity_aks(m)) == passing
-    assert counts["krivine_structure"] == counts["functor_K_obj"] == 0
+    assert not counts
     with pytest.raises(SizeLimitExceeded):
         composite_KA_check(full_polarity_aks(11))
 
@@ -423,6 +495,21 @@ def test_unit_witness_is_perp_row_of_skk():
 def test_adjunction_instance(algebra, aks):
     rep = check_adjunction_instance(algebra, aks)
     assert rep.ok, rep.render()
+
+
+def test_adjunction_triangles_build_no_powerset_lattice(monkeypatch):
+    built = []
+
+    class Counted(PowersetLattice):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(bridge, "PowersetLattice", Counted)
+    rep = check_adjunction_instance(l2(), aks3())
+    assert [c.clause for c in rep.checks if c.clause.startswith("adjunction.triangle")] == [
+        "adjunction.triangle-K", "adjunction.triangle-A"]
+    assert rep.ok and not built
 
 
 def test_adjunction_naturality_for_test_morphisms(count_calls):

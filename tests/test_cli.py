@@ -113,6 +113,22 @@ def test_interior_approx_prints_operator(capsys):
     assert code == 0 and out.startswith("interior")
 
 
+def test_interior_approx_json_carries_the_operator(capsys):
+    # the name, base and map of the operator document the text form prints
+    files = (FIX / "aks3.krl", FIX / "aks3-hat.kop")
+    code, out, _ = run(capsys, "--json", "interior", "approx", *files)
+    assert code == 0
+    _, text, _ = run(capsys, "interior", "approx", *files)
+    ws = Workspace()
+    ws.add_path(files[0])
+    name = ws.add_text(text).display_name
+    ws.resolve()
+    op = ws.objects[name]
+    L = op.lattice
+    assert json.loads(out) == {"name": "approx(aks3:interior)", "base": "aks3",
+                               "map": {L.name(a): L.name(op(a)) for a in L.elements()}}
+
+
 def test_morphism_check_dense(capsys):
     code, out, _ = run(capsys, "morphism", "check", "--dense",
                        FIX / "h3-to-l2.kmap", FIX / "heyting3.krl", FIX / "l2.krl")

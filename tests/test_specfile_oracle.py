@@ -2,13 +2,19 @@
 (``specfile_oracles``): section payloads over a small alphabet, and
 generated documents, emitted from random lattices, algebras, Krivine
 structures, operators on their powersets and maps between them, read
-whole and with one entry corrupted."""
+whole and with one entry corrupted; and the same documents through the
+command line, which keeps its exit contract on them."""
 
+import contextlib
+import io
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krl.aks import AbstractKrivineStructure
 from krl.bridge import powerset_algebra
+from krl.cli import run_cli
 from krl.errors import SpecFileError
 from krl.implicative import ImplicativeAlgebra, ImplicativeStructure
 from krl.interior import InteriorOperator
@@ -115,9 +121,8 @@ def test_emit_then_parse_is_the_identity(doc):
     assert emit_spec(parse_spec(text)) == text
 
 
-@settings(max_examples=400, derandomize=True, deadline=None)
-@given(documents(), st.data())
-def test_a_corrupted_entry_reads_as_with_the_scans(doc, data):
+def corrupted(doc, data):
+    """The document's text with one entry of one section corrupted."""
     lines = emit_spec(doc).splitlines()
     # the tables, whose check counts pairs, draw about half the corruptions
     tables = [i for i, line in enumerate(lines) if line.startswith(("imp:", "push:", "app:"))]
@@ -153,5 +158,34 @@ def test_a_corrupted_entry_reads_as_with_the_scans(doc, data):
             del words[pos]
         entries[ei] = " ".join(words)
     lines[li] = f"{key}: " + sep.join(entries)
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(documents(), st.data())
+def test_a_corrupted_entry_reads_as_with_the_scans(doc, data):
+    text = corrupted(doc, data)
     assert outcome(parse_spec, text) == outcome(parse_with_scans, text)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(doc=documents(), data=st.data())
+def test_generated_documents_keep_the_exit_contract(workdir, doc, data):
+    # whole and corrupted: 0, 1 or 2 and no exception, and one error line
+    # on stderr exactly when the exit is 2
+    path = workdir / "generated.krl"
+    for text in (emit_spec(doc), corrupted(doc, data)):
+        path.write_text(text, encoding="utf-8")
+        for command in ("validate", "adjunction"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli([command, str(path)])
+            assert code in (0, 1, 2)
+            lines = err.getvalue().splitlines()
+            assert (code == 2) == (len(lines) == 1 and lines[0].startswith("error: ")), (
+                command, text, code, lines)
