@@ -11,10 +11,11 @@ values.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 
 from .errors import VerificationFailed
-from .order import FiniteLattice, unpreserved_pair, upward_closure
+from .order import (ExplicitLattice, FiniteLattice, unpreserved_pair, up_preimages,
+                    upward_closure)
 from .report import Report
 
 
@@ -145,8 +146,42 @@ class ImplicativeStructure:
 
     @cached_property
     def adjoint(self) -> bool:
-        """The verdict of :func:`_application_is_adjoint`, on a lattice."""
+        """The verdict of :func:`_application_is_adjoint`, on a lattice.
+
+        Without a supplied application it holds by theorem once
+        ``imp.meet-commutation`` passes.  Then each row y -> . preserves
+        the empty meet and binary meets, so every meet, and x y is the
+        meet of U = {c : x <= y -> c}.  So y -> x y is the meet of the
+        y -> c over U, each above x (the top when U is empty): x <= y -> x y.
+        c lies in {c' : y -> c <= y -> c'}, so (y -> c) y <= c.  And x <= x'
+        shrinks U, so x y <= x' y.  Those are the conditions that
+        :func:`_application_is_adjoint` checks, so it runs only otherwise.
+        On an explicit lattice the whole table then comes with the verdict,
+        read off the masks of the rows (:meth:`_cells_off_masks`), so no cell
+        is computed by definition.
+        """
+        if self._app is None and any(c.clause == "imp.meet-commutation" and c.passed
+                                     for c in self.verdict.checks):
+            if isinstance(self.lattice, ExplicitLattice):
+                self._app_cache.update(self._cells_off_masks())
+            return True
         return _application_is_adjoint(self)
+
+    def _cells_off_masks(self):
+        """Every cell ((a, b), a b) of an implicative structure on an explicit
+        lattice.  With U_a the mask of the c with a <= b -> c
+        (:func:`~krl.order.up_preimages` of b's row), a b is the meet of U_a.
+        Each row preserves binary meets, so each nonempty U_a is the up-set
+        of its least element, which is that meet (see
+        :func:`~krl.order.unpreserved_pair`); an empty U_a meets to the top.
+        A column depends on b only through its row, so it is read once per
+        distinct row."""
+        L = self.lattice
+        least, top, elems = L.least_of_up_set, L.top, L.elements()
+        columns = {row: [least[u] if u else top for u in up_preimages(L, row)]
+                   for row in self.distinct_rows}
+        for b, row in enumerate(self.rows):
+            yield from zip(zip(elems, repeat(b)), columns[row])
 
 
 class ImplicativeAlgebra:
@@ -307,7 +342,9 @@ def combinator_s(structure: ImplicativeStructure) -> int:
 def _s_fold(structure: ImplicativeStructure, cs) -> int:
     """The meet of f(c) = (a -> b -> c) -> (a -> b) -> a -> c over every a
     and b and each c in ``cs``.  The term reads a only through its row
-    b -> a->b, so one a per distinct row is enough.
+    b -> a->b, so one a per distinct row is enough.  Its distinct values
+    are collected and met once; on an order that passed its checks the
+    meet does not depend on the order of the fold.
 
     On an implicative structure the meet-irreducible c are enough.  Write
     c, other than the top, as the meet of the meet-irreducibles g_i above
@@ -318,14 +355,10 @@ def _s_fold(structure: ImplicativeStructure, cs) -> int:
     the meet of the f(g_i).  f(top) is the top.  So the meet over every c
     equals the meet over the meet-irreducibles.
     """
-    L = structure.lattice
-    rows, meet2 = structure.rows, L.meet2
-    acc = L.top
-    for row in structure.distinct_rows:
-        for b, ab in enumerate(row):
-            for c in cs:
-                acc = meet2(acc, rows[row[rows[b][c]]][rows[ab][row[c]]])
-    return acc
+    rows = structure.rows
+    return structure.lattice.meet({rows[row[rows[b][c]]][rows[ab][row[c]]]
+                                   for row in structure.distinct_rows
+                                   for b, ab in enumerate(row) for c in cs})
 
 
 def _k_fold(structure: ImplicativeStructure) -> int:

@@ -130,7 +130,8 @@ class ExplicitLattice(FiniteLattice):
     ``up[a]`` is the bitmask of elements above ``a`` (inclusive);
     ``down[b]`` the mask of elements below ``b``, built on first use.
     Meets and joins scan the shared bound masks for their extremum, with
-    binary results cached.
+    binary results cached; once the order check has passed, a meet is one
+    lookup among the principal down-sets instead.
     """
 
     # The read-only guard makes each store a Python call, and the enumerators
@@ -138,6 +139,9 @@ class ExplicitLattice(FiniteLattice):
     # extrema and the full mask are found when first asked for.
     _top = _bottom = None
     _read_only = ("names", "up", "size")
+    # each principal down-set mapped to its greatest element, kept by the
+    # order check once it passes: then a meet is one lookup (see meet2)
+    _greatest_of_down_set = None
 
     def __init__(self, names, up_masks):
         names = tuple(names)
@@ -199,6 +203,18 @@ class ExplicitLattice(FiniteLattice):
             pairs.extend((a, b) for b in bits(above & ~beyond))
         return tuple(pairs)
 
+    @property
+    def checked(self) -> bool:
+        """Whether the order check has run and passed; asking runs no check."""
+        return self._greatest_of_down_set is not None
+
+    @cached_property
+    def least_of_up_set(self) -> dict[int, int]:
+        """Each principal up-set ``up[m]``, mapped to its least element m.
+        On an order that passed its checks the masks are distinct, by
+        antisymmetry."""
+        return {mask: m for m, mask in enumerate(self.up)}
+
     def _greatest(self, mask: int) -> int | None:
         # greatest element of the mask, if the mask has one
         for m in bits(mask):
@@ -227,6 +243,12 @@ class ExplicitLattice(FiniteLattice):
         return acc
 
     def meet2(self, a: int, b: int) -> int:
+        principal = self._greatest_of_down_set
+        if principal is not None:
+            # on an order that passed its checks the common lower bounds are
+            # the down-set of the meet
+            down = self.down
+            return principal[down[a] & down[b]]
         key = (a, b) if a <= b else (b, a)
         got = self._meet2.get(key)
         if got is None:
@@ -374,6 +396,27 @@ def first_failing_pair(items, holds):
                  if not holds(x, y)), None)
 
 
+def up_preimages(lattice: ExplicitLattice, table) -> list[int]:
+    """For a table x -> table[x] into ``lattice``, the mask U_y of the
+    positions x with y <= table[x], for every element y.
+
+    The fibers of the table come first; then, from the top down, each U_y
+    is its fiber joined with the U of each upper cover of y.  On an order
+    that passed its checks, <= is the reflexive-transitive closure of the
+    cover steps, so that is the preimage of the up-set of y, in n + |covers|
+    mask operations.
+    """
+    masks = [0] * lattice.size
+    for x, y in enumerate(table):
+        masks[y] |= 1 << x
+    # the reverse of a linear extension: every upper cover of a has pushed
+    # its final mask into a before a pushes into its own lower covers
+    for a, lower in reversed(lattice.lower_covers):
+        for lo in lower:
+            masks[lo] |= masks[a]
+    return masks
+
+
 def unpreserved_pair(source: FiniteLattice, target: FiniteLattice,
                      table) -> tuple[int, int] | None:
     """The first pair (x, y) of ``source`` elements, in the order of
@@ -385,12 +428,33 @@ def unpreserved_pair(source: FiniteLattice, target: FiniteLattice,
     lowest point] for every b other than the empty set.  By induction
     table[b] is then the union of table[{}] and the values at the points
     of b, so the value at a union of two sets is the union of their
-    values.  That is n checks instead of n^2/2 pairs; the pair scan runs
-    only to name a failure.
+    values.  That is n checks instead of n^2/2 pairs.
+
+    A map f from an explicit lattice to itself (or to an equal one) whose
+    order has passed its check preserves binary meets exactly when every
+    nonempty U_y = f^-1(up-set of y) of :func:`up_preimages` is the up-set
+    of some m, one lookup in ``least_of_up_set`` each.  If f preserves
+    binary meets it is monotone (x <= x' gives f(x) = f(x) meet f(x') <=
+    f(x')), so U_y is an up-set; y <= f(x) and y <= f(x') give y <= f(x)
+    meet f(x') = f(x meet x'), so U_y is closed under binary meets, and a
+    nonempty finite one holds its meet m, so U_y is the up-set of m.
+    Conversely, if each nonempty U_y is principal, x <= x' puts x' in
+    U_{f(x)}, which is an up-set holding x, so f is monotone and f(x meet x')
+    <= y = f(x) meet f(x'); and x, x' in U_y, the up-set of some m, give
+    m <= x meet x', so y <= f(x meet x').  The rule never runs the order
+    check itself, and maps between two different lattices keep the scan:
+    on the small maps that meet an unchecked order, the check costs more
+    than the scan.
+
+    Either rule decides; the pair scan runs only to name a failure.
     """
-    if isinstance(source, PowersetLattice) and isinstance(target, PowersetLattice) and all(
-            table[b] == table[b & (b - 1)] | table[b & -b] for b in range(1, source.size)):
-        return None
+    if isinstance(source, PowersetLattice) and isinstance(target, PowersetLattice):
+        if all(table[b] == table[b & (b - 1)] | table[b & -b] for b in range(1, source.size)):
+            return None
+    elif isinstance(source, ExplicitLattice) and source.checked and source == target:
+        least = source.least_of_up_set
+        if all(not u or u in least for u in up_preimages(source, table)):
+            return None
     meet_s, meet_t = source.meet2, target.meet2
     return first_failing_pair(list(source.elements()),
                               lambda x, y: table[meet_s(x, y)] == meet_t(table[x], table[y]))
@@ -454,8 +518,9 @@ def _lattice_report(lattice: FiniteLattice) -> Report:
     # the down-set of m: m lies in it and bounds it, and by transitivity
     # everything below m lies below what bounds the set.  So one lookup
     # among the principal down-sets decides each pair; any other relation
-    # keeps the scan for a greatest element.
-    principal = set(down) if rep.ok else None
+    # keeps the scan for a greatest element.  A lattice keeps the lookup
+    # for its meets.
+    principal = {mask: m for m, mask in enumerate(down)} if rep.ok else None
 
     def has_greatest(mask):
         if principal is not None:
@@ -467,4 +532,6 @@ def _lattice_report(lattice: FiniteLattice) -> Report:
     if witness is None and not has_greatest(lattice._full):
         witness = "{} (no top element)"
     rep.check("order.complete", witness is None, witness)
+    if rep.ok:
+        _store(lattice, "_greatest_of_down_set", principal)
     return rep

@@ -5,8 +5,9 @@ from collections import Counter
 from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
-from krl import implicative
+from krl import implicative, order
 from krl.aks import full_polarity_aks
 from krl.bridge import functor_A_obj
 from krl.enumerators import enumerate_implications, enumerate_lattices
@@ -17,10 +18,12 @@ from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure,
                              combinator_k, combinator_nu, combinator_s,
                              separator_closure, validate_algebra,
                              validate_structure, _application_is_adjoint, _s_fold)
-from krl.order import ExplicitLattice, bits, upward_closure
+from krl.morphism import check_applicative, identity_morphism
+from krl.order import ExplicitLattice, bits, unpreserved_pair, up_preimages, upward_closure
 
 from entailment_oracles import entails, uniform_entails
 from test_bridge import heyting_chain
+from test_order import MASK_LATTICES, lattices_up_to, mask_tables, scanned_pair, step_row
 
 
 def oracle_application(structure, a, b):
@@ -602,3 +605,84 @@ def test_separator_and_fold_rules_match_the_scans_on_small_lattices():
     for clause in ("separator.upward-closed", "separator.modus-ponens", "k.bound",
                    "imp.variance", "implicative", "classical"):
         assert outcomes[clause], clause
+
+
+# ------------------------------------------- application by the row masks
+
+
+def by_definition_structure(L, table):
+    """The table with the defining meet supplied as its application, so
+    that no cell is read off the masks and nothing is decided by theorem."""
+    oracle = ImplicativeStructure(L, table, app=lambda a, b: oracle_application(oracle, a, b))
+    return oracle
+
+
+def mask_column(L, row):
+    """a b for every a, read off the masks of b's row as the structure
+    does: the least element of U_a, the top when U_a is empty, and None
+    when U_a is not principal."""
+    least = L.least_of_up_set
+    return [least.get(u) if u else L.top for u in up_preimages(L, row)]
+
+
+def assert_masks_match_the_definitions(L, table):
+    """The masks of every meet-preserving row give its column by the
+    defining meet; the adjoint verdict is the one the unit, counit and
+    monotone checks give, and after it every cell is the defining meet.
+    Returns whether meet-commutation passes, that is, whether the theorem
+    decided."""
+    st, oracle = ImplicativeStructure(L, table), by_definition_structure(L, table)
+    E = L.elements()
+    for b in E:
+        if scanned_pair(L, L, st.rows[b]) is None:
+            assert mask_column(L, st.rows[b]) == [oracle.application(a, b) for a in E]
+    assert st.adjoint == _application_is_adjoint(oracle)
+    assert [[st.application(a, b) for b in E] for a in E] == [
+        [oracle.application(a, b) for b in E] for a in E]
+    return next(c.passed for c in validate_structure(st).checks
+                if c.clause == "imp.meet-commutation")
+
+
+def test_masks_match_the_definitions_on_every_enumerated_table_up_to_three():
+    outcomes = Counter()
+    for L in lattices_up_to(3):
+        for table in enumerate_implications(L):
+            outcomes[assert_masks_match_the_definitions(L, table)] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+@hs.composite
+def mask_structures(draw):
+    """A table on a fixture or six-element lattice: every row preserving
+    every meet, or each row arbitrary or a meet of steps, either way
+    sometimes with one entry changed."""
+    L = draw(hs.sampled_from(MASK_LATTICES))
+    value = hs.sampled_from(L.elements())
+    if draw(hs.booleans()):
+        table = [list(step_row(L, draw(hs.lists(hs.tuples(value, value), max_size=3))))
+                 for _ in L.elements()]
+        if L.size > 1 and draw(hs.booleans()):
+            a, b = draw(value), draw(value)
+            table[a][b] = draw(value.filter(lambda v: v != table[a][b]))
+    else:
+        table = [draw(mask_tables(L)) for _ in L.elements()]
+    return L, table
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(mask_structures())
+def test_masks_match_the_definitions_on_drawn_tables(structure):
+    assert_masks_match_the_definitions(*structure)
+
+
+def test_the_48_chain_is_checked_without_cells_by_definition_or_pair_scans(count_calls):
+    A = heyting_chain(48)
+    counts = count_calls(ImplicativeStructure.application_by_definition,
+                         order.first_failing_pair, implicative._application_is_adjoint)
+    assert validate_algebra(A).ok and check_applicative(identity_morphism(A, "ia")).ok
+    assert counts == {} and len(A.structure._app_cache) == 48 * 48
+    # the counters count: a row that fails names its pair by the scan
+    L = A.lattice
+    assert unpreserved_pair(L, L, [0] + [L.top] * (L.size - 1)) is None
+    assert unpreserved_pair(L, L, [L.top] + [0] * (L.size - 1)) == (0, 1)
+    assert counts == {"first_failing_pair": 1}

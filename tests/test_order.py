@@ -15,17 +15,18 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krl import interior
+from krl import interior, order
 from krl.aks import AbstractKrivineStructure, imp_sets
 from krl.bridge import powerset_algebra
-from krl.enumerators import enumerate_interiors, enumerate_lattices
+from krl.enumerators import enumerate_implications, enumerate_interiors, enumerate_lattices
 from krl.errors import LatticeError
-from krl.fixtures import aks2, aks3
+from krl.fixtures import aks2, aks3, diamond, double_diamond, heyting3, l2, singleton_algebra
 from krl.implicative import ImplicativeStructure, check_adjunction, validate_structure
 from krl.interior import ClosedPart, is_alexandroff, is_topological, validate_interior
 from krl.morphism import MorphismSpec, check_applicative
 from krl.order import (ExplicitLattice, PowersetLattice, bits, first_failing_pair,
-                       unpreserved_meet, upward_closure, validate_lattice)
+                       unpreserved_meet, unpreserved_pair, up_preimages, upward_closure,
+                       validate_lattice)
 
 from interior_oracles import oracle_lattices
 
@@ -124,6 +125,17 @@ def test_meet_is_greatest_lower_bound_on_all_subsets(lattice):
         assert lattice.join(subset) == oracle_lub(lattice, subset)
         # idempotence of the fold
         assert lattice.meet([got]) == got
+
+
+def test_meets_by_down_set_lookup_match_the_scan():
+    # once its order check passes, a lattice finds each meet by one lookup
+    for L in (L for L in oracle_lattices() if isinstance(L, ExplicitLattice)):
+        unchecked = ExplicitLattice(L.names, L.up)
+        E = L.elements()
+        scanned = [[unchecked.meet2(a, b) for b in E] for a in E]
+        assert validate_lattice(L).ok and L.checked and not unchecked.checked
+        assert [[L.meet2(a, b) for b in E] for a in E] == scanned == [
+            [oracle_glb(L, (a, b)) for b in E] for a in E]
 
 
 @pytest.mark.parametrize("base", [1, 2, 3, 4])
@@ -338,6 +350,126 @@ def test_meet_preservation_names_the_pair_scan_witness_from_aks2_to_aks3(carrier
     passed = assert_meet_matches_the_scans(A_AKS2.lattice, A_AKS3.lattice, carrier,
                                            clause.witness)
     assert clause.passed == passed
+
+
+# ------------------------------------------- mask rule against the pair scan
+
+
+def scanned_pair(source, target, table):
+    """The first pair whose meet the table does not preserve, by the pair
+    scan alone."""
+    return first_failing_pair(list(source.elements()), lambda x, y: (
+        table[source.meet2(x, y)] == target.meet2(table[x], table[y])))
+
+
+def mask_rule(lattice, table):
+    """The explicit rule alone: every nonempty preimage of an up-set is the
+    up-set of some element."""
+    least = lattice.least_of_up_set
+    return all(not u or u in least for u in up_preimages(lattice, table))
+
+
+def naive_up_preimages(lattice, table):
+    return [sum(1 << x for x, v in enumerate(table) if lattice.leq(y, v))
+            for y in lattice.elements()]
+
+
+def assert_mask_rule_matches_the_pair_scan(lattice, table):
+    assert not lattice.order_failures and lattice.checked
+    pair = scanned_pair(lattice, lattice, table)
+    assert up_preimages(lattice, table) == naive_up_preimages(lattice, table)
+    assert mask_rule(lattice, table) == (pair is None)
+    assert unpreserved_pair(lattice, lattice, table) == pair
+    return pair is None
+
+
+def test_the_mask_rule_matches_the_pair_scan_on_every_enumerated_row_up_to_three():
+    # on a chain every monotone row preserves binary meets, so the self-maps
+    # of the lattices of four elements bring the failures
+    verdicts = Counter()
+    for L in lattices_up_to(3):
+        for table in enumerate_implications(L):
+            for row in table:
+                verdicts[assert_mask_rule_matches_the_pair_scan(L, row)] += 1
+    assert verdicts == {True: 538}
+    for L in enumerate_lattices(4):
+        for table in product(L.elements(), repeat=L.size):
+            verdicts[assert_mask_rule_matches_the_pair_scan(L, table)] += 1
+    assert verdicts[True] > 538 and verdicts[False]
+
+
+# the fixtures' lattices, then every six-element lattice labelled along its
+# order, reversed and shuffled
+MASK_LATTICES = ([A.lattice for A in (singleton_algebra(), l2(), heyting3(), diamond())]
+                 + [double_diamond()]
+                 + [L for L in oracle_lattices()
+                    if isinstance(L, ExplicitLattice) and L.size == 6])
+
+
+def step_row(L, steps):
+    """x -> the meet of the d with c not below x, over the pairs (c, d):
+    each step preserves every meet, and so does their meet."""
+    return tuple(L.meet([d for c, d in steps if not L.leq(c, x)]) for x in L.elements())
+
+
+@st.composite
+def mask_tables(draw, L):
+    """A table into ``L``: arbitrary, or a meet of steps that preserves
+    every meet, sometimes with one entry changed."""
+    value = st.sampled_from(L.elements())
+    if draw(st.booleans()):
+        return tuple(draw(value) for _ in L.elements())
+    table = list(step_row(L, draw(st.lists(st.tuples(value, value), max_size=3))))
+    if L.size > 1 and draw(st.booleans()):
+        x = draw(value)
+        table[x] = draw(value.filter(lambda v: v != table[x]))
+    return tuple(table)
+
+
+@st.composite
+def lattice_tables(draw):
+    L = draw(st.sampled_from(MASK_LATTICES))
+    return L, draw(mask_tables(L))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(lattice_tables())
+def test_the_mask_rule_matches_the_pair_scan_on_drawn_tables(lattice_table):
+    assert_mask_rule_matches_the_pair_scan(*lattice_table)
+
+
+@st.composite
+def explicit_maps(draw):
+    """A carrier map between two explicit lattices: into the same lattice,
+    into an equal copy, or into another lattice."""
+    source = draw(st.sampled_from(MASK_LATTICES))
+    target = draw(st.sampled_from((source, ExplicitLattice(source.names, source.up),
+                                   draw(st.sampled_from(MASK_LATTICES)))))
+    if target == source:
+        return source, target, draw(mask_tables(source))
+    value = st.sampled_from(target.elements())
+    return source, target, tuple(draw(value) for _ in source.elements())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(explicit_maps())
+def test_unpreserved_meet_matches_the_scans_on_maps_between_explicit_lattices(carrier_map):
+    source, target, table = carrier_map
+    assert not source.order_failures  # checked, so that the rule can run
+    assert_meet_matches_the_scans(source, target, table,
+                                  unpreserved_meet(source, target, table))
+
+
+def test_the_mask_rule_runs_no_order_check(count_calls):
+    # on an order not yet checked the pair scan decides; once it is, the rule
+    L = ExplicitLattice(DIAMOND.names, DIAMOND.up)
+    counts = count_calls(order._lattice_report, order.first_failing_pair)
+    identity = tuple(L.elements())
+    assert unpreserved_meet(L, L, identity) is None
+    assert counts == {"first_failing_pair": 1} and not L.checked
+    assert validate_lattice(L).ok and L.checked
+    counts.clear()
+    assert unpreserved_meet(L, L, identity) is None and counts == {}
 
 
 def scanned_interior_flags(op):

@@ -3,7 +3,8 @@
 generated documents, emitted from random lattices, algebras, Krivine
 structures, operators on their powersets and maps between them, read
 whole and with one entry corrupted; and the same documents through the
-command line, which keeps its exit contract on them."""
+command line, which keeps its exit contract on them, alone and with
+their identity map and identity interior."""
 
 import contextlib
 import io
@@ -17,11 +18,12 @@ from krl.bridge import powerset_algebra
 from krl.cli import run_cli
 from krl.errors import SpecFileError
 from krl.implicative import ImplicativeAlgebra, ImplicativeStructure
+from krl.fixtures import identity_interior
 from krl.interior import InteriorOperator
-from krl.morphism import DensityCertificate, MorphismSpec
+from krl.morphism import DensityCertificate, MorphismSpec, identity_morphism
 from krl.order import ExplicitLattice, PowersetLattice
-from krl.specfile import (LIST_SECTIONS, _section_entries, document_for, emit_spec,
-                          parse_spec)
+from krl.specfile import (LIST_SECTIONS, Workspace, _section_entries, document_for,
+                          emit_spec, parse_spec)
 from specfile_oracles import parse_with_scans, section_entries
 
 ALPHABET = ["{", "}", ";", " ", "\x1c", "\u00a0", "\u2028", "->", "a", "b", ":", "<="]
@@ -173,19 +175,50 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("generated")
 
 
+def identity_companions(doc):
+    """The identity map and the identity interior of what ``doc`` describes,
+    as document texts that name it; None for each it has not."""
+    if doc.kind not in ("lattice", "ia", "aks"):
+        return None, None
+    ws = Workspace()
+    key = ws.add_text(emit_spec(doc)).display_name
+    ws.resolve()
+    obj = ws.objects.get(key)
+    if isinstance(obj, ImplicativeAlgebra):
+        f, lattice = identity_morphism(obj, "ia"), obj.lattice
+    elif isinstance(obj, AbstractKrivineStructure):
+        f, lattice = identity_morphism(obj, "aks"), PowersetLattice(obj.names)
+    else:
+        f, lattice = None, obj
+    kmap = None if f is None else emit_spec(
+        document_for(f, "id", source_name=key, target_name=key))
+    return kmap, emit_spec(document_for(identity_interior(lattice), key, op_name="iota"))
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(doc=documents(), data=st.data())
 def test_generated_documents_keep_the_exit_contract(workdir, doc, data):
     # whole and corrupted: 0, 1 or 2 and no exception, and one error line
-    # on stderr exactly when the exit is 2
-    path = workdir / "generated.krl"
+    # on stderr exactly when the exit is 2; the identity map and interior of
+    # the whole document go with the corrupted one too
+    path, kmap, kop = (workdir / name for name in ("generated.krl", "id.kmap", "id.kop"))
+    companions = identity_companions(doc)
+    for companion, text in zip((kmap, kop), companions):
+        if text is not None:
+            companion.write_text(text, encoding="utf-8")
+    commands = [["validate", str(path)], ["adjunction", str(path)],
+                ["morphism", "check", "--dense", str(path)]]
+    if companions[0] is not None:
+        commands[-1].append(str(kmap))
+    if companions[1] is not None:
+        commands.append(["interior", "change", str(path), str(kop)])
     for text in (emit_spec(doc), corrupted(doc, data)):
         path.write_text(text, encoding="utf-8")
-        for command in ("validate", "adjunction"):
+        for argv in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run_cli([command, str(path)])
+                code = run_cli(argv)
             assert code in (0, 1, 2)
             lines = err.getvalue().splitlines()
             assert (code == 2) == (len(lines) == 1 and lines[0].startswith("error: ")), (
-                command, text, code, lines)
+                argv, text, code, lines)

@@ -48,10 +48,13 @@ def assert_once_per_object(counts, *ran):
 # ------------------------------------------------------ (a) one body run
 
 
-@pytest.mark.parametrize("algebra", [
-    l2(), heyting3(), diamond(), singleton_algebra(), functor_A_obj(aks2()).algebra,
+# the explicit algebras supply no application, so meet-commutation decides
+# their adjoint verdict by theorem; A(aks2) supplies app_sets, which is checked
+@pytest.mark.parametrize("algebra,adjoint_check", [
+    (l2(), ()), (heyting3(), ()), (diamond(), ()), (singleton_algebra(), ()),
+    (functor_A_obj(aks2()).algebra, ("_application_is_adjoint",)),
 ], ids=["l2", "heyting3", "diamond", "singleton", "A(aks2)"])
-def test_the_algebra_chain_computes_each_verdict_once(algebra, count_calls):
+def test_the_algebra_chain_computes_each_verdict_once(algebra, adjoint_check, count_calls):
     counts = count_calls(*BODIES)
     assert validate_algebra(algebra).ok
     functor_K_obj(algebra)
@@ -59,7 +62,8 @@ def test_the_algebra_chain_computes_each_verdict_once(algebra, count_calls):
     combinator_nu(algebra)
     assert check_adjunction(algebra.structure).ok
     assert_once_per_object(counts, "_structure_report", "_algebra_report", "_k_fold",
-                           "_s_fold", "_cc_fold", "_application_is_adjoint")
+                           "_s_fold", "_cc_fold", *adjoint_check)
+    assert counts["_application_is_adjoint"] == len(adjoint_check)
     # the functor builds K(L) unvalidated, and the composite decides it
     # valid from L's adjoint verdict
     assert (counts["_algebra_report"], counts["_aks_report"]) == (1, 0)
