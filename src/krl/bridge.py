@@ -111,9 +111,9 @@ def krivine_structure(algebra: ImplicativeAlgebra) -> AbstractKrivineStructure:
     perp_rows = tuple(
         sum(1 << pi for pi in range(n) if L.leq(t, pi)) for t in range(n))
     push = tuple(tuple(algebra.imp(s, pi) for pi in range(n)) for s in range(n))
-    app = tuple(tuple(algebra.application(s, t) for t in range(n)) for s in range(n))
     qp = sum(1 << x for x in algebra.separator)
-    return AbstractKrivineStructure(names, perp_rows, push, app, qp, algebra.k, algebra.s)
+    return AbstractKrivineStructure(names, perp_rows, push, algebra.structure.app_rows, qp,
+                                    algebra.k, algebra.s)
 
 
 def functor_A_mor(f: MorphismSpec) -> MorphismSpec:

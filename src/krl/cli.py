@@ -126,10 +126,16 @@ def run_cli(argv) -> int:
     try:
         return _dispatch(args)
     except SearchBudgetExceeded as exc:
-        print(f"INCONCLUSIVE {exc}")
+        print(json.dumps({"inconclusive": str(exc)}) if args.as_json
+              else f"INCONCLUSIVE {exc}")
         return 2
     except HypothesisFailed as exc:
-        print(f"FAIL change.hypothesis witness={exc.witness} ({exc})")
+        if args.as_json:
+            rep = Report("change")
+            rep.check("change.hypothesis", False, exc.witness, str(exc))
+            _print_reports([rep], True)
+        else:
+            print(f"FAIL change.hypothesis witness={exc.witness} ({exc})")
         return 1
     except InvalidSource as exc:
         if exc.report is not None:
@@ -198,8 +204,8 @@ def _dispatch(args) -> int:
         name, obj = _single_object(ws)
         algebra = _as_algebra(name, obj)
         L = algebra.lattice
-        result = algebra.application(L.index_of(args.a), L.index_of(args.b))
-        print(L.name(result))
+        result = L.name(algebra.application(L.index_of(args.a), L.index_of(args.b)))
+        print(json.dumps(result) if args.as_json else result)
         return 0
 
     if args.command == "functor":
@@ -217,7 +223,7 @@ def _dispatch(args) -> int:
             doc = document_for(functor_K_obj(obj).aks, f"K({name})")
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(emit_spec(doc))
-        print(f"wrote {args.output}")
+        print(json.dumps({"wrote": args.output}) if args.as_json else f"wrote {args.output}")
         return 0
 
     if args.command == "adjunction":
@@ -299,13 +305,21 @@ def _dispatch(args) -> int:
             doc = document_for(changed.algebra, f"changed({base_name})")
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(emit_spec(doc))
-            print(f"wrote {args.output}")
+            # under --json standard output holds the reports alone
+            print(f"wrote {args.output}", file=sys.stderr if args.as_json else sys.stdout)
         return 0 if all(r.ok for r in reports) else 1
 
     if args.command == "enumerate":
         if args.size < 0:
             raise KrlError(f"--size must not be negative, got {args.size}")
         count = 0
+        if args.as_json:
+            # one object, written as the models stream
+            print(f'{{"kind": {json.dumps(args.kind)}, "models": [', end="")
+            for count, row in enumerate(_enumerated_rows(args.kind, args.size), start=1):
+                print(("," if count > 1 else "") + "\n  " + json.dumps(row), end="")
+            print(f'\n], "total": {count}}}')
+            return 0
         for count, row in enumerate(_enumerated_rows(args.kind, args.size), start=1):
             print(f"{args.kind} {count}: {row}")
         print(f"total: {count}")

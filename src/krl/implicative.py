@@ -11,7 +11,7 @@ values.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product, repeat
+from itertools import product
 
 from .errors import VerificationFailed
 from .order import (ExplicitLattice, FiniteLattice, unpreserved_pair, up_preimages,
@@ -38,6 +38,8 @@ class ImplicativeStructure:
         self._app = app
         self._imp_cache: dict[tuple[int, int], int] = {}
         self._app_cache: dict[tuple[int, int], int] = {}
+        # the whole table (app_rows), once a scan that reads every cell asks
+        self._app_rows = None
 
     # read-only, so that the verdict cannot describe a structure since changed
     _read_only = ("lattice",)
@@ -56,6 +58,9 @@ class ImplicativeStructure:
         return got
 
     def application(self, a: int, b: int) -> int:
+        rows = self._app_rows
+        if rows is not None:
+            return rows[a][b]
         key = (a, b)
         got = self._app_cache.get(key)
         if got is None:
@@ -64,7 +69,9 @@ class ImplicativeStructure:
         return got
 
     def application_by_definition(self, a: int, b: int) -> int:
-        """The meet of every c with a <= b -> c, ignoring any closed form."""
+        """The meet of every c with a <= b -> c, ignoring any closed form:
+        a single cell asked before any scan needs the table, or a cell on an
+        order whose check has not passed."""
         L = self.lattice
         return L.meet([c for c in L.elements() if L.leq(a, self.imp(b, c))])
 
@@ -122,8 +129,8 @@ class ImplicativeStructure:
         """:func:`combinator_k`: :func:`_k_fold` on an implicative structure."""
         if self.verdict.ok:
             return _k_fold(self)
-        L = self.lattice
-        return L.meet([self.imp(a, self.imp(b, a)) for a in L.elements() for b in L.elements()])
+        L, rows = self.lattice, self.rows
+        return L.meet([rows[a][rows[b][a]] for a in L.elements() for b in L.elements()])
 
     @cached_property
     def s_bound(self) -> int:
@@ -137,11 +144,11 @@ class ImplicativeStructure:
         """:func:`combinator_cc`: :func:`_cc_fold` on an implicative structure."""
         if self.verdict.ok:
             return _cc_fold(self)
-        L, imp = self.lattice, self.imp
+        L, rows = self.lattice, self.rows
         acc = L.top
         for a in L.elements():
             for b in L.elements():
-                acc = L.meet2(acc, imp(imp(imp(a, b), a), a))
+                acc = L.meet2(acc, rows[rows[rows[a][b]][a]][a])
         return acc
 
     @cached_property
@@ -156,32 +163,68 @@ class ImplicativeStructure:
         c lies in {c' : y -> c <= y -> c'}, so (y -> c) y <= c.  And x <= x'
         shrinks U, so x y <= x' y.  Those are the conditions that
         :func:`_application_is_adjoint` checks, so it runs only otherwise.
-        On an explicit lattice the whole table then comes with the verdict,
-        read off the masks of the rows (:meth:`_cells_off_masks`), so no cell
-        is computed by definition.
+        On a checked explicit lattice the whole table (:attr:`app_rows`) is
+        read off the masks of the rows first, whichever way the verdict
+        goes, so no cell is computed by definition.
         """
-        if self._app is None and any(c.clause == "imp.meet-commutation" and c.passed
-                                     for c in self.verdict.checks):
-            if isinstance(self.lattice, ExplicitLattice):
-                self._app_cache.update(self._cells_off_masks())
-            return True
+        if self._app is None:
+            if self._masked:
+                self.app_rows  # every cell off the masks, before any is asked
+            if any(c.clause == "imp.meet-commutation" and c.passed
+                   for c in self.verdict.checks):
+                return True
         return _application_is_adjoint(self)
 
-    def _cells_off_masks(self):
-        """Every cell ((a, b), a b) of an implicative structure on an explicit
-        lattice.  With U_a the mask of the c with a <= b -> c
-        (:func:`~krl.order.up_preimages` of b's row), a b is the meet of U_a.
-        Each row preserves binary meets, so each nonempty U_a is the up-set
-        of its least element, which is that meet (see
-        :func:`~krl.order.unpreserved_pair`); an empty U_a meets to the top.
-        A column depends on b only through its row, so it is read once per
-        distinct row."""
+    @property
+    def _masked(self) -> bool:
+        """Whether the table is read off the masks: an explicit lattice whose
+        order passes its check, and no supplied application."""
         L = self.lattice
-        least, top, elems = L.least_of_up_set, L.top, L.elements()
-        columns = {row: [least[u] if u else top for u in up_preimages(L, row)]
-                   for row in self.distinct_rows}
-        for b, row in enumerate(self.rows):
-            yield from zip(zip(elems, repeat(b)), columns[row])
+        return self._app is None and isinstance(L, ExplicitLattice) and not L.order_failures
+
+    @property
+    def app_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The application table, a b = ``app_rows[a][b]``, built once; from
+        then on :meth:`application` reads it.  The scans that read every cell
+        index it.
+
+        On an explicit lattice whose order passes its check, with no
+        supplied application, b's column is read off the masks of b's row
+        (:func:`~krl.order.up_preimages`): with U_a the mask of the c with
+        a <= b -> c, a b is the meet of U_a.  That is the least element of
+        U_a when U_a is a principal up-set, the top when U_a is empty, and
+        otherwise one AND-fold of the down-sets of U_a
+        (:meth:`~krl.order.ExplicitLattice.meet_of_mask`, whose docstring
+        proves it).  A column depends on b only through its row, so it is
+        read once per distinct row.  Elsewhere the cells are computed one
+        by one, row by row, once per class representative b, whose column
+        every member of its class shares."""
+        rows = self._app_rows
+        if rows is None:
+            rows = self._app_rows = self._app_table()
+            self._app_cache.clear()  # one store: application() reads the table now
+        return rows
+
+    def _app_table(self) -> tuple[tuple[int, ...], ...]:
+        L = self.lattice
+        if self._masked:
+            least, top, meet = L.least_of_up_set, L.top, L.meet_of_mask
+            columns = {row: [top if not u else least[u] if u in least else meet(u)
+                             for u in up_preimages(L, row)]
+                       for row in self.distinct_rows}
+            return tuple(zip(*(columns[row] for row in self.rows)))
+        app, classes = self.application, self.classes
+        return tuple(tuple(app(a, c) for c in classes) for a in L.elements())
+
+
+class _CellRow:
+    """Row a of the application table, each cell computed when read."""
+
+    def __init__(self, structure: ImplicativeStructure, a: int):
+        self._application, self._a = structure.application, a
+
+    def __getitem__(self, b: int) -> int:
+        return self._application(self._a, b)
 
 
 class ImplicativeAlgebra:
@@ -308,8 +351,9 @@ def check_adjunction(structure: ImplicativeStructure) -> Report:
                   for lo, hi in L.covers for y in structure.representatives)
               and structure.adjoint)
     if not galois:
+        app = structure.app_rows
         for a, b in product(elems, repeat=2):
-            ab = structure.application(a, b)
+            ab = app[a][b]
             for c, bc in enumerate(rows[b]):
                 lhs = leq(ab, c)
                 rhs = leq(a, bc)
@@ -419,11 +463,16 @@ def combinator_nu(algebra: ImplicativeAlgebra) -> int:
             f"composition combinator {L.name(nu)} escaped the separator")
     if st.verdict.ok and _laws_follow(algebra, st.k_bound, st.s_bound):
         return nu
-    for a in L.elements():
-        for b in L.elements():
-            for c in L.elements():
-                if not L.leq(st.apply_chain(nu, a, b, c),
-                             st.application(a, st.application(b, c))):
+    # an order that fails its check may lack meets: its cells are computed
+    # as the scan reads them, so that it meets them, and their errors, in order
+    leq, elems = L.leq, L.elements()
+    app = [_CellRow(st, x) for x in elems] if L.order_failures else st.app_rows
+    for a in elems:
+        a_row, nu_a_row = app[a], app[app[nu][a]]
+        for b in elems:
+            b_row, nu_ab_row = app[b], app[nu_a_row[b]]
+            for c in elems:
+                if not leq(nu_ab_row[c], a_row[b_row[c]]):
                     raise VerificationFailed(
                         "composition combinator fails nu a b c <= a(bc) at "
                         f"({L.name(a)}, {L.name(b)}, {L.name(c)})")
@@ -501,20 +550,34 @@ def _algebra_report(algebra: ImplicativeAlgebra) -> Report:
 
     # The scans run only where the laws do not follow by rule.
     by_rule = implicative and _laws_follow(algebra, k_bound, s_bound)
-    witness = None if by_rule else next(
-        (f"({nm(a)}, {nm(b)})" for a in elems for b in elems
-         if not L.leq(st.apply_chain(algebra.k, a, b), a)), None)
-    rep.check("law.k-applied", witness is None, witness)
-
-    witness = None if by_rule else next(
-        (f"({nm(a)}, {nm(b)}, {nm(c)})" for a in elems for b in elems for c in elems
-         if not L.leq(st.apply_chain(algebra.s, a, b, c),
-                      st.application(st.application(a, c), st.application(b, c)))), None)
-    rep.check("law.s-applied", witness is None, witness)
+    k_witness = s_witness = None
+    if not by_rule:
+        k_witness, s_witness = _applied_law_failures(algebra)
+    rep.check("law.k-applied", k_witness is None, k_witness)
+    rep.check("law.s-applied", s_witness is None, s_witness)
 
     rep.flag("classical", st.cc_bound in sep)
     rep.flag("consistent", L.meet(L.elements()) not in sep)
     return rep
+
+
+def _applied_law_failures(algebra: ImplicativeAlgebra) -> tuple[str | None, str | None]:
+    """The first (a, b) with k a b not below a, and the first (a, b, c) with
+    s a b c not below ac(bc), each named, or None; read off the table."""
+    app, L = algebra.structure.app_rows, algebra.lattice
+    leq, nm, elems = L.leq, L.name, L.elements()
+
+    def s_failures():
+        for a, s_a in zip(elems, app[algebra.s]):
+            a_row, s_a_row = app[a], app[s_a]
+            for b in elems:
+                b_row, s_ab_row = app[b], app[s_a_row[b]]
+                for c in elems:
+                    if not leq(s_ab_row[c], app[a_row[c]][b_row[c]]):
+                        yield f"({nm(a)}, {nm(b)}, {nm(c)})"
+    k_witness = next((f"({nm(a)}, {nm(b)})" for a, k_a in zip(elems, app[algebra.k])
+                      for b, k_ab in enumerate(app[k_a]) if not leq(k_ab, a)), None)
+    return k_witness, next(s_failures(), None)
 
 
 def _laws_follow(algebra: ImplicativeAlgebra, k_bound: int, s_bound: int) -> bool:

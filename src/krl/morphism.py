@@ -50,6 +50,9 @@ class MorphismSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "carrier", tuple(self.carrier))
+        # the r that the applicativity verdict has shown uniform, kept by the
+        # checks; none until then (see verify_certificate)
+        object.__setattr__(self, "uniform_realizers", frozenset())
 
     @cached_property
     def verdict(self) -> Report:
@@ -118,6 +121,8 @@ def _applicative_ia(f: MorphismSpec) -> Report:
         rep.check("morphism.uniform-realizer", realizer is not None,
                   None if realizer is not None else "no r in the target separator works")
         rep.data["realizer"] = realizer
+        if realizer is not None:
+            object.__setattr__(f, "uniform_realizers", frozenset((realizer,)))
     return rep
 
 
@@ -187,6 +192,8 @@ def _applicative_aks(f: MorphismSpec) -> Report:
             break
     rep.check("morphism.uniform-realizer", bool(acc),
               None if acc else "empty intersection")
+    # a nonempty acc was folded over the whole family
+    object.__setattr__(f, "uniform_realizers", frozenset(bits(acc)))
     if not indexed:
         # no implication lands in the separator: the intersection is the
         # whole target carrier and the clause reduces to QP' nonempty
@@ -201,7 +208,14 @@ def _applicative_aks(f: MorphismSpec) -> Report:
 def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
     """Search-free validation; certificates are self-contained proofs.
     The clauses are the same for both kinds, and what they test and how
-    they name a witness comes from ``_density``."""
+    they name a witness comes from ``_density``.
+
+    ``cert.r-uniform`` is read off f's applicativity verdict when that has
+    been computed and shows r uniform: on a structure map r is the least
+    realizer it found, which passed the same test on every (s, a); on a
+    carrier map r lies in the intersection it folded over the whole
+    family, so r realizes every member.  Otherwise the scan decides and
+    names the first failure."""
     d = _density(f)
     lt, ls = d.target, d.source
     rep = Report(f"certificate({f.name})")
@@ -213,7 +227,8 @@ def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
     rep.check(f"cert.r-{d.word}", ok,
               None if ok else "missing" if cert.r is None else d.name(cert.r))
     if cert.r is not None:
-        witness = next(d.uniform_failures(cert.r), None)
+        witness = (None if cert.r in f.uniform_realizers
+                   else next(d.uniform_failures(cert.r), None))
         rep.check("cert.r-uniform", witness is None, witness)
 
     missing = [b for b in d.sep_b if b not in h]

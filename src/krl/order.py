@@ -215,6 +215,19 @@ class ExplicitLattice(FiniteLattice):
         antisymmetry."""
         return {mask: m for m, mask in enumerate(self.up)}
 
+    def meet_of_mask(self, mask: int) -> int:
+        """The meet of the elements of a nonempty ``mask``, on an order that
+        passed its check: one AND-fold of their down-sets, looked up among
+        the principal down-sets.  The fold is the set of common lower bounds
+        of the mask.  x lies below each member exactly when it lies below
+        their meet m, so that set is the down-set of m, and on a checked
+        order the principal down-sets are distinct and mapped to their
+        greatest elements."""
+        down, acc = self.down, self._full
+        for c in bits(mask):
+            acc &= down[c]
+        return self._greatest_of_down_set[acc]
+
     def _greatest(self, mask: int) -> int | None:
         # greatest element of the mask, if the mask has one
         for m in bits(mask):

@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -595,3 +598,52 @@ def test_aks_certificates_survive_the_document_format(capsys, tmp_path):
         code, out, _ = run(capsys, "morphism", "check", "--dense", kmap,
                            FIX / "aks2.krl", FIX / "aks3.krl")
         assert code == 0 and "PASS cert.density" in out
+
+
+JSON_RUNS = {  # OUT and UNHINTED stand for files in the test's directory
+    "validate": (0, ["validate", FIX / "l2.krl", FIX / "aks3.krl"]),
+    "validate-fail": (1, ["validate", DATA / "bad-antisym.krl"]),
+    "combinators": (0, ["combinators", FIX / "heyting3.krl"]),
+    "apply": (0, ["apply", FIX / "heyting3.krl", "m", "e1"]),
+    "functor-A": (0, ["functor", "A", FIX / "aks3.krl", "-o", "OUT"]),
+    "functor-K": (0, ["functor", "K", FIX / "l2.krl", "-o", "OUT"]),
+    "adjunction": (0, ["adjunction", FIX / "diamond.krl"]),
+    "morphism": (0, ["morphism", "check", FIX / "h3-to-l2.kmap", FIX / "heyting3.krl",
+                     FIX / "l2.krl"]),
+    "morphism-dense": (0, ["morphism", "check", "--dense", FIX / "h3-to-l2.kmap",
+                           FIX / "heyting3.krl", FIX / "l2.krl"]),
+    "morphism-inconclusive": (2, ["morphism", "check", "--dense", "UNHINTED",
+                                  FIX / "aks3.krl"]),
+    "interior-approx": (0, ["interior", "approx", FIX / "aks3.krl", FIX / "aks3-hat.kop"]),
+    "interior-change": (0, ["interior", "change", FIX / "aks3.krl", FIX / "aks3-hat.kop",
+                            "-o", "OUT"]),
+    "interior-hypothesis": (1, ["interior", "change", FIX / "diamond.krl",
+                                FIX / "diamond-open-x.kop"]),
+    "enumerate-lattice": (0, ["enumerate", "--kind", "lattice", "--size", "4"]),
+    "enumerate-imp": (0, ["enumerate", "--kind", "imp", "--size", "2"]),
+    "enumerate-none": (0, ["enumerate", "--kind", "interior", "--size", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", JSON_RUNS)
+def test_json_output_is_one_json_value(case, capsys, tmp_path, monkeypatch):
+    code, argv = JSON_RUNS[case]
+    files = {"OUT": tmp_path / "out.krl",
+             "UNHINTED": _write(tmp_path, "id.kmap", 'morphism aks "id" from "aks3" to "aks3"\n'
+                                "map: a -> a ; b -> b ; c -> c\n")}
+    monkeypatch.setenv("KRL_SEARCH_BUDGET", "1")  # the unhinted search runs out
+    got, out, _ = run(capsys, "--json", *(files.get(a, a) for a in argv))
+    assert got == code
+    json.loads(out)
+    assert ("OUT" in argv) == (tmp_path / "out.krl").exists()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    for code, argv in ((0, ["validate", FIX / "l2.krl"]),
+                       (1, ["validate", DATA / "bad-antisym.krl"]),
+                       (2, ["validate", tmp_path / "missing.krl"])):
+        done = subprocess.run([sys.executable, "-m", "krl", *map(str, argv)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == code, done.stderr

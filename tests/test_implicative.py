@@ -1,17 +1,19 @@
 """Implicative structures: application, adjunction, combinators, separators."""
 
 import random
+from argparse import Namespace
 from collections import Counter
 from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+import application_oracles
 from krl import implicative, order
 from krl.aks import full_polarity_aks
-from krl.bridge import functor_A_obj
+from krl.bridge import functor_A_obj, krivine_structure
 from krl.enumerators import enumerate_implications, enumerate_lattices
-from krl.errors import VerificationFailed
+from krl.errors import LatticeError, VerificationFailed
 from krl.fixtures import diamond, heyting3, l2, mined_corpus, singleton_algebra
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure,
                              check_adjunction, combinator_cc, combinator_i,
@@ -19,8 +21,10 @@ from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure,
                              separator_closure, validate_algebra,
                              validate_structure, _application_is_adjoint, _s_fold)
 from krl.morphism import check_applicative, identity_morphism
-from krl.order import ExplicitLattice, bits, unpreserved_pair, up_preimages, upward_closure
+from krl.order import (ExplicitLattice, bits, unpreserved_pair, up_preimages, upward_closure,
+                       validate_lattice)
 
+from application_oracles import cells, chain, law_failures
 from entailment_oracles import entails, uniform_entails
 from test_bridge import heyting_chain
 from test_order import MASK_LATTICES, lattices_up_to, mask_tables, scanned_pair, step_row
@@ -94,8 +98,8 @@ def triple_scan_witnesses(structure):
     """The ``adjunction.half`` and ``adjunction.full`` witnesses of the
     scan over every triple that the Galois rule replaced."""
     L = structure.lattice
-    nm, E, up = L.name, L.elements(), L.up
-    app = [[structure.application(a, b) for b in E] for a in E]
+    nm, E, up, cell = L.name, L.elements(), L.up, cells(structure)
+    app = [[cell(a, b) for b in E] for a in E]
     imp = structure.imp_table()
     half = full = None
     for a, b, c in product(E, repeat=3):
@@ -402,14 +406,13 @@ def test_applied_combinator_laws_hold_on_fixtures():
 def applied_law_scans(algebra):
     """The first failing pair of k a b <= a and triple of s a b c <= ac(bc),
     each None when the law holds on every tuple."""
-    st, L = algebra.structure, algebra.lattice
+    L, app = algebra.lattice, cells(algebra.structure)
     E = L.elements()
     k_law = next(((a, b) for a in E for b in E
-                  if not L.leq(st.apply_chain(algebra.k, a, b), a)), None)
+                  if not L.leq(chain(app, algebra.k, a, b), a)), None)
     s_law = next(((a, b, c) for a in E for b in E for c in E
-                  if not L.leq(st.apply_chain(algebra.s, a, b, c),
-                               st.application(st.application(a, c),
-                                              st.application(b, c)))), None)
+                  if not L.leq(chain(app, algebra.s, a, b, c),
+                               app(app(a, c), app(b, c)))), None)
     return k_law, s_law
 
 
@@ -501,20 +504,24 @@ def test_nu_by_rule_matches_the_triple_scan(source, monkeypatch):
 
 
 def test_nu_on_valid_algebras_runs_no_triple_scan(monkeypatch):
-    chains = Counter()
-    apply_chain = ImplicativeStructure.apply_chain
-
-    def counted(self, *elems):
-        chains[len(elems)] += 1
-        return apply_chain(self, *elems)
-
-    monkeypatch.setattr(ImplicativeStructure, "apply_chain", counted)
+    # the triple scan compares one pair of table cells per triple; the rule
+    # compares k and s with their bounds, once each
     full4, h24 = functor_A_obj(full_polarity_aks(4)).algebra, heyting_chain(24)
+    for algebra in (full4, h24):
+        validate_algebra(algebra)
+    compared = Counter()
+    for cls in (order.PowersetLattice, ExplicitLattice):
+        def counted(self, a, b, _leq=cls.leq):
+            compared[self.size] += 1
+            return _leq(self, a, b)
+        monkeypatch.setattr(cls, "leq", counted)
     assert (combinator_nu(full4), combinator_nu(h24)) == (15, 23)
-    assert not chains
+    assert compared == {16: 2, 24: 2}
     # the same calls with the rule taken away scan every triple
+    compared.clear()
     monkeypatch.setattr(implicative, "_laws_follow", lambda *args: False)
-    assert combinator_nu(full4) == 15 and chains == {4: 16 ** 3}
+    assert (combinator_nu(full4), combinator_nu(h24)) == (15, 23)
+    assert compared == {16: 16 ** 3, 24: 24 ** 3}
 
 
 def scanned_validate_algebra(algebra):
@@ -553,15 +560,10 @@ def scanned_validate_algebra(algebra):
                      None if L.leq(algebra.s, s_bound) else f"s={nm(algebra.s)} > {nm(s_bound)}")
 
     adjoint = implicative and _application_is_adjoint(st)
-    witness = None if adjoint and k_ok else next(
-        (f"({nm(a)}, {nm(b)})" for a in elems for b in elems
-         if not L.leq(st.apply_chain(algebra.k, a, b), a)), None)
+    k_law, s_law = law_failures(algebra)
+    witness = None if adjoint and k_ok else k_law
     rep.check("law.k-applied", witness is None, witness)
-
-    witness = None if adjoint and s_ok else next(
-        (f"({nm(a)}, {nm(b)}, {nm(c)})" for a in elems for b in elems for c in elems
-         if not L.leq(st.apply_chain(algebra.s, a, b, c),
-                      st.application(st.application(a, c), st.application(b, c)))), None)
+    witness = None if adjoint and s_ok else s_law
     rep.check("law.s-applied", witness is None, witness)
 
     rep.flag("classical", oracle_peirce(st) in sep)
@@ -680,9 +682,155 @@ def test_the_48_chain_is_checked_without_cells_by_definition_or_pair_scans(count
     counts = count_calls(ImplicativeStructure.application_by_definition,
                          order.first_failing_pair, implicative._application_is_adjoint)
     assert validate_algebra(A).ok and check_applicative(identity_morphism(A, "ia")).ok
-    assert counts == {} and len(A.structure._app_cache) == 48 * 48
+    assert counts == {} and A.structure._app_rows is not None and not A.structure._app_cache
     # the counters count: a row that fails names its pair by the scan
     L = A.lattice
     assert unpreserved_pair(L, L, [0] + [L.top] * (L.size - 1)) is None
     assert unpreserved_pair(L, L, [L.top] + [0] * (L.size - 1)) == (0, 1)
     assert counts == {"first_failing_pair": 1}
+
+
+# --------------------------------------------- one application table
+
+
+def dummy_table(L):
+    """a -> b = b: valid with the whole lattice as separator."""
+    return [list(L.elements()) for _ in L.elements()]
+
+
+def tle_table(L):
+    """a -> b = top if a <= b, else b: Heyting on a chain, failing
+    meet-commutation elsewhere."""
+    return [[L.top if L.leq(a, b) else b for b in L.elements()] for a in L.elements()]
+
+
+def table_structures():
+    """(lattice, implication table): every enumerated table on the
+    lattices of at most 3 elements, meet-commuting or not; the 39
+    six-element lattices with the dummy and the 'top if a <= b' tables;
+    and seeded random tables, mostly not monotone, on up to 7 elements."""
+    for L in lattices_up_to(3):
+        for table in enumerate_implications(L):
+            yield L, table
+    for L in enumerate_lattices(6):
+        yield L, dummy_table(L)
+        yield L, tle_table(L)
+    rng = random.Random(22)
+    for n in range(1, 8):
+        lattices = list(enumerate_lattices(n))
+        for L in rng.sample(lattices, min(len(lattices), 6)):
+            for _ in range(5):
+                yield L, [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+
+
+def test_the_table_is_the_defining_meet_on_every_cell():
+    folded = structures = 0
+    for L, table in table_structures():
+        assert validate_lattice(L).ok and L.checked
+        st = ImplicativeStructure(L, table)
+        E = L.elements()
+        assert st.app_rows == tuple(tuple(st.application_by_definition(a, b) for b in E)
+                                    for a in E)
+        assert all(st.application(a, b) == st.app_rows[a][b] for a in E for b in E)
+        folded += any(u and u not in L.least_of_up_set
+                      for row in st.distinct_rows for u in up_preimages(L, row))
+        structures += 1
+    # the AND-fold of the down-sets, not only the principal lookup, was read
+    assert structures == 182 + 78 + 115 and folded > 100, folded
+
+
+def table_algebras(rng):
+    """On each of :func:`table_structures`, three algebras: the whole
+    lattice, the top alone and the up-set of a random element as
+    separator, with k and s the canonical bounds or random."""
+    for L, table in table_structures():
+        st, E = ImplicativeStructure(L, table), list(L.elements())
+        ks, ss = (combinator_k(st), rng.choice(E)), (combinator_s(st), rng.choice(E))
+        for sep in (E, [L.top], upward_closure(L, [rng.choice(E)])):
+            yield L, table, sep, rng.choice(ks), rng.choice(ss)
+
+
+def scan_answers(data, by_cells):
+    """validate_algebra, combinator_nu and check_adjunction on a fresh
+    algebra, with the scans that read every cell indexing the table, or
+    cell by cell (``application_oracles``)."""
+    L, table, sep, k, s = data
+    algebra = ImplicativeAlgebra(ImplicativeStructure(L, table), sep, k, s)
+    rep = validate_algebra(algebra)
+    if by_cells:
+        nu, adjunction = (application_oracles.nu_outcome(algebra),
+                          application_oracles.check_adjunction(algebra.structure))
+    else:
+        nu, adjunction = nu_outcome(algebra), check_adjunction(algebra.structure)
+    return ((rep.checks, rep.flags, rep.data), nu,
+            (adjunction.checks, adjunction.flags, adjunction.data))
+
+
+@pytest.mark.parametrize("rules", [True, False], ids=["rules", "scans-forced"])
+def test_table_scans_match_the_per_cell_scans(rules, monkeypatch):
+    # with the rules taken away, the scans run on valid algebras too
+    if not rules:
+        monkeypatch.setattr(implicative, "_laws_follow", lambda *args: False)
+        monkeypatch.setattr(ImplicativeStructure, "adjoint", property(lambda self: False))
+    algebras = list(table_algebras(random.Random(7)))
+    by_table = [scan_answers(data, False) for data in algebras]
+    monkeypatch.setattr(implicative, "_applied_law_failures", application_oracles.law_failures)
+    assert by_table == [scan_answers(data, True) for data in algebras]
+    failed = Counter(c.clause for (checks, _, _), _, _ in by_table
+                     for c in checks if not c.passed)
+    failed.update("nu" for _, nu, _ in by_table if isinstance(nu, str))
+    failed.update(c.clause for _, _, (checks, _, _) in by_table
+                  for c in checks if not c.passed)
+    # a defined application keeps the half clause: a <= b -> c puts c among
+    # the elements whose meet is a b
+    for what in ("law.k-applied", "law.s-applied", "nu", "adjunction.full"):
+        assert failed[what], what
+
+
+def test_the_six_element_tle_algebras_build_one_table_by_the_masks(count_calls):
+    algebras = [ImplicativeAlgebra(ImplicativeStructure(L, tle_table(L)), [L.top],
+                                   L.top, L.top) for L in enumerate_lattices(6)]
+    counts = count_calls(ImplicativeStructure.application_by_definition,
+                         ImplicativeStructure._app_table)
+    failed = 0
+    for algebra in algebras:
+        failed += not validate_algebra(algebra).ok
+        nu_outcome(algebra)
+        check_adjunction(algebra.structure)
+    assert counts == {"_app_table": 39} and max(counts.per_object.values()) == 1
+    assert 0 < failed < 39
+
+
+def test_orders_that_fail_their_check_meet_the_cells_in_scan_order():
+    # a meet that is missing raises where the per-cell scan meets it first
+    rng = random.Random(5)
+    outcomes = Counter()
+
+    def outcome(fn, algebra):
+        try:
+            result = fn(algebra)
+        except LatticeError as exc:
+            return "LatticeError", str(exc)
+        return result.app if hasattr(result, "app") else result
+
+    def krivine_by_cells(algebra):
+        app, E = application_oracles.cells(algebra.structure), algebra.lattice.elements()
+        return Namespace(app=tuple(tuple(app(s, t) for t in E) for s in E))
+
+    for _ in range(600):
+        n = rng.randint(2, 4)
+        up = [1 << a | sum(1 << b for b in range(n) if rng.random() < 0.4) for a in range(n)]
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        sep, k, s = rng.sample(range(n), rng.randint(1, n)), rng.randrange(n), rng.randrange(n)
+
+        def fresh():
+            L = ExplicitLattice([f"e{a}" for a in range(n)], up)
+            return ImplicativeAlgebra(ImplicativeStructure(L, table), sep, k, s)
+        for by_table, by_cells in ((nu_outcome, application_oracles.nu_outcome),
+                                   (krivine_structure, krivine_by_cells)):
+            got = outcome(by_table, fresh())
+            assert got == outcome(by_cells, fresh())
+            lattice_error = isinstance(got, tuple) and got[0] == "LatticeError"
+            outcomes["LatticeError" if lattice_error else type(got).__name__] += 1
+    # LatticeError, the message of a failing nu, a value of nu, a table
+    assert outcomes.keys() == {"LatticeError", "str", "int", "tuple"}

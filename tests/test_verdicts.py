@@ -28,7 +28,8 @@ from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, check_adj
                              combinator_s, separator_closure, validate_algebra,
                              validate_structure)
 from krl.interior import change_implication, density_certificates
-from krl.morphism import MorphismSpec, check_applicative, check_comp_dense, identity_morphism
+from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
+                          check_comp_dense, identity_morphism, verify_certificate)
 from krl.order import ExplicitLattice, PowersetLattice, validate_lattice
 
 from test_implicative import law_algebras, principal_algebras
@@ -148,7 +149,15 @@ def nu_outcome(algebra):
         return str(exc)
 
 
+def application_cells(structure):
+    """Every cell, each asked on its own: before any scan builds the
+    table they are single lookups, after it they read it."""
+    elems = structure.lattice.elements()
+    return tuple(structure.application(a, b) for a in elems for b in elems)
+
+
 STRUCTURE_QUESTIONS = (
+    lambda A: application_cells(A.structure),
     lambda A: validate_lattice(A.lattice),
     lambda A: validate_structure(A.structure),
     lambda A: check_adjunction(A.structure),
@@ -216,6 +225,60 @@ def test_structure_and_map_answers_do_not_depend_on_the_order(aks):
         X = dataclasses.replace(aks)
         asked = {q: as_data(q(X)) for q in order}
         assert [asked[q] for q in questions] == alone
+
+
+def fresh_map(f):
+    """f on source and target objects built afresh, with nothing computed."""
+    if f.kind == "aks":
+        src = dataclasses.replace(f.source)
+        tgt = src if f.target is f.source else dataclasses.replace(f.target)
+    else:
+        src = rebuilt(f.source)
+        tgt = src if f.target is f.source else rebuilt(f.target)
+    return MorphismSpec(f.kind, src, tgt, f.carrier, f.name)
+
+
+def corpus_maps():
+    """Identities of the explicit fixtures and of A(aks2), every map from H3
+    to L2, and every carrier map between aks2 and aks3, applicative or not."""
+    yield from (identity_morphism(A, "ia") for A in (l2(), heyting3(), diamond(),
+                                                     functor_A_obj(aks2()).algebra))
+    H3, L2 = heyting3(), l2()
+    yield from (MorphismSpec("ia", H3, L2, c) for c in product(range(2), repeat=3))
+    for src, tgt in product((aks2(), aks3()), repeat=2):
+        yield from (MorphismSpec("aks", src, tgt, c)
+                    for c in product(range(tgt.pi_size), repeat=src.pi_size))
+
+
+def map_questions(f):
+    """check_applicative, check_comp_dense, and verify_certificate of the
+    found certificate (or of a total table) with each realizer or none as r."""
+    found = check_comp_dense(fresh_map(f))
+    real = (sorted(f.target.separator) if f.kind == "ia"
+            else list(order.bits(f.target.qp)))
+    if found is None:
+        sep_a = (sorted(f.source.separator) if f.kind == "ia"
+                 else list(f.source.separator_masks))
+        sep_b = (sorted(f.target.separator) if f.kind == "ia"
+                 else list(f.target.separator_masks))
+        found = DensityCertificate.make(real[0], {b: sep_a[0] for b in sep_b})
+    certs = [DensityCertificate(found.t, found.h, r) for r in real + [None]]
+    return ([lambda g: as_data(check_applicative(g)), check_comp_dense]
+            + [lambda g, c=c: as_data(verify_certificate(g, c)) for c in certs])
+
+
+def test_map_answers_do_not_depend_on_what_was_asked_before():
+    asked = reused = 0
+    for f in corpus_maps():
+        questions = map_questions(f)
+        alone = [q(fresh_map(f)) for q in questions]
+        for order_ in (questions, questions[::-1]):
+            g = fresh_map(f)
+            answers = {q: q(g) for q in order_}
+            assert [answers[q] for q in questions] == alone
+            reused += bool(g.uniform_realizers)
+        asked += 1
+    assert (asked, reused) == (60, 72)
 
 
 # ------------------------------------------------ (c) callers get copies
