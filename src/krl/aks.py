@@ -83,6 +83,13 @@ class AbstractKrivineStructure:
     def class_points(self) -> dict[int, tuple[int, ...]]:
         """The point table of each perp class c met so far: at each point
         pi, the mask of every t.pi with t in c.  Filled by
+        :func:`class_table`."""
+        return {}
+
+    @cached_property
+    def mask_points(self) -> dict[int, tuple[int, ...]]:
+        """The point table of the perp class of each mask met so far, so
+        that a mask asked again needs no perp_left.  Filled by
         :func:`_class_table`."""
         return {}
 
@@ -133,11 +140,10 @@ def spec_preorder(aks: AbstractKrivineStructure, sigma: int, pi: int) -> bool:
     return bool(bar_closure(aks, 1 << sigma) >> pi & 1)
 
 
-def _class_table(aks: AbstractKrivineStructure, mask: int) -> tuple[int, ...]:
-    """The point table of the perp class of the mask, c = perp_left(mask):
-    entry pi is the mask of every t.pi with t in c.  Built once per class
-    and structure."""
-    c = perp_left(aks, mask)
+def class_table(aks: AbstractKrivineStructure, c: int) -> tuple[int, ...]:
+    """The point table of the perp class c, a set of terms: entry pi is
+    the mask of every t.pi with t in c.  Built once per class and
+    structure."""
     table = aks.class_points.get(c)
     if table is None:
         table = []
@@ -150,11 +156,24 @@ def _class_table(aks: AbstractKrivineStructure, mask: int) -> tuple[int, ...]:
     return table
 
 
+def _class_table(aks: AbstractKrivineStructure, mask: int) -> tuple[int, ...]:
+    """The point table of the perp class of the mask, perp_left(mask),
+    looked up once per mask and structure."""
+    table = aks.mask_points.get(mask)
+    if table is None:
+        table = aks.mask_points[mask] = class_table(aks, perp_left(aks, mask))
+    return table
+
+
 def imp_sets(aks: AbstractKrivineStructure, p: int, q: int) -> int:
     """The implication on subsets: everything of the form t.pi with t
     orthogonal to p and pi in q, the union of the point table of p's perp
     class over the points of q."""
-    table = _class_table(aks, p)
+    return union_over(_class_table(aks, p), q)
+
+
+def union_over(table, q: int) -> int:
+    """The union of the entries of a point table at the points of q."""
     out = 0
     for pi in bits(q):
         out |= table[pi]
@@ -177,6 +196,8 @@ def validate_aks(aks: AbstractKrivineStructure) -> Report:
 
     Strong compatibility (the biconditional form) is recorded as a flag
     rather than an axiom; the degenerate full polarity passes everything.
+    Each axiom is decided by masks of points (``_aks_report``), n^3 word
+    operations, and names the witness the per-point scan would name first.
     The report is computed once per structure
     (``AbstractKrivineStructure.verdict``); each call returns a copy.
     """
@@ -184,23 +205,46 @@ def validate_aks(aks: AbstractKrivineStructure) -> Report:
 
 
 def _aks_report(aks: AbstractKrivineStructure) -> Report:
-    """The body of :func:`validate_aks`."""
+    """The body of :func:`validate_aks`, decided by masks in n^3 word
+    operations.  Write R_t for the perp row of t and pre_s(M) for the
+    points pi with s.pi in M.  Then, for every t, s and u:
+
+    - compatibility at (t, s) reads pre_s(R_t) within R_(ts), as pi lies in
+      pre_s(R_t) exactly when t is orthogonal to s.pi; strong compatibility
+      asks for equality at every (t, s);
+    - with G_t = pre_t(R_k), the w with k orthogonal to t.w, the k axiom
+      at t reads R_t within the meet of the pre_s(G_t) over s;
+    - with G_t = pre_t(R_s) and H = pre_s(G_t), the v at which the s
+      element is orthogonal to t.(s.v), the s axiom at (t, u, s) reads R_x
+      within pre_u(H) for
+      x = (tu)(su), that is, the image of R_x under u.(.) within H.  That
+      image is computed once per (u, x).
+
+    The tuples are visited in the order of the per-point scans, and the
+    lowest failing point of the first failing tuple (for the k axiom, then
+    the first s it fails at) is the witness those scans name first."""
     rep = Report("aks")
     nm = aks.name
     n = aks.pi_size
+    rows, push, app = aks.perp_rows, aks.push, aks.app
+    preimages: dict[tuple[int, int], int] = {}
+
+    def pre(s, mask):
+        key = (s, mask)
+        got = preimages.get(key)
+        if got is None:
+            got = preimages[key] = _preimage(push[s], mask)
+        return got
 
     witness = None
     strong = True
     for t in range(n):
         for s in range(n):
-            ts = aks.app[t][s]
-            for pi in range(n):
-                fwd = aks.perp(t, aks.push[s][pi])
-                back = aks.perp(ts, pi)
-                if fwd and not back and witness is None:
-                    witness = f"(t={nm(t)}, s={nm(s)}, pi={nm(pi)})"
-                if fwd != back:
-                    strong = False
+            fwd, back = pre(s, rows[t]), rows[app[t][s]]
+            if fwd != back:
+                strong = False
+                if witness is None and fwd & ~back:
+                    witness = f"(t={nm(t)}, s={nm(s)}, pi={nm(_lowest(fwd & ~back))})"
     rep.check("aks.compatibility", witness is None, witness)
     rep.flag("strong-compatibility", strong and witness is None)
 
@@ -212,18 +256,67 @@ def _aks_report(aks: AbstractKrivineStructure) -> Report:
     has_s = bool(aks.qp >> aks.s_elem & 1)
     rep.check("aks.qp-has-s", has_s, None if has_s else nm(aks.s_elem))
 
-    witness = next((f"(t={nm(t)}, s={nm(s)}, pi={nm(pi)})"
-                    for t in range(n) for pi in bits(aks.perp_rows[t]) for s in range(n)
-                    if not aks.perp(aks.k_elem, aks.push[t][aks.push[s][pi]])), None)
+    witness = next(_k_axiom_failures(aks, pre), None)
     rep.check("aks.k-axiom", witness is None, witness)
-
-    witness = next((f"(t={nm(t)}, s={nm(s)}, u={nm(u)}, pi={nm(pi)})"
-                    for t in range(n) for u in range(n) for s in range(n)
-                    for pi in bits(aks.perp_rows[aks.app[aks.app[t][u]][aks.app[s][u]]])
-                    if not aks.perp(aks.s_elem, aks.push[t][aks.push[s][aks.push[u][pi]]])),
-                   None)
+    witness = next(_s_axiom_failures(aks, pre), None)
     rep.check("aks.s-axiom", witness is None, witness)
     return rep
+
+
+def _preimage(row, mask: int) -> int:
+    """The points pi with row[pi] in the mask."""
+    out = 0
+    for pi, x in enumerate(row):
+        if mask >> x & 1:
+            out |= 1 << pi
+    return out
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _k_axiom_failures(aks: AbstractKrivineStructure, pre):
+    """The named (t, s, pi) at which the k axiom fails, in scan order."""
+    nm, rows, push, n = aks.name, aks.perp_rows, aks.push, aks.pi_size
+    for t in range(n):
+        g = pre(t, rows[aks.k_elem])
+        h = aks.full
+        for s in range(n):
+            h &= pre(s, g)
+        bad = rows[t] & ~h
+        if bad:
+            pi = _lowest(bad)
+            s = next(s for s in range(n) if not g >> push[s][pi] & 1)
+            yield f"(t={nm(t)}, s={nm(s)}, pi={nm(pi)})"
+
+
+def _s_axiom_failures(aks: AbstractKrivineStructure, pre):
+    """The named (t, s, u, pi) at which the s axiom fails, in scan order."""
+    nm, rows, push, app, n = aks.name, aks.perp_rows, aks.push, aks.app, aks.pi_size
+    columns = [[app[s][u] for s in range(n)] for u in range(n)]
+    images: list[dict[int, int]] = [{} for _ in range(n)]
+    for t in range(n):
+        g = pre(t, rows[aks.s_elem])
+        h = [pre(s, g) for s in range(n)]
+        for u in range(n):
+            tu_row, column, image = app[app[t][u]], columns[u], images[u]
+            for s in range(n):
+                x = tu_row[column[s]]
+                got = image.get(x)
+                if got is None:
+                    got = image[x] = _image(push[u], rows[x])
+                if got & ~h[s]:
+                    pi = _lowest(rows[x] & ~_preimage(push[u], h[s]))
+                    yield f"(t={nm(t)}, s={nm(s)}, u={nm(u)}, pi={nm(pi)})"
+
+
+def _image(row, mask: int) -> int:
+    """The points row[pi] for pi in the mask."""
+    out = 0
+    for pi in bits(mask):
+        out |= 1 << row[pi]
+    return out
 
 
 def app_closure(aks_app, members: int) -> int:

@@ -19,8 +19,8 @@ from functools import cached_property, partial
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
 from .errors import InvalidSource, SizeLimitExceeded
-from .implicative import (ImplicativeAlgebra, ImplicativeStructure, combinator_i,
-                          validate_algebra)
+from .implicative import (ImplicativeAlgebra, ImplicativeStructure, _algebra_report,
+                          _valid_algebra_report, combinator_i, validate_algebra)
 from .morphism import DensityCertificate, MorphismSpec, check_applicative
 from .order import PowersetLattice, bits, unpreserved_meet, upward_closure
 from .report import Report
@@ -79,13 +79,54 @@ class PowersetStructure(ImplicativeStructure):
         return tuple(first.setdefault(aksmod.perp_left(self.aks, p), p)
                      for p in self.lattice.elements())
 
+    @cached_property
+    def verdict(self) -> Report:
+        """The report of ``validate_structure``, which passes on every X.
+        Meets are unions, and P -> Q is the union, over the points of Q, of
+        the point table of perp_left(P).  So P -> . takes the empty family
+        to the empty set, the top, and a union to the union of the images:
+        it commutes with every meet.  A larger P has a smaller perp_left,
+        so P -> Q only shrinks, that is grows in the order, as P grows
+        (shrinks in the order): implication is antitone on the left and,
+        preserving meets, monotone on the right."""
+        rep = Report("implicative-structure")
+        rep.check("imp.variance", True)
+        rep.check("imp.meet-commutation", True)
+        rep.flag("quasi-implicative", False)
+        return rep
 
-def powerset_algebra(aks: AbstractKrivineStructure) -> ImplicativeAlgebra:
+    @cached_property
+    def adjoint(self) -> bool:
+        """True on every X, valid or not: application is left adjoint to
+        implication.  ``app_sets(P, Q)`` holds the pi with t.pi in P for
+        every t orthogonal to Q, so it contains C exactly when every t.pi
+        with t in perp_left(Q) and pi in C lies in P, that is when
+        ``imp_sets(Q, C)`` lies within P.  Under reverse inclusion that is
+        P Q <= C exactly when P <= Q -> C."""
+        return True
+
+
+class PowersetAlgebra(ImplicativeAlgebra):
+    """A(X), built by :func:`powerset_algebra`."""
+
+    @cached_property
+    def verdict(self) -> Report:
+        """The report of ``validate_algebra``.  When X passes
+        ``validate_aks``, A(X) is valid (``composite_KA_check`` proves it),
+        so every clause passes and only the classical and consistent flags
+        are computed.  The converse fails, as an X that fails may give an
+        A(X) that passes, so otherwise the scans decide."""
+        if self.structure.aks.verdict.ok:
+            return _valid_algebra_report(self)
+        return _algebra_report(self)
+
+
+def powerset_algebra(aks: AbstractKrivineStructure) -> PowersetAlgebra:
     """A(X), unchecked: subsets of the carrier under reverse inclusion,
     with the implication and application acting through the polarity;
     never materialized as an explicit table."""
-    return ImplicativeAlgebra(PowersetStructure(aks), aks.separator_masks,
-                              aks.perp_rows[aks.k_elem], aks.perp_rows[aks.s_elem])
+    return PowersetAlgebra(PowersetStructure(aks), aks.separator_masks,
+                           aks.perp_rows[aks.k_elem], aks.perp_rows[aks.s_elem])
 
 
 def functor_K_obj(algebra: ImplicativeAlgebra, *, validate=True) -> FunctorImageAKS:
@@ -123,8 +164,7 @@ def functor_A_mor(f: MorphismSpec) -> MorphismSpec:
     _require(check_applicative(f), f"{f.name} is not applicative")
     src = functor_A_obj(f.source, validate=False)
     tgt = functor_A_obj(f.target, validate=False)
-    carrier = tuple(f.image_mask(m) for m in range(1 << f.source.pi_size))
-    image = MorphismSpec("ia", src.algebra, tgt.algebra, carrier, f"A({f.name})")
+    image = MorphismSpec("ia", src.algebra, tgt.algebra, f.images, f"A({f.name})")
     _require(check_applicative(image), f"image A({f.name}) failed re-checking")
     return image
 
@@ -215,10 +255,19 @@ def composite_KA_check(aks: AbstractKrivineStructure) -> Report:
     subset of P), ``imp_sets`` and ``app_sets``, ``separator_masks``, and
     the perp rows of the k and s of X: the closed forms the clauses name.
 
-    A(X) is not validated again, as X valid gives A(X) valid: ``app_sets``
-    is the adjoint of ``imp_sets`` on every X; compatibility and the
-    closure of the quasi-proofs under application give modus ponens; and
-    the k and s axioms give k <= k.bound and s <= s.bound.
+    A(X) is not validated again, as X valid gives A(X) valid, and
+    ``PowersetAlgebra.verdict`` reads its report off X's by this proof.
+    On every X the structure is implicative and ``app_sets`` is the adjoint
+    of ``imp_sets`` (``PowersetStructure``), and the separator, the masks
+    some quasi-proof is orthogonal to, is upward closed, as a subset of a
+    mask has the larger perp_left.  On a valid X, k and s are quasi-proofs
+    orthogonal to their own perp rows, which puts those in the separator.
+    Compatibility and the closure of the quasi-proofs under application
+    give modus ponens: a quasi-proof u orthogonal to every t.pi, for a
+    quasi-proof t orthogonal to P and each pi in Q, makes the quasi-proof
+    u t orthogonal to Q.  The k and s axioms give k <= k.bound and
+    s <= s.bound, and with the adjoint those give the applied laws
+    (``implicative._laws_follow``).
     """
     functor_A_obj(aks)
     rep = Report("composite-KA")
@@ -376,7 +425,9 @@ def check_adjunction_instance(algebra: ImplicativeAlgebra, aks: AbstractKrivineS
     which is meet preservation.  The unit square
     A(g){pi} = {g(pi)} holds on the nose for every carrier map g, so
     ``naturality-unit[g]`` checks that g is a morphism: it fails with the
-    first failed clause of ``check_applicative(g)``.
+    first failed clause of ``check_applicative(g)``.  An algebra A(X) that
+    carries a valid X reads its report off X's verdict
+    (``PowersetAlgebra.verdict``).
     """
     _require(aksmod.validate_aks(aks), "source structure fails validation")
     _require(validate_algebra(algebra), "source algebra fails validation")

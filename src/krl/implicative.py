@@ -556,9 +556,30 @@ def _algebra_report(algebra: ImplicativeAlgebra) -> Report:
     rep.check("law.k-applied", k_witness is None, k_witness)
     rep.check("law.s-applied", s_witness is None, s_witness)
 
-    rep.flag("classical", st.cc_bound in sep)
-    rep.flag("consistent", L.meet(L.elements()) not in sep)
+    _flag_algebra(rep, algebra)
     return rep
+
+
+_ALGEBRA_CLAUSES = ("separator.upward-closed", "separator.modus-ponens", "separator.has-k",
+                    "separator.has-s", "k.bound", "s.bound", "law.k-applied", "law.s-applied")
+
+
+def _valid_algebra_report(algebra: ImplicativeAlgebra) -> Report:
+    """The report of :func:`validate_algebra` on an algebra proven valid
+    on an implicative structure: the structure's report, every clause of
+    :func:`_algebra_report` passing, and the flags."""
+    rep = validate_structure(algebra.structure)
+    rep.name = "implicative-algebra"
+    for clause in _ALGEBRA_CLAUSES:
+        rep.check(clause, True)
+    _flag_algebra(rep, algebra)
+    return rep
+
+
+def _flag_algebra(rep: Report, algebra: ImplicativeAlgebra) -> None:
+    L, sep = algebra.lattice, algebra.separator
+    rep.flag("classical", algebra.structure.cc_bound in sep)
+    rep.flag("consistent", L.meet(L.elements()) not in sep)
 
 
 def _applied_law_failures(algebra: ImplicativeAlgebra) -> tuple[str | None, str | None]:

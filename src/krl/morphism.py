@@ -4,7 +4,13 @@ A morphism is a carrier map; being applicative or computationally dense
 is certified by finite witnesses: a uniform applicativity realizer, a
 monotone section-like table on the target separator, and a uniform
 density realizer.  Applicativity has one checker, whose clauses differ
-by kind.  Density has one verifier and one search for both kinds:
+by kind.  Where the adjunction between application and implication
+allows, the realizers are read off a bound instead of trying candidates:
+a structure map into a powerset algebra A(Y) takes the least separator
+element below the meet of every f(s) -> f(a) -> f(sa) (into other
+algebras each candidate is tried), and a carrier map intersects one
+perp_left per perp class of its targets, not one per pair of source
+subsets.  Density has one verifier and one search for both kinds:
 each reads the kind-specific data from ``_density`` (the separators,
 the lattices of the table, what a realizer must be and how witnesses
 are named), so a certificate is checked search-free by the same seven
@@ -64,10 +70,17 @@ class MorphismSpec:
         return self.carrier[x]
 
     def image_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << self.carrier[i]
-        return out
+        return self.images[mask]
+
+    @cached_property
+    def images(self) -> tuple[int, ...]:
+        """The image of every source mask of a carrier map, each one union
+        away from the mask without its lowest point."""
+        out = [0]
+        for p in range(1, 1 << len(self.carrier)):
+            low = p & -p
+            out.append(out[p ^ low] | 1 << self.carrier[low.bit_length() - 1])
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -127,10 +140,27 @@ def _applicative_ia(f: MorphismSpec) -> Report:
 
 
 def _applicative_realizer(f: MorphismSpec) -> int | None:
-    """Least r in the target separator with r f(s) f(a) <= f(sa)."""
+    """Least r in the target separator with r f(s) f(a) <= f(sa).
+
+    Where the target's application is left adjoint to its implication,
+    r x y <= z exactly when r <= x -> y -> z, so r works exactly when it
+    lies below the meet M of every f(s) -> f(a) -> f(sa), and the least r
+    below M is the answer.  Each term reads a only through the application
+    column x -> x a of the source and the row of f(a) in the target, so a
+    runs over one representative per pair of classes.  This is asked on a
+    powerset target only, where the structure is implicative and
+    application the adjoint by construction (``PowersetStructure``); on
+    other targets each candidate r is tried against every (s, a)."""
     A, B = f.source, f.target
     lb = B.lattice
     c = f.carrier
+    if isinstance(lb, PowersetLattice) and B.structure.verdict.ok and B.structure.adjoint:
+        reps = {}
+        for a in A.lattice.elements():
+            reps.setdefault((A.structure.classes[a], B.structure.classes[c[a]]), a)
+        bound = lb.meet({B.imp(c[s], B.imp(c[a], c[A.application(s, a)]))
+                         for s in A.separator for a in reps.values()})
+        return next((r for r in sorted(B.separator) if lb.leq(r, bound)), None)
     pairs = [(c[s], c[a], c[A.application(s, a)])
              for s in sorted(A.separator) for a in A.lattice.elements()]
     for r in sorted(B.separator):
@@ -142,6 +172,16 @@ def _applicative_realizer(f: MorphismSpec) -> int | None:
 # --------------------------------------------------------------- AKS side
 
 
+def _family_keys(f: MorphismSpec) -> dict[tuple[int, int], int]:
+    """The least P' of each key (perp_left(P'), perp_left(f P')), by key,
+    in the order of those P'."""
+    A, B, images = f.source, f.target, f.images
+    keys: dict[tuple[int, int], int] = {}
+    for p2 in range(1 << A.pi_size):
+        keys.setdefault((aksmod.perp_left(A, p2), aksmod.perp_left(B, images[p2])), p2)
+    return keys
+
+
 def _uniform_family(f: MorphismSpec):
     """Yield (P', P, realizers) for the pairs of source subsets whose
     implication P' -> P lies in the source separator, in scan order;
@@ -150,19 +190,15 @@ def _uniform_family(f: MorphismSpec):
 
     Both implications read P' only through its perp class
     (perp_left(P'), perp_left(f P')), so only the least P' of each class
-    is scanned.  The realizers and the first pair a given term fails are
-    those of the full scan: a P' that fails at P shares its realizers with
-    the least member of its class, which comes earlier."""
+    is scanned (``_family_keys``).  The realizers and the first pair a
+    given term fails are those of the full scan: a P' that fails at P
+    shares its realizers with the least member of its class, which comes
+    earlier."""
     A: AbstractKrivineStructure = f.source
     B: AbstractKrivineStructure = f.target
     sep_a = set(A.separator_masks)
-    seen = set()
-    for p2 in range(1 << A.pi_size):
+    for p2 in _family_keys(f).values():
         fp2 = f.image_mask(p2)
-        key = (aksmod.perp_left(A, p2), aksmod.perp_left(B, fp2))
-        if key in seen:
-            continue
-        seen.add(key)
         for p in range(1 << A.pi_size):
             src_imp = aksmod.imp_sets(A, p2, p)
             if src_imp not in sep_a:
@@ -172,8 +208,52 @@ def _uniform_family(f: MorphismSpec):
             yield p2, p, aksmod.perp_left(B, tgt)
 
 
+def _uniform_fold(f: MorphismSpec) -> tuple[int, bool]:
+    """The quasi-proofs of the target that realize every member of
+    ``_uniform_family``, and whether the family has a member.
+
+    For each key of the family (``_family_keys``), a pass over the subsets
+    P builds P' -> P and f(P') -> f(P) by one union each from P without
+    its lowest point, as ``imp_sets`` is a union over the points of its
+    second subset and f(P) the union of the images of P's points.  The
+    realizers of (P', P) are perp_left of f(P' -> P) -> f(P') -> f(P),
+    where the outer implication reads its first subset only through its
+    perp class c.  Grouping the pairs by c and joining their inner subsets
+    into Z_c, the union property and perp_left(U | V) = perp_left(U) &
+    perp_left(V) make the intersection over the family the intersection
+    over c of perp_left(c -> Z_c): one implication per class, not per
+    pair."""
+    A: AbstractKrivineStructure = f.source
+    B: AbstractKrivineStructure = f.target
+    sep_a = set(A.separator_masks)
+    images, carrier = f.images, f.carrier
+    size = 1 << A.pi_size
+    inner_by_src: dict[int, int] = {}  # P' -> P, to the union of its f(P') -> f(P)
+    for class_a, class_b in _family_keys(f):
+        src_points, inner_points = aksmod.class_table(A, class_a), aksmod.class_table(B, class_b)
+        src, inner = [0] * size, [0] * size
+        for p in range(1, size):
+            low = p & -p
+            i, rest = low.bit_length() - 1, p ^ low
+            e = src[p] = src[rest] | src_points[i]
+            inner[p] = inner[rest] | inner_points[carrier[i]]
+            inner_by_src[e] = inner_by_src.get(e, 0) | inner[p]
+    inner_by_class: dict[int, int] = {}
+    for e, z in inner_by_src.items():
+        if e in sep_a:
+            c = aksmod.perp_left(B, images[e])
+            inner_by_class[c] = inner_by_class.get(c, 0) | z
+    acc = B.qp
+    for c, z in inner_by_class.items():
+        acc &= aksmod.perp_left(B, aksmod.union_over(aksmod.class_table(B, c), z))
+    # P = {} gives P' -> P = {}, in the separator when QP is nonempty, and
+    # realized by every term
+    return acc, 0 in sep_a or bool(inner_by_class)
+
+
 def _applicative_aks(f: MorphismSpec) -> Report:
-    """The body of :func:`check_applicative` on a carrier map."""
+    """The body of :func:`check_applicative` on a carrier map; the
+    realizers are folded per perp class (``_uniform_fold``)."""
     A: AbstractKrivineStructure = f.source
     B: AbstractKrivineStructure = f.target
     rep = Report(f"applicative({f.name})")
@@ -183,16 +263,9 @@ def _applicative_aks(f: MorphismSpec) -> Report:
                     if f.image_mask(p) not in sep_b), None)
     rep.check("morphism.quasi-proof-preservation", witness is None, witness)
 
-    acc = B.qp
-    indexed = False
-    for _, _, realizers in _uniform_family(f):
-        indexed = True
-        acc &= realizers
-        if not acc:
-            break
+    acc, indexed = _uniform_fold(f)
     rep.check("morphism.uniform-realizer", bool(acc),
               None if acc else "empty intersection")
-    # a nonempty acc was folded over the whole family
     object.__setattr__(f, "uniform_realizers", frozenset(bits(acc)))
     if not indexed:
         # no implication lands in the separator: the intersection is the

@@ -1,6 +1,9 @@
 """Krivine structures: polarity closures, subset operations, validation,
 and the fixture miner."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from krl.aks import (AbstractKrivineStructure, app_sets,
@@ -8,9 +11,13 @@ from krl.aks import (AbstractKrivineStructure, app_sets,
                      mine_aks, perp_left, perp_right, spec_preorder,
                      validate_aks)
 from krl.errors import UnknownElement
+from krl.bridge import krivine_structure
 from krl.fixtures import AKS2_PERP, AKS3_PERP, aks2, aks3, mined_corpus, polarity3
 from krl.implicative import ImplicativeStructure, check_adjunction, validate_structure
 from krl.order import PowersetLattice, bits
+
+from aks_oracles import scanned_validate_aks
+from test_bridge import heyting_chain
 
 P3 = polarity3()           # perp = {(a,a), (b,b)} on {a,b,c}
 FULL2 = full_polarity_aks(2)
@@ -209,3 +216,64 @@ def test_index_of_unknown_name_raises_unknown_element():
     assert aks3().index_of("c") == 2
     with pytest.raises(UnknownElement):
         aks3().index_of("zz")
+
+
+def random_tables(count, rng):
+    """Unchecked structures of 1 to 6 points with random tables; nearly
+    all fail some axiom."""
+    for _ in range(count):
+        m = rng.randrange(1, 7)
+        table = lambda: tuple(tuple(rng.randrange(m) for _ in range(m)) for _ in range(m))
+        yield AbstractKrivineStructure(
+            tuple("abcdef"[:m]), tuple(rng.randrange(1 << m) for _ in range(m)), table(),
+            table(), qp=rng.randrange(1 << m), k_elem=rng.randrange(m),
+            s_elem=rng.randrange(m))
+
+
+def corrupted(aks, rng):
+    """The structure with one push cell, application cell or perp pair
+    changed at random: most axioms still hold, some fail."""
+    n = aks.pi_size
+    push, app = [list(row) for row in aks.push], [list(row) for row in aks.app]
+    rows = list(aks.perp_rows)
+    t, s = rng.randrange(n), rng.randrange(n)
+    kind = rng.randrange(3)
+    if kind == 0:
+        push[t][s] = rng.randrange(n)
+    elif kind == 1:
+        app[t][s] = rng.randrange(n)
+    else:
+        rows[t] ^= 1 << s
+    return AbstractKrivineStructure(aks.names, tuple(rows), tuple(map(tuple, push)),
+                                    tuple(map(tuple, app)), aks.qp, aks.k_elem, aks.s_elem)
+
+
+def assert_scanned_reports(structures) -> Counter:
+    """Assert that validate_aks gives the per-point scans' report on each
+    structure, and count the failing clauses and the strong flags."""
+    counts = Counter()
+    for aks in structures:
+        rep, scanned = validate_aks(aks), scanned_validate_aks(aks)
+        assert (rep.checks, rep.flags, rep.data) == (scanned.checks, scanned.flags,
+                                                     scanned.data), aks
+        counts.update(c.clause for c in rep.failures())
+        counts["strong"] += rep.flags["strong-compatibility"]
+    return counts
+
+
+def test_mask_rules_give_the_scans_report():
+    rng = random.Random(23)
+    kchains = [krivine_structure(heyting_chain(n)) for n in range(2, 9)]
+    counts = assert_scanned_reports(kchains + list(random_tables(2000, rng))
+                                    + [corrupted(rng.choice(kchains[:5]), rng)
+                                       for _ in range(1000)])
+    # every clause fails somewhere, each with its witness; strong holds somewhere
+    assert min(counts[c] for c in ("aks.compatibility", "aks.k-axiom", "aks.s-axiom",
+                                   "aks.qp-application-closed", "strong")) > 100
+
+
+def test_mask_rules_give_the_scans_report_on_every_mined_structure():
+    mined = mine_aks(3, AKS3_PERP, max_results=10 ** 9)
+    counts = assert_scanned_reports(mined)
+    # every one is valid, and some are strongly compatible
+    assert len(mined) == 8338 and set(counts) == {"strong"} and counts["strong"]

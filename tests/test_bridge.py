@@ -49,12 +49,14 @@ def test_functor_A_separator_contains_top():
 
 
 def test_functor_A_output_validates():
-    # the theorem composite_KA_check decides A(X) by, also on every tenth
+    # the theorem composite_KA_check decides A(X) by, which validate_algebra
+    # now reads off X's verdict, against the scans, also on every tenth
     # structure of three points the miner finds
     mined = mine_aks(3, AKS3_PERP, max_results=10 ** 9)
     assert len(mined) == 8338
     for aks in mined_corpus() + mined[::10]:
-        assert validate_algebra(functor_A_obj(aks).algebra).ok
+        algebra = functor_A_obj(aks).algebra
+        assert validate_algebra(algebra).ok and implicative._algebra_report(algebra).ok
 
 
 def test_functor_A_rejects_invalid_source():

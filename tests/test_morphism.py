@@ -1,5 +1,6 @@
 """Morphism checkers, certificate search, composition, and 2-cells."""
 
+import random
 from itertools import product
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from krl import aks as aksmod
 from krl import morphism
 from krl.aks import full_polarity_aks
+from krl.bridge import functor_A_mor, powerset_algebra
 from krl.errors import ComposabilityError, SearchBudgetExceeded
 from krl.fixtures import (aks2, aks3, diamond, heyting3, l2, mined_corpus,
                           singleton_algebra)
@@ -15,6 +17,7 @@ from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
                           two_cell_leq, verify_certificate)
 
 from condition2_oracles import check_condition2_equiv
+from test_powerset import random_structures
 
 
 def candidate_maps(src, tgt):
@@ -268,19 +271,75 @@ def uniform_answers(f):
     return [(rep.checks, rep.flags, rep.data) for rep in reports]
 
 
+def per_pair_fold(f):
+    """The realizers of every member of the unkeyed family, intersected
+    within the quasi-proofs pair by pair, and whether there was a member."""
+    acc, indexed = f.target.qp, False
+    for _, _, realizers in unkeyed_uniform_family(f):
+        acc &= realizers
+        indexed = True
+    return acc, indexed
+
+
 def test_uniform_family_keyed_by_perp_classes_matches_the_full_scan(monkeypatch):
-    # the maps are built afresh for the full scan, since a map keeps its
-    # applicativity report
+    # the verdict folds per perp class (_uniform_fold); the keyed family
+    # still names the first pair a candidate r fails in verify_certificate
     def maps():
         return [MorphismSpec("aks", A, B, carrier)
                 for A, B in product(mined_corpus(), repeat=2)
                 for carrier in product(range(B.pi_size), repeat=A.pi_size)]
+    rng = random.Random(29)
+    structures = list(random_structures(60, rng))
+    drawn = []
+    for _ in range(400):
+        A, B = rng.choice(structures), rng.choice(structures)
+        drawn.append(MorphismSpec("aks", A, B, [rng.randrange(B.pi_size)
+                                                for _ in range(A.pi_size)]))
+    folds = [(morphism._uniform_fold(f), per_pair_fold(f)) for f in maps() + drawn]
+    assert all(fold == scanned for fold, scanned in folds)
+    # nonempty and empty intersections, with and without a family member
+    assert {(bool(acc), indexed) for (acc, indexed), _ in folds} == {
+        (True, True), (False, True), (True, False), (False, False)}
+
     keyed = [uniform_answers(f) for f in maps()]
     monkeypatch.setattr(morphism, "_uniform_family", unkeyed_uniform_family)
     assert [uniform_answers(f) for f in maps()] == keyed
     assert len(keyed) == 56
     assert 0 < sum(not c.passed for answers in keyed for checks, _, _ in answers
                    for c in checks if c.clause == "cert.r-uniform")
+
+
+def scanned_realizer(f):
+    """The least r of the target separator that passes every (s, a), each
+    candidate tried in turn."""
+    A, B = f.source, f.target
+    lb, c = B.lattice, f.carrier
+    pairs = [(c[s], c[a], c[A.application(s, a)])
+             for s in sorted(A.separator) for a in A.lattice.elements()]
+    return next((r for r in sorted(B.separator)
+                 if all(lb.leq(B.apply_chain(r, fs, fa), fsa) for fs, fa, fsa in pairs)),
+                None)
+
+
+def test_the_realizer_bound_into_a_powerset_matches_the_candidate_scan():
+    images = [functor_A_mor(f) for A, B in product(mined_corpus(), repeat=2)
+              for f in (MorphismSpec("aks", A, B, carrier)
+                        for carrier in product(range(B.pi_size), repeat=A.pi_size))
+              if check_applicative(f).ok]
+    rng = random.Random(31)
+    algebras = [powerset_algebra(aks) for aks in
+                mined_corpus() + list(random_structures(40, rng, sizes=(1, 2, 3)))]
+    drawn = []
+    for _ in range(400):
+        A, B = rng.choice(algebras), rng.choice(algebras)
+        drawn.append(MorphismSpec("ia", A, B, [rng.randrange(B.lattice.size)
+                                               for _ in range(A.lattice.size)]))
+    found = [morphism._applicative_realizer(f) for f in images + drawn]
+    assert found == [scanned_realizer(f) for f in images + drawn]
+    assert len(images) == 28 and all(r is not None for r in found[:28])
+    # realizers found and missing, on applicative maps and on others
+    assert None in found[28:] and any(r is not None for r in found[28:])
+    assert 0 < sum(check_applicative(f).ok for f in drawn) < len(drawn)
 
 
 def test_compose_refuses_tables_that_do_not_compose():

@@ -5,10 +5,11 @@ import random
 from collections import Counter
 from functools import partial
 
+from krl import implicative
 from krl.aks import (AbstractKrivineStructure, app_sets, full_polarity_aks, imp_sets,
-                     perp_left, validate_aks)
+                     mine_aks, perp_left, validate_aks)
 from krl.bridge import PowersetStructure, powerset_algebra
-from krl.fixtures import aks3, mined_corpus, polarity3
+from krl.fixtures import AKS3_PERP, aks3, mined_corpus, polarity3
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, check_adjunction,
                              validate_algebra, validate_structure)
 from krl.order import PowersetLattice, bits
@@ -127,3 +128,34 @@ def test_validate_algebra_on_a_full_8_computes_few_values():
     st._imp, st._app = counted(st._imp, "imp"), counted(st._app, "app")
     assert validate_algebra(algebra).ok
     assert 0 < sum(computed.values()) < 8 * 2 ** 8
+
+
+def test_structure_verdict_and_adjoint_hold_by_construction():
+    # the scans agree with the theorems PowersetStructure states: the
+    # adjoint on every structure of three points the miner finds, both on
+    # every fourth one and on random unchecked ones
+    mined = mine_aks(3, AKS3_PERP, max_results=10 ** 9)
+    drawn = list(random_structures(400, random.Random(17)))
+    for i, aks in enumerate(mined + drawn):
+        st = PowersetStructure(aks)
+        assert st.adjoint is implicative._application_is_adjoint(st) is True
+        if i % 4 == 0 or i >= len(mined):
+            scanned = implicative._structure_report(st)
+            assert (scanned.checks, scanned.flags, scanned.data) == (
+                st.verdict.checks, st.verdict.flags, st.verdict.data)
+    assert sum(not validate_aks(aks).ok for aks in drawn) > 300
+
+
+def test_the_algebra_report_is_read_off_a_passing_X():
+    structures = (mined_corpus() + mine_aks(3, AKS3_PERP, max_results=10 ** 9)[::20]
+                  + list(random_structures(400, random.Random(19))))
+    outcomes = Counter()
+    for aks in structures:
+        algebra = powerset_algebra(aks)
+        rep, scanned = validate_algebra(algebra), implicative._algebra_report(algebra)
+        assert (rep.name, rep.checks, rep.flags, rep.data) == (
+            scanned.name, scanned.checks, scanned.flags, scanned.data)
+        outcomes[validate_aks(aks).ok, rep.ok] += 1
+    # X valid gives A(X) valid; the converse fails, so a failing X is scanned
+    assert outcomes[True, True] > 400 and outcomes[False, True] and outcomes[False, False]
+    assert not outcomes[True, False]
