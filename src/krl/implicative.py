@@ -33,7 +33,7 @@ class ImplicativeStructure:
         if callable(imp):
             self._imp = imp
         else:
-            table = tuple(tuple(row) for row in imp)
+            table = self._table = tuple(tuple(row) for row in imp)
             self._imp = lambda a, b: table[a][b]
         self._app = app
         self._imp_cache: dict[tuple[int, int], int] = {}
@@ -43,6 +43,8 @@ class ImplicativeStructure:
 
     # read-only, so that the verdict cannot describe a structure since changed
     _read_only = ("lattice",)
+    # a table given to __init__, which rows reads as it is
+    _table = None
 
     def __setattr__(self, attr, value):
         if attr in self._read_only:
@@ -98,7 +100,10 @@ class ImplicativeStructure:
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The row b -> a->b of every a, computed once per representative."""
+        """The row b -> a->b of every a: the table given to ``__init__``, whose
+        classes are the identity, or else computed once per representative."""
+        if self._table is not None:
+            return self._table
         elems = self.lattice.elements()
         computed = {a: tuple(self.imp(a, b) for b in elems) for a in self.representatives}
         return tuple(computed[c] for c in self.classes)

@@ -128,7 +128,8 @@ class ExplicitLattice(FiniteLattice):
     """A lattice given by its full order relation.
 
     ``up[a]`` is the bitmask of elements above ``a`` (inclusive);
-    ``down[b]`` the mask of elements below ``b``, built on first use.
+    ``down[b]`` the mask of elements below ``b``, built on first use
+    unless :meth:`from_pairs` built it with ``up``.
     Meets and joins scan the shared bound masks for their extremum, with
     binary results cached; once the order check has passed, a meet is one
     lookup among the principal down-sets instead.
@@ -165,12 +166,16 @@ class ExplicitLattice(FiniteLattice):
 
     @classmethod
     def from_pairs(cls, names, pairs) -> "ExplicitLattice":
-        """Build from a list of (a, b) pairs meaning a <= b; reflexive pairs implied."""
-        n = len(names)
-        up = [1 << a for a in range(n)]
+        """Build from (a, b) pairs meaning a <= b, reflexive pairs implied;
+        the down masks are filled in the same loop as the up masks."""
+        up = [1 << a for a in range(len(names))]
+        down = up[:]
         for a, b in pairs:
             up[a] |= 1 << b
-        return cls(names, up)
+            down[b] |= 1 << a
+        lattice = cls(names, up)
+        _store(lattice, "down", tuple(down))
+        return lattice
 
     @classmethod
     def from_leq(cls, names, leq_fn) -> "ExplicitLattice":

@@ -6,7 +6,15 @@ complete (every pair present), names resolve against the declared
 carrier, and subset-valued elements are written as brace tokens like
 ``{a b}`` which the tokenizer treats as single names.  Powerset-backed
 algebras are stored by their generating Krivine structure and never
-expanded.  Emission is canonical (fixed section order, sorted rows), so
+expanded.
+
+The reader keeps each section as written, as the token columns of its
+entries, and reads a structure document in one pass per section: cheap
+tests on the columns decide that nothing is wrong, and its names become
+ids there, which the builders take.  Only when a test fails do the
+per-entry scans run, on the canonical form, to name the first fault.
+The canonical form (fixed section order, sorted rows) is computed when
+first read: emission, document equality and error naming read it, so
 parse after emit is the identity and emit after parse is idempotent.
 """
 
@@ -14,16 +22,16 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 
 from .aks import AbstractKrivineStructure
 from .bridge import PowersetStructure, functor_A_obj
-from .errors import IncompleteTable, ParseError, SpecFileError, UnknownElement
+from .errors import IncompleteTable, KrlError, ParseError, SpecFileError, UnknownElement
 from .implicative import ImplicativeAlgebra, ImplicativeStructure
 from .interior import InteriorOperator
 from .morphism import DensityCertificate, MorphismSpec, table_lattices
-from .order import ExplicitLattice, PowersetLattice, bits, positions_of
+from .order import ExplicitLattice, PowersetLattice, bits
 
 KIND_SECTIONS = {
     "lattice": ("elements", "order"),
@@ -33,10 +41,16 @@ KIND_SECTIONS = {
     "interior": ("map",),
     "morphism": ("map", "hint-h", "hint-t", "hint-r"),
 }
+STRUCTURE_KINDS = ("lattice", "ia", "aks")
 UNSORTED_SECTIONS = {"elements", "pi"}
 OPTIONAL_SECTIONS = {"hint-h", "hint-t", "hint-r", "order", "perp"}
 SINGLETON_SECTIONS = {"k", "s", "K", "S", "hint-t", "hint-r"}
 LIST_SECTIONS = {"elements", "pi", "separator", "qp"}
+# The sections that declare a structure's carrier: every other name in a
+# structure document is one of theirs.
+CARRIER_SECTIONS = ("elements", "pi")
+TABLE_SECTIONS = ("imp", "push", "app")
+NEVER_NAMES = frozenset(("->", "<="))
 # The entry pattern of each section: "x" is a name, any other word a
 # literal token.
 ENTRY_SHAPES = {key: ("x",) for keys in KIND_SECTIONS.values() for key in keys} | {
@@ -48,21 +62,54 @@ ENTRY_SHAPES = {key: ("x",) for keys in KIND_SECTIONS.values() for key in keys} 
     "hint-h": ("x", "->", "x"),
     "perp": ("x", "x"),
 }
+NAME_SLOTS = {key: tuple(i for i, word in enumerate(shape) if word == "x")
+              for key, shape in ENTRY_SHAPES.items()}
+LITERALS = {key: tuple((i, word) for i, word in enumerate(shape) if word != "x")
+            for key, shape in ENTRY_SHAPES.items()}
 # The document kinds a reference may name: the base of an interior, and
 # the endpoints of an ia or aks morphism.
 REFERENCE_KINDS = {"interior": ("lattice", "ia", "aks"), "ia": ("ia",), "aks": ("aks",)}
 _TOKEN = re.compile(r"\{[^}]*\}|[^\s;{}]+|[;{}]")
+# an element name that reads back as itself: a brace token or a run of
+# characters other than space, ';' and braces, and never holding '#'
+_NAME = re.compile(r"\{[^}#]*\}|[^\s;{}#]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpecDocument:
+    """One document.  ``columns`` holds every section of the kind, in
+    order, as the token columns of its entries as written: entry j is the
+    j-th token of each column, and an absent section has empty columns."""
+
     kind: str                      # lattice | ia | aks | interior | morphism
     name: str | None
-    sections: tuple                # ((key, (entry, ...)), ...), entry = token tuple
+    columns: dict                  # key -> (tokens at position 0, at 1, ...)
     subkind: str | None = None     # morphism: ia | aks
     base: str | None = None        # interior: name of the carrier structure
     source_name: str | None = None
     target_name: str | None = None
+
+    @cached_property
+    def sections(self) -> tuple:
+        """The canonical form: ((key, (entry, ...)), ...), entry = token
+        tuple, the entries of every section but a carrier's sorted."""
+        out = []
+        for key, columns in self.columns.items():
+            entries = list(zip(*columns))
+            if key not in UNSORTED_SECTIONS:
+                entries.sort()
+            out.append((key, tuple(entries)))
+        return tuple(out)
+
+    @cached_property
+    def ids(self) -> dict:
+        """The sections of a structure document with its names as ids (see
+        :func:`_read_ids`).  On a fault, the first one in canonical order is
+        the error."""
+        ids = _read_ids(self.columns)
+        if ids is None:
+            _name_first_fault(self)
+        return ids
 
     def section(self, key):
         for k, entries in self.sections:
@@ -76,16 +123,27 @@ class SpecDocument:
             return self.name
         return f"{self.base}:interior"
 
+    def _fields(self) -> tuple:
+        return (self.kind, self.name, self.sections, self.subkind, self.base,
+                self.source_name, self.target_name)
 
-def _normalize_sections(kind_key: str, raw: dict) -> tuple:
-    """Every section of the kind, in order, an absent one empty."""
-    out = []
-    for key in KIND_SECTIONS[kind_key]:
-        entries = tuple(raw.get(key, ()))
-        if key not in UNSORTED_SECTIONS:
-            entries = tuple(sorted(entries))
-        out.append((key, entries))
-    return tuple(out)
+    def __eq__(self, other):
+        if not isinstance(other, SpecDocument):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+def _columns(key, entries) -> tuple:
+    """The token columns of entries of the section's length."""
+    return tuple(zip(*entries)) or ((),) * len(ENTRY_SHAPES[key])
+
+
+def _as_columns(kind_key: str, sections: dict) -> dict:
+    """Every section of the kind, in order, as columns, an absent one empty."""
+    return {key: _columns(key, sections.get(key, ())) for key in KIND_SECTIONS[kind_key]}
 
 
 def tokenize(payload: str, line_no: int) -> list[str]:
@@ -185,7 +243,7 @@ def parse_spec(text: str) -> SpecDocument:
         raise ParseError(f"unrecognized header '{header}'", header_no,
                          "structure|interior|morphism")
 
-    raw_sections: dict[str, list] = {}
+    raw_sections: dict[str, str | list] = {}
     section_lines: dict[str, int] = {}
     for no, body in lines[1:]:
         if ":" not in body:
@@ -194,7 +252,10 @@ def parse_spec(text: str) -> SpecDocument:
         key = key.strip()
         if key in raw_sections:
             raise ParseError(f"duplicate section '{key}'", no)
-        raw_sections[key] = _section_entries(payload, no)
+        # a brace payload is tokenized now, so that its errors come in
+        # line order; any other is read with its section's shape below
+        braced = "{" in payload or "}" in payload
+        raw_sections[key] = _section_entries(payload, no) if braced else payload
         section_lines[key] = no
 
     kind_key = kind
@@ -205,41 +266,63 @@ def parse_spec(text: str) -> SpecDocument:
         if key not in allowed:
             raise ParseError(f"section '{key}' not allowed in a {kind} document",
                              section_lines[key], "/".join(sorted(allowed)))
-    shaped = {}
-    for key, entries in raw_sections.items():
-        if key in LIST_SECTIONS:
-            entries = list(zip(chain.from_iterable(entries)))
-        shaped[key] = entries
-        _check_entry_shapes(key, entries, section_lines[key])
-        if key in SINGLETON_SECTIONS and len(entries) != 1:
+    columns = {}
+    for key, raw in raw_sections.items():
+        columns[key] = _section_columns(key, raw, section_lines[key])
+        if key in SINGLETON_SECTIONS and len(columns[key][0]) != 1:
             raise ParseError(f"section '{key}' takes a single element",
                              section_lines[key])
-    if "hint-t" not in shaped and {"hint-h", "hint-r"} & shaped.keys():
+    if "hint-t" not in columns and {"hint-h", "hint-r"} & columns.keys():
         raise ParseError("missing section 'hint-t' for the given hints", header_no)
     for key in KIND_SECTIONS[kind_key]:
-        if key not in shaped and key not in OPTIONAL_SECTIONS:
+        if key not in columns and key not in OPTIONAL_SECTIONS:
             raise ParseError(f"missing section '{key}'", header_no)
 
-    doc = SpecDocument(kind, name, _normalize_sections(kind_key, shaped),
+    doc = SpecDocument(kind, name, {key: columns.get(key) or _columns(key, ())
+                                    for key in KIND_SECTIONS[kind_key]},
                        subkind, base, source_name, target_name)
-    _validate_document(doc, kind_key)
+    if kind in STRUCTURE_KINDS:
+        doc.ids  # reading them checks every name and table, and keeps them
     return doc
 
 
-def _column(entries, i) -> set:
-    """The tokens at position ``i`` of entries known to be long enough."""
-    return set(map(itemgetter(i), entries))
+def _section_columns(key, raw, line_no) -> tuple:
+    """The token columns of a section, from its payload or, for a brace
+    payload, its entries.  A payload without braces is split into tokens
+    once: when they fall into entries of the section's length, each but
+    the last followed by a lone ';', the columns are cut by stride and the
+    literal tokens counted.  Anything else is split into entries and
+    checked by :func:`_check_entry_shapes`."""
+    if isinstance(raw, str):
+        if key in LIST_SECTIONS:
+            tokens = raw.replace(";", " ").split()
+            if key not in CARRIER_SECTIONS or NEVER_NAMES.isdisjoint(tokens):
+                return (tokens,)
+        else:
+            k, tokens, m = len(ENTRY_SHAPES[key]), raw.split(), raw.count(";") + 1
+            if (len(tokens) == (k + 1) * m - 1 and tokens[k::k + 1].count(";") == m - 1
+                    and all(tokens[i::k + 1].count(word) == m for i, word in LITERALS[key])):
+                return tuple(tokens[i::k + 1] for i in range(k))
+        raw = _section_entries(raw, line_no)
+    if key in LIST_SECTIONS:
+        raw = list(zip(chain.from_iterable(raw)))
+    return _check_entry_shapes(key, raw, line_no)
 
 
-def _check_entry_shapes(key, entries, line_no):
-    """Every entry has the section's length and its literal tokens; the
-    first entry that does not, in document order, is the error."""
-    shape = ENTRY_SHAPES[key]
-    literals = [(i, word) for i, word in enumerate(shape) if word != "x"]
-    if set(map(len, entries)) <= {len(shape)} and all(
-            _column(entries, i) <= {word} for i, word in literals):
-        return
+def _check_entry_shapes(key, entries, line_no) -> tuple:
+    """The token columns of a section's entries.  Every entry has the
+    section's length and its literal tokens, and a carrier declares no
+    '->' or '<='; the first entry that fails, in document order, is the
+    error."""
+    shape, literals = ENTRY_SHAPES[key], LITERALS[key]
+    if set(map(len, entries)) <= {len(shape)}:
+        columns = _columns(key, entries)
+        if all(set(columns[i]) <= {word} for i, word in literals) and (
+                key not in CARRIER_SECTIONS or NEVER_NAMES.isdisjoint(columns[0])):
+            return columns
     for entry in entries:
+        if key in CARRIER_SECTIONS and entry[0] in NEVER_NAMES:
+            raise ParseError(f"bad entry in '{key}': {entry[0]} is never a name", line_no)
         if len(entry) == len(shape) and all(entry[i] == word for i, word in literals):
             continue
         text = " ".join(entry)
@@ -250,65 +333,86 @@ def _check_entry_shapes(key, entries, line_no):
         raise ParseError(f"bad {key} entry: {text}", line_no, expected)
 
 
-def _validate_document(doc: SpecDocument, kind_key: str) -> None:
-    if kind_key in ("lattice", "ia"):
-        names = [e[0] for e in doc.section("elements")]
-        _check_carrier(names, "elements")
-        _check_names(doc, ("order", "imp", "separator", "k", "s"), set(names))
-        if kind_key == "ia":
-            _check_table(doc, "imp", names, names)
-    elif kind_key in ("aks", "ia-powerset"):
-        names = [e[0] for e in doc.section("pi")]
-        _check_carrier(names, "pi")
-        _check_names(doc, ("perp", "push", "app", "qp", "K", "S"), set(names))
-        _check_table(doc, "push", names, names)
-        _check_table(doc, "app", names, names)
+def _read_ids(columns) -> dict | None:
+    """The sections of a structure document with its names as ids, or None
+    when a cheap test fails: the carrier is nonempty and its names
+    distinct, every name slot holds one of them, and each table has as
+    many entries as cells and fills every cell.  A section maps to the id
+    columns of its name slots, and a table to its rows."""
+    names = columns["elements" if "elements" in columns else "pi"][0]
+    n = len(names)
+    if not n or len(set(names)) != n:
+        return None
+    get = dict(zip(names, range(n))).__getitem__
+    try:
+        ids = {key: [list(map(get, cols[i])) for i in NAME_SLOTS[key]]
+               for key, cols in columns.items() if key not in CARRIER_SECTIONS}
+    except KeyError:
+        return None
+    for key in TABLE_SECTIONS:
+        if key in ids:
+            ids[key] = _table_rows(*ids[key], n)
+            if ids[key] is None:
+                return None
+    return ids
 
 
-def _check_carrier(names, section):
+def _table_rows(left, right, values, n) -> tuple | None:
+    """The rows of a table whose n * n entries fill each cell (a, b), so
+    each once, or None."""
+    if len(values) != n * n:
+        return None
+    rows = [[None] * n for _ in range(n)]
+    for a, b, c in zip(left, right, values):
+        rows[a][b] = c
+    if any(None in row for row in rows):
+        return None
+    return tuple(map(tuple, rows))
+
+
+def _name_first_fault(doc: SpecDocument) -> None:
+    """Raise the first fault of a structure document, as the per-entry
+    scans find it on the canonical form: the carrier, the names section
+    by section, then the tables.  Only a section with an unknown name is
+    scanned for it."""
+    carrier = "elements" if "elements" in doc.columns else "pi"
+    names = doc.columns[carrier][0]
     if not names:
-        raise ParseError(f"'{section}' must declare at least one element")
+        raise ParseError(f"'{carrier}' must declare at least one element")
     if len(set(names)) != len(names):
-        raise ParseError(f"duplicate element in '{section}'")
-
-
-def _check_names(doc, keys, known):
-    """Every name slot holds a declared name; the error names the first
-    unknown one, by section and then by sorted entry."""
-    for key in keys:
-        slots = [i for i, word in enumerate(ENTRY_SHAPES[key]) if word == "x"]
-        entries = doc.section(key) or ()
-        if all(_column(entries, i) <= known for i in slots):
+        raise ParseError(f"duplicate element in '{carrier}'")
+    known = set(names)
+    for key, columns in doc.columns.items():
+        slots = NAME_SLOTS[key]
+        if key == carrier or all(known.issuperset(columns[i]) for i in slots):
             continue
-        for entry in entries:
+        for entry in doc.section(key):
             for i in slots:
                 if entry[i] not in known:
                     raise UnknownElement(entry[i], f"section '{key}'")
+    for key in TABLE_SECTIONS:
+        if key in doc.columns:
+            _check_table(doc.section(key), key, names)
 
 
-def _check_table(doc, key, left_names, right_names):
-    """Each pair of names has exactly one entry.  The names are checked
-    already, so entries as many as the cells, with distinct pairs, fill
-    every cell once; the scan runs only to name the first fault."""
-    entries = doc.section(key)
-    cells = len(left_names) * len(right_names)
-    if len(entries) == cells and len(set(map(itemgetter(0, 1), entries))) == cells:
-        return
+def _check_table(entries, key, names):
+    """Each pair of names has exactly one entry: the first repeated pair,
+    else the missing ones, are the error."""
     seen = set()
     for entry in entries:
         pair = (entry[0], entry[1])
         if pair in seen:
             raise ParseError(f"duplicate {key} entry for {pair[0]} {pair[1]}")
         seen.add(pair)
-    missing = [f"{a} {b}" for a in left_names for b in right_names
-               if (a, b) not in seen]
+    missing = [f"{a} {b}" for a in names for b in names if (a, b) not in seen]
     if missing:
         raise IncompleteTable(key, missing)
 
 
 def emit_spec(doc: SpecDocument) -> str:
     """Canonical rendering; inverse to :func:`parse_spec`."""
-    if doc.kind in ("lattice", "ia", "aks"):
+    _check_emitted_names(doc)
+    if doc.kind in STRUCTURE_KINDS:
         header = f'structure {doc.kind} "{doc.name}"'
     elif doc.kind == "interior":
         header = (f'interior on "{doc.base}"' if doc.name is None
@@ -327,6 +431,32 @@ def emit_spec(doc: SpecDocument) -> str:
     return "\n".join(out) + "\n"
 
 
+def _check_emitted_names(doc: SpecDocument) -> None:
+    """Refuse a name that the emitted text would not read back as itself.
+    A quoted name holds no '"', '#' or line break, a morphism's name no
+    ' from ' and its source's no ' to '.  An element name is one token,
+    never '->' or '<=', without '#' or a line break, and a carrier
+    declares each once; in a structure document only the carrier is
+    checked, since every other name in it is the carrier's."""
+    for name, word in ((doc.name, " from "), (doc.base, None),
+                       (doc.source_name, " to "), (doc.target_name, None)):
+        if name is not None and (
+                '"' in name or "#" in name or name.splitlines() not in ([], [name])
+                or doc.kind == "morphism" and word is not None and word in name):
+            raise SpecFileError(f"cannot emit {name!r} as a document name")
+    for key, columns in doc.columns.items():
+        if doc.kind in STRUCTURE_KINDS and key not in CARRIER_SECTIONS:
+            continue
+        for i in NAME_SLOTS[key]:
+            for name in columns[i]:
+                if not (_NAME.fullmatch(name) and name not in NEVER_NAMES
+                        and name.splitlines() == [name]):
+                    raise SpecFileError(f"cannot emit {name!r} as an element name")
+        if key in CARRIER_SECTIONS and len(set(columns[0])) != len(columns[0]):
+            name = next(x for i, x in enumerate(columns[0]) if x in columns[0][:i])
+            raise SpecFileError(f"cannot emit {name!r} twice as an element name")
+
+
 # ------------------------------------------------------- objects <-> docs
 
 
@@ -341,11 +471,20 @@ def _element_resolver(obj):
 
 def _read_rows(doc: SpecDocument, key, source, target) -> dict[int, int]:
     """The ``a -> b`` rows of a section as a dict on the source carrier;
-    names resolve through the carriers and a repeated row is an error."""
+    names resolve through the carriers.  On an unknown name or a repeated
+    row, the rows are read again in canonical order, where the first one
+    is the error."""
     src_idx = _element_resolver(source)[0]
     tgt_idx = _element_resolver(target)[0]
+    left, _, right = doc.columns[key]
+    try:
+        table = dict(zip(map(src_idx, left), map(tgt_idx, right)))
+    except KrlError:
+        table = {}
+    if len(table) == len(left):
+        return table
     table = {}
-    for a, _, b in doc.section(key) or ():
+    for a, _, b in doc.section(key):
         ia = src_idx(a)
         if ia in table:
             raise ParseError(f"duplicate {key} entry for {a}")
@@ -364,51 +503,31 @@ def _read_map(doc: SpecDocument, source, target) -> tuple[int, ...]:
     return tuple(table[x] for x in range(size))
 
 
-def _lattice(doc: SpecDocument) -> tuple[ExplicitLattice, dict[str, int]]:
-    """The lattice of a lattice or explicit ia document, with its name
-    table; the parser has checked every name."""
-    names = [e[0] for e in doc.section("elements")]
-    idx = positions_of(names)
-    pairs = [(idx[a], idx[b]) for a, _, b in doc.section("order") or ()]
-    return ExplicitLattice.from_pairs(names, pairs), idx
-
-
-def _table(entries, idx, n) -> tuple[tuple[int, ...], ...]:
-    """The ``a b -> c`` entries of a complete table, as rows of ids."""
-    table = [[0] * n for _ in range(n)]
-    for a, b, _, c in entries:
-        table[idx[a]][idx[b]] = idx[c]
-    return tuple(map(tuple, table))
-
-
 def build_lattice(doc: SpecDocument) -> ExplicitLattice:
-    return _lattice(doc)[0]
+    """The lattice of a lattice or explicit ia document, from its ids."""
+    return ExplicitLattice.from_pairs(doc.columns["elements"][0], zip(*doc.ids["order"]))
 
 
 def build_algebra(doc: SpecDocument):
-    if doc.section("pi") is not None:
+    if "pi" in doc.columns:
         return functor_A_obj(build_aks(doc), validate=False).algebra
-    lattice, idx = _lattice(doc)
-    structure = ImplicativeStructure(lattice, _table(doc.section("imp"), idx, lattice.size))
-    separator = frozenset(idx[e[0]] for e in doc.section("separator"))
-    return ImplicativeAlgebra(structure, separator,
-                              idx[doc.section("k")[0][0]], idx[doc.section("s")[0][0]])
+    ids = doc.ids
+    structure = ImplicativeStructure(build_lattice(doc), ids["imp"])
+    [separator], [[k]], [[s]] = ids["separator"], ids["k"], ids["s"]
+    return ImplicativeAlgebra(structure, frozenset(separator), k, s)
 
 
 def build_aks(doc: SpecDocument) -> AbstractKrivineStructure:
-    names = tuple(e[0] for e in doc.section("pi"))
-    idx = positions_of(names)
-    n = len(names)
-    rows = [0] * n
-    for t, pi in doc.section("perp") or ():
-        rows[idx[t]] |= 1 << idx[pi]
+    names = tuple(doc.columns["pi"][0])
+    ids = doc.ids
+    rows = [0] * len(names)
+    for t, pi in zip(*ids["perp"]):
+        rows[t] |= 1 << pi
     qp = 0
-    for (e,) in doc.section("qp"):
-        qp |= 1 << idx[e]
-    return AbstractKrivineStructure(
-        names, tuple(rows), _table(doc.section("push"), idx, n),
-        _table(doc.section("app"), idx, n),
-        qp, idx[doc.section("K")[0][0]], idx[doc.section("S")[0][0]])
+    for e in ids["qp"][0]:
+        qp |= 1 << e
+    [[k]], [[s]] = ids["K"], ids["S"]
+    return AbstractKrivineStructure(names, tuple(rows), ids["push"], ids["app"], qp, k, s)
 
 
 def build_interior(doc: SpecDocument, base_obj) -> InteriorOperator:
@@ -428,13 +547,12 @@ def build_morphism(doc: SpecDocument, src, tgt):
     spec = MorphismSpec(doc.subkind, src, tgt, _read_map(doc, src, tgt), doc.name)
 
     hint = None
-    if doc.section("hint-t"):
+    [t], [r] = doc.columns["hint-t"], doc.columns["hint-r"]
+    if t:
         tgt_idx, _, _ = _element_resolver(tgt)
         h = _read_rows(doc, "hint-h", *table_lattices(spec))
-        t = doc.section("hint-t")[0][0]
-        r_sec = doc.section("hint-r")
-        t_id = tgt_idx(t)
-        r_id = tgt_idx(r_sec[0][0]) if r_sec else None
+        t_id = tgt_idx(t[0])
+        r_id = tgt_idx(r[0]) if r else None
         hint = DensityCertificate.make(t_id, h, r_id)
     return spec, hint
 
@@ -446,11 +564,11 @@ def document_for(obj, name: str, **meta) -> SpecDocument:
             "elements": [(n,) for n in obj.names],
             "order": [(obj.names[a], "<=", obj.names[b]) for a, b in obj.pairs()],
         }
-        return SpecDocument("lattice", name, _normalize_sections("lattice", sections))
+        return SpecDocument("lattice", name, _as_columns("lattice", sections))
     if isinstance(obj, ImplicativeAlgebra):
         if isinstance(obj.structure, PowersetStructure):
             inner = document_for(obj.structure.aks, name)
-            return SpecDocument("ia", name, inner.sections)
+            return SpecDocument("ia", name, inner.columns)
         if isinstance(obj.lattice, PowersetLattice):
             raise SpecFileError(
                 "powerset algebras are stored by their generating structure")
@@ -464,7 +582,7 @@ def document_for(obj, name: str, **meta) -> SpecDocument:
             "k": [(L.names[obj.k],)],
             "s": [(L.names[obj.s],)],
         }
-        return SpecDocument("ia", name, _normalize_sections("ia", sections))
+        return SpecDocument("ia", name, _as_columns("ia", sections))
     if isinstance(obj, AbstractKrivineStructure):
         nm = obj.names
         sections = {
@@ -479,13 +597,13 @@ def document_for(obj, name: str, **meta) -> SpecDocument:
             "K": [(nm[obj.k_elem],)],
             "S": [(nm[obj.s_elem],)],
         }
-        return SpecDocument("aks", name, _normalize_sections("aks", sections))
+        return SpecDocument("aks", name, _as_columns("aks", sections))
     if isinstance(obj, InteriorOperator):
         L = obj.lattice
         sections = {"map": [(L.name(a), "->", L.name(obj.table[a]))
                             for a in L.elements()]}
         return SpecDocument("interior", meta.get("op_name"),
-                            _normalize_sections("interior", sections),
+                            _as_columns("interior", sections),
                             base=name)
     if isinstance(obj, MorphismSpec):
         _, src_name, _ = _element_resolver(obj.source)
@@ -500,7 +618,7 @@ def document_for(obj, name: str, **meta) -> SpecDocument:
             if cert.r is not None:
                 sections["hint-r"] = [(tgt_name(cert.r),)]
         return SpecDocument("morphism", name,
-                            _normalize_sections("morphism", sections),
+                            _as_columns("morphism", sections),
                             subkind=obj.kind,
                             source_name=meta.get("source_name", "source"),
                             target_name=meta.get("target_name", "target"))

@@ -1,21 +1,24 @@
 """Document parsing, canonical emission, and workspace resolution."""
 
+import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krl import specfile
 from krl.bridge import functor_A_obj
 from krl.cli import run_cli
 from krl.errors import (IncompleteTable, ParseError, SpecFileError,
                         UnknownElement)
-from krl.fixtures import aks3, heyting3, l2
+from krl.fixtures import aks3, heyting3, identity_interior, l2
 from krl.implicative import ImplicativeAlgebra, ImplicativeStructure
 from krl.interior import InteriorOperator
 from krl.morphism import DensityCertificate, MorphismSpec, identity_morphism
-from krl.order import ExplicitLattice
-from krl.specfile import (Workspace, document_for, emit_spec, parse_spec,
+from krl.order import ExplicitLattice, PowersetLattice
+from krl.specfile import (SpecDocument, Workspace, document_for, emit_spec, parse_spec,
                           tokenize)
 from specfile_oracles import char_loop_tokenize
 
@@ -109,6 +112,9 @@ SHAPE_HEADERS = {
     ("aks", "S: a b", "bad entry in 'S': a b (line 2)"),
     ("morphism", "hint-t: a ; b", "section 'hint-t' takes a single element (line 2)"),
     ("morphism", "hint-r: a b", "bad entry in 'hint-r': a b (line 2)"),
+    # as many tokens as whole entries, but a ';' out of place
+    ("aks", "perp: a b c ; d", "bad entry in 'perp': a b c (line 2)"),
+    ("ia", "k: a b ;", "bad entry in 'k': a b (line 2)"),
 ])
 def test_shape_error_messages(kind, line, message):
     with pytest.raises(ParseError) as exc:
@@ -250,6 +256,74 @@ def test_quoted_names_may_not_hold_a_quote(header):
     assert exc.value.line == 1 and "expected a quoted name" in str(exc.value)
 
 
+@pytest.mark.parametrize("kind,section", [("lattice", "elements: -> e1\norder: -> <= e1"),
+                                           ("aks", "pi: a <=")])
+def test_arrows_are_never_declared(kind, section, tmp_path, capsys):
+    token = section.split()[1 if kind == "lattice" else 2]
+    key = section.split(":")[0]
+    message = f"bad entry in '{key}': {token} is never a name (line 2)"
+    text = SHAPE_HEADERS[kind] + section + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_spec(text)
+    assert str(exc.value) == message
+    path = tmp_path / "arrows.krl"
+    path.write_text(text)
+    assert run_cli(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_emission_refuses_a_name_that_does_not_read_back():
+    split = ExplicitLattice(["a b", "c"], [0b11, 0b10])
+    with pytest.raises(SpecFileError, match="cannot emit 'a b' as an element name"):
+        emit_spec(document_for(split, "x"))
+    twice = ExplicitLattice(["a", "a"], [0b11, 0b10])
+    with pytest.raises(SpecFileError, match="cannot emit 'a' twice as an element name"):
+        emit_spec(document_for(twice, "x"))
+    for name in ('a"b', "a#b", "a\nb"):
+        with pytest.raises(SpecFileError, match=re.escape(f"cannot emit {name!r}")):
+            emit_spec(document_for(l2(), name))
+    f = identity_morphism(l2(), "ia")
+    with pytest.raises(SpecFileError, match="'f from g'"):
+        emit_spec(document_for(f, "f from g", source_name="L2", target_name="L2"))
+    with pytest.raises(SpecFileError, match="'L to 2'"):
+        emit_spec(document_for(f, "f", source_name="L to 2", target_name="L2"))
+    # subset names are brace tokens, one token each
+    X = aks3()
+    text = emit_spec(document_for(identity_interior(PowersetLattice(X.names)), "aks3"))
+    assert "{a b}" in text and parse_spec(text).kind == "interior"
+
+
+NAME_PARTS = ["a", "b", " ", ";", "{", "}", "#", "->", "<=", "\n", "\x1c", "\u00a0", '"',
+              " from ", " to "]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(names=st.lists(st.lists(st.sampled_from(NAME_PARTS), max_size=3).map("".join),
+                      min_size=1, max_size=3),
+       quoted=st.lists(st.lists(st.sampled_from(NAME_PARTS), max_size=3).map("".join),
+                       min_size=3, max_size=3))
+def test_an_emitted_document_reads_back_or_is_refused(names, quoted):
+    lattice = ExplicitLattice(names, [1 << a for a in range(len(names))])
+    docs = [document_for(lattice, quoted[0]),
+            document_for(identity_interior(lattice), quoted[1], op_name=quoted[0]),
+            document_for(MorphismSpec("ia", l2(), l2(), (0, 1), quoted[0]), quoted[0],
+                         source_name=quoted[1], target_name=quoted[2])]
+    # '->' and '<=' read back in a map row, but no carrier declares them
+    declarable = not {"->", "<="} & set(names)
+    for doc, names_declarable in zip(docs, (declarable, declarable, True)):
+        # refused exactly when the text, emitted anyway, would not read back
+        with mock.patch.object(specfile, "_check_emitted_names", lambda doc: None):
+            text = emit_spec(doc)
+        try:
+            reads_back = parse_spec(text) == doc and names_declarable
+        except SpecFileError:
+            reads_back = False
+        try:
+            assert emit_spec(doc) == text and reads_back
+        except SpecFileError:
+            assert not reads_back
+
+
 def test_repeated_hint_rows_are_refused():
     ws = Workspace()
     for name in ("heyting3.krl", "l2.krl"):
@@ -282,3 +356,22 @@ def test_reading_a_brace_free_document_costs_no_token_scan(tmp_path, count_calls
     assert run_cli(["apply", str(path), "e20", "e11"]) == 0
     assert capsys.readouterr().out == "e11\n"
     assert counts["index_of"] == 2
+
+
+def test_reading_a_document_sorts_no_section(tmp_path, monkeypatch, capsys):
+    # the canonical form serves emission, equality and error naming: the
+    # read path builds from the sections as written
+    text = emit_spec(document_for(heyting_chain(24), "H24"))
+    ws = Workspace()
+    doc = ws.add_text(text)
+    ws.resolve()
+    assert "sections" not in vars(doc)
+    assert ws.get("H24").structure.rows == heyting_chain(24).structure.rows
+    path = tmp_path / "H24.krl"
+    path.write_text(text)
+
+    def sorted_sections(self):
+        raise AssertionError("the canonical form was computed")
+    monkeypatch.setattr(SpecDocument, "sections", property(sorted_sections))
+    assert run_cli(["apply", str(path), "e20", "e11"]) == 0
+    assert capsys.readouterr().out == "e11\n"
