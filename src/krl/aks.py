@@ -11,10 +11,11 @@ keeps every derived operation word-parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import product
 
 from .errors import UnknownElement
+from .lazy import lazy
 from .order import bits, positions_of
 from .report import Report
 
@@ -33,7 +34,7 @@ class AbstractKrivineStructure:
     def pi_size(self) -> int:
         return len(self.names)
 
-    @cached_property
+    @lazy
     def perp_cols(self) -> tuple[int, ...]:
         cols = [0] * self.pi_size
         for t, row in enumerate(self.perp_rows):
@@ -41,7 +42,7 @@ class AbstractKrivineStructure:
                 cols[pi] |= 1 << t
         return tuple(cols)
 
-    @cached_property
+    @lazy
     def full(self) -> int:
         return (1 << self.pi_size) - 1
 
@@ -54,7 +55,7 @@ class AbstractKrivineStructure:
     def name_mask(self, mask: int) -> str:
         return "{" + " ".join(self.names[i] for i in bits(mask)) + "}"
 
-    @cached_property
+    @lazy
     def _positions(self) -> dict[str, int]:
         return positions_of(self.names)
 
@@ -64,7 +65,7 @@ class AbstractKrivineStructure:
             raise UnknownElement(name, "the carrier")
         return got
 
-    @cached_property
+    @lazy
     def closed_masks(self) -> tuple[int, ...]:
         """The bar-closed subsets, in ascending order: perp_right of every
         set perp_left(P).  Those sets are the intersections of the
@@ -79,32 +80,44 @@ class AbstractKrivineStructure:
                     todo.append(c & col)
         return tuple(sorted(perp_right(self, c) for c in classes))
 
-    @cached_property
+    @lazy
     def class_points(self) -> dict[int, tuple[int, ...]]:
         """The point table of each perp class c met so far: at each point
         pi, the mask of every t.pi with t in c.  Filled by
         :func:`class_table`."""
         return {}
 
-    @cached_property
+    @lazy
     def mask_points(self) -> dict[int, tuple[int, ...]]:
         """The point table of the perp class of each mask met so far, so
         that a mask asked again needs no perp_left.  Filled by
         :func:`_class_table`."""
         return {}
 
-    @cached_property
+    @lazy
     def verdict(self) -> Report:
         """The report of :func:`validate_aks`, computed once per structure.
         Read it, do not change it: the validator hands out copies."""
         return _aks_report(self)
 
-    @cached_property
+    @lazy
+    def perp_lefts(self) -> tuple[int, ...]:
+        """perp_left of every mask, by mask: each one AND away from the
+        mask without its lowest point.  The loops over every mask read it;
+        :func:`perp_left` stays for single masks, as the carrier of a K(L)
+        may be too large to list its subsets."""
+        cols, out = self.perp_cols, [self.full]
+        for m in range(1, 1 << self.pi_size):
+            low = m & -m
+            out.append(out[m ^ low] & cols[low.bit_length() - 1])
+        return tuple(out)
+
+    @lazy
     def separator_masks(self) -> tuple[int, ...]:
         """The separator of the realizability algebra, in ascending order:
         every subset that some quasi-proof is orthogonal to."""
-        return tuple(m for m in range(1 << self.pi_size)
-                     if perp_left(self, m) & self.qp)
+        qp = self.qp
+        return tuple(m for m, left in enumerate(self.perp_lefts) if left & qp)
 
 
 def perp_left(aks: AbstractKrivineStructure, right_mask: int) -> int:

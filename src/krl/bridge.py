@@ -14,13 +14,14 @@ element to its singleton, and the triangle identities hold on the nose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
 from .errors import InvalidSource, SizeLimitExceeded
 from .implicative import (ImplicativeAlgebra, ImplicativeStructure, _algebra_report,
                           _valid_algebra_report, combinator_i, validate_algebra)
+from .lazy import lazy
 from .morphism import DensityCertificate, MorphismSpec, check_applicative
 from .order import PowersetLattice, bits, unpreserved_meet, upward_closure
 from .report import Report
@@ -73,13 +74,12 @@ class PowersetStructure(ImplicativeStructure):
                          app=lambda p, q: aksmod.app_sets(aks, p, q))
         object.__setattr__(self, "aks", aks)
 
-    @cached_property
+    @lazy
     def classes(self) -> tuple[int, ...]:
         first: dict[int, int] = {}
-        return tuple(first.setdefault(aksmod.perp_left(self.aks, p), p)
-                     for p in self.lattice.elements())
+        return tuple(first.setdefault(left, p) for p, left in enumerate(self.aks.perp_lefts))
 
-    @cached_property
+    @lazy
     def verdict(self) -> Report:
         """The report of ``validate_structure``, which passes on every X.
         Meets are unions, and P -> Q is the union, over the points of Q, of
@@ -95,7 +95,7 @@ class PowersetStructure(ImplicativeStructure):
         rep.flag("quasi-implicative", False)
         return rep
 
-    @cached_property
+    @lazy
     def adjoint(self) -> bool:
         """True on every X, valid or not: application is left adjoint to
         implication.  ``app_sets(P, Q)`` holds the pi with t.pi in P for
@@ -109,7 +109,7 @@ class PowersetStructure(ImplicativeStructure):
 class PowersetAlgebra(ImplicativeAlgebra):
     """A(X), built by :func:`powerset_algebra`."""
 
-    @cached_property
+    @lazy
     def verdict(self) -> Report:
         """The report of ``validate_algebra``.  When X passes
         ``validate_aks``, A(X) is valid (``composite_KA_check`` proves it),

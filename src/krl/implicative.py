@@ -10,10 +10,10 @@ values.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import product
 
 from .errors import VerificationFailed
+from .lazy import lazy
 from .order import (ExplicitLattice, FiniteLattice, unpreserved_pair, up_preimages,
                     upward_closure)
 from .report import Report
@@ -84,7 +84,7 @@ class ImplicativeStructure:
             acc = self.application(acc, e)
         return acc
 
-    @cached_property
+    @lazy
     def classes(self) -> tuple[int, ...]:
         """For each element a, the least element known to share both its
         row b -> a->b and its application column x -> x a.  Nothing is known
@@ -92,13 +92,13 @@ class ImplicativeStructure:
         as a powerset algebra, says so by overriding this."""
         return tuple(self.lattice.elements())
 
-    @cached_property
+    @lazy
     def representatives(self) -> tuple[int, ...]:
         """The least element of each class, ascending: a clause that reads a
         only through its row or its column runs once per entry."""
         return tuple(a for a, c in enumerate(self.classes) if a == c)
 
-    @cached_property
+    @lazy
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The row b -> a->b of every a: the table given to ``__init__``, whose
         classes are the identity, or else computed once per representative."""
@@ -108,7 +108,7 @@ class ImplicativeStructure:
         computed = {a: tuple(self.imp(a, b) for b in elems) for a in self.representatives}
         return tuple(computed[c] for c in self.classes)
 
-    @cached_property
+    @lazy
     def distinct_rows(self) -> dict[tuple[int, ...], int]:
         """Each distinct row b -> a->b, mapped to the first a that has it, in
         order of that a.  A clause that reads a only through its row runs
@@ -124,12 +124,12 @@ class ImplicativeStructure:
     # The verdicts below are computed once per structure, on first read.
     # Read them, do not change them: the validators hand out copies.
 
-    @cached_property
+    @lazy
     def verdict(self) -> Report:
         """The report of :func:`validate_structure`."""
         return _structure_report(self)
 
-    @cached_property
+    @lazy
     def k_bound(self) -> int:
         """:func:`combinator_k`: :func:`_k_fold` on an implicative structure."""
         if self.verdict.ok:
@@ -137,14 +137,14 @@ class ImplicativeStructure:
         L, rows = self.lattice, self.rows
         return L.meet([rows[a][rows[b][a]] for a in L.elements() for b in L.elements()])
 
-    @cached_property
+    @lazy
     def s_bound(self) -> int:
         """:func:`combinator_s`: :func:`_s_fold` over the meet-irreducibles on
         an implicative structure, over every element otherwise."""
         L = self.lattice
         return _s_fold(self, L.meet_irreducibles if self.verdict.ok else L.elements())
 
-    @cached_property
+    @lazy
     def cc_bound(self) -> int:
         """:func:`combinator_cc`: :func:`_cc_fold` on an implicative structure."""
         if self.verdict.ok:
@@ -156,7 +156,7 @@ class ImplicativeStructure:
                 acc = L.meet2(acc, rows[rows[rows[a][b]][a]][a])
         return acc
 
-    @cached_property
+    @lazy
     def adjoint(self) -> bool:
         """The verdict of :func:`_application_is_adjoint`, on a lattice.
 
@@ -251,11 +251,17 @@ class ImplicativeAlgebra:
     k = property(lambda self: self._k)
     s = property(lambda self: self._s)
 
-    @cached_property
+    @lazy
     def verdict(self) -> Report:
         """The report of :func:`validate_algebra`, computed once per algebra.
         Read it, do not change it: the validator hands out copies."""
         return _algebra_report(self)
+
+    @lazy
+    def changes(self) -> dict:
+        """The change of this algebra along each interior operator asked so
+        far, by operator; filled by ``interior._changed_algebra``."""
+        return {}
 
     @property
     def lattice(self) -> FiniteLattice:

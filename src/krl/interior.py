@@ -13,12 +13,12 @@ are both computationally dense, with explicit witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import (HypothesisFailed, InvalidClosedPart, NotAlexandroff,
                      VerificationFailed)
 from .implicative import (ImplicativeAlgebra, ImplicativeStructure,
                           combinator_i, combinator_nu, validate_algebra)
+from .lazy import lazy
 from .morphism import DensityCertificate, MorphismSpec
 from .order import (ExplicitLattice, FiniteLattice, PowersetLattice, bits,
                     first_failing_pair, unpreserved_meet)
@@ -240,40 +240,33 @@ def _al_approx_general(op: InteriorOperator) -> InteriorOperator:
     return _join_interior(L, members)
 
 
-class ChangedAlgebra:
-    """An algebra on the open elements of a compatible operator.
+class _Change:
+    """The change of an algebra along a compatible operator, built once per
+    algebra and operator (by value) and kept on the algebra
+    (``ImplicativeAlgebra.changes``).  It holds the base's structure but not
+    the base itself, so that the base keeps no reference back to itself;
+    :class:`ChangedAlgebra` adds the base."""
 
-    ``opens`` lists the open elements by their base ids; ``algebra`` is
-    the induced algebra on the re-indexed open carrier.  ``i_comb`` and
-    ``nu`` are the base algebra's identity and composition combinators.
-    """
-
-    def __init__(self, base: ImplicativeAlgebra, iota: InteriorOperator,
-                 opens, algebra: ImplicativeAlgebra,
+    def __init__(self, structure: ImplicativeStructure, iota: InteriorOperator,
+                 opens: tuple[int, ...], to_sub: dict[int, int], algebra: ImplicativeAlgebra,
                  strong_imp_condition: bool, i_comb: int, nu: int):
-        self.base = base
+        self.structure = structure
         self.iota = iota
-        self.opens = tuple(opens)
+        self.opens = opens
+        self.to_sub = to_sub
         self.algebra = algebra
         self.strong_imp_condition = strong_imp_condition
         self.i_comb = i_comb
         self.nu = nu
-        self.to_sub = {b: i for i, b in enumerate(self.opens)}
 
-    @cached_property
+    @lazy
     def closure(self) -> tuple[int, ...]:
-        """The closure whose fixed points are the opens
-        (:func:`closure_from_interior`)."""
         return _alexandroff_closure(self.iota)
 
-    @cached_property
+    @lazy
     def report(self) -> Report:
-        """The verification of the change: the changed algebra validates,
-        and its application is the closure of the base application on every
-        open pair.  :func:`change_implication` computes it before it
-        returns."""
-        L, st, opens, to_sub = self.base.lattice, self.base.structure, self.opens, self.to_sub
-        closure, algebra = self.closure, self.algebra
+        st, opens, to_sub = self.structure, self.opens, self.to_sub
+        L, closure, algebra = st.lattice, self.closure, self.algebra
         report = validate_algebra(algebra)
         report.name = "changed-algebra"
         witness = next((f"({L.name(a)}, {L.name(b)})" for a in opens for b in opens
@@ -282,6 +275,44 @@ class ChangedAlgebra:
         report.check("change.application-is-closure", witness is None, witness)
         report.flag("imp-invariance", self.strong_imp_condition)
         return report
+
+
+class ChangedAlgebra:
+    """An algebra on the open elements of a compatible operator.
+
+    ``opens`` lists the open elements by their base ids; ``algebra`` is
+    the induced algebra on the re-indexed open carrier.  ``i_comb`` and
+    ``nu`` are the base algebra's identity and composition combinators.
+    Everything but ``base`` is read off the change kept on the base
+    (``_Change``), so every ChangedAlgebra of one base and operator shares
+    one changed algebra and one report.
+    """
+
+    def __init__(self, base: ImplicativeAlgebra, change: _Change):
+        self.base = base
+        self._change = change
+
+    iota = property(lambda self: self._change.iota)
+    opens = property(lambda self: self._change.opens)
+    algebra = property(lambda self: self._change.algebra)
+    strong_imp_condition = property(lambda self: self._change.strong_imp_condition)
+    i_comb = property(lambda self: self._change.i_comb)
+    nu = property(lambda self: self._change.nu)
+    to_sub = property(lambda self: self._change.to_sub)
+
+    @property
+    def closure(self) -> tuple[int, ...]:
+        """The closure whose fixed points are the opens
+        (:func:`closure_from_interior`)."""
+        return self._change.closure
+
+    @property
+    def report(self) -> Report:
+        """The verification of the change: the changed algebra validates,
+        and its application is the closure of the base application on every
+        open pair.  :func:`change_implication` computes it before it
+        returns."""
+        return self._change.report
 
     @property
     def k_iota(self) -> int:
@@ -341,46 +372,66 @@ def change_implication(base: ImplicativeAlgebra, iota: InteriorOperator) -> Chan
 
 
 def _changed_algebra(base: ImplicativeAlgebra, iota: InteriorOperator) -> ChangedAlgebra:
-    """:func:`change_implication` without the verification."""
+    """:func:`change_implication` without the verification.  The change is
+    built once per base and operator (``_build_change``), whichever of
+    :func:`change_implication` and :func:`density_certificates` asks first."""
+    change = base.changes.get(iota)
+    if change is None:
+        change = base.changes[iota] = _build_change(base, iota)
+    return ChangedAlgebra(base, change)
+
+
+def _build_change(base: ImplicativeAlgebra, iota: InteriorOperator) -> _Change:
+    """Check the three hypotheses and build the changed algebra, whose
+    implication is the interior of the base rows at the opens."""
     L = base.lattice
     st = base.structure
+    t = iota.table
     alex, witness = is_alexandroff(iota)
     if not alex:
         raise HypothesisFailed("alexandroff", f"family {witness}")
     for s in sorted(base.separator):
-        if iota.table[s] not in base.separator:
+        if t[s] not in base.separator:
             raise HypothesisFailed("compatibility", L.name(s))
 
-    strong = all(st.imp(iota.table[a], b) == st.imp(a, b)
-                 for a in L.elements() for b in L.elements())
+    strong = _imp_invariant(st, t)
 
     i_comb = combinator_i(st)
     if not strong:
         for a in L.elements():
-            if not L.leq(st.application(i_comb, a), iota.table[a]):
+            if not L.leq(st.application(i_comb, a), t[a]):
                 raise HypothesisFailed("i-bound", L.name(a))
 
-    opens = tuple(a for a in L.elements() if iota.table[a] == a)
+    opens = tuple(a for a in L.elements() if t[a] == a)
     to_sub = {b: i for i, b in enumerate(opens)}
     sub = ExplicitLattice.from_leq([L.name(a) for a in opens],
                                    lambda i, j: L.leq(opens[i], opens[j]))
-    sub_imp = tuple(
-        tuple(to_sub[iota.table[st.imp(a, b)]] for b in opens) for a in opens)
+    rows = st.rows
+    sub_imp = tuple(tuple(to_sub[t[rows[a][b]]] for b in opens) for a in opens)
     sub_structure = ImplicativeStructure(sub, sub_imp)
-    sub_separator = frozenset(to_sub[iota.table[s]] for s in base.separator)
+    sub_separator = frozenset(to_sub[t[s]] for s in base.separator)
 
     nu = combinator_nu(base)
-    k_iota = iota.table[st.apply_chain(nu, i_comb, base.k)]
+    k_iota = t[st.apply_chain(nu, i_comb, base.k)]
     nu_i = st.application(nu, i_comb)
-    s_iota = iota.table[st.apply_chain(nu, st.application(nu_i, nu_i), base.s)]
+    s_iota = t[st.apply_chain(nu, st.application(nu_i, nu_i), base.s)]
     algebra = ImplicativeAlgebra(sub_structure, sub_separator,
                                  to_sub[k_iota], to_sub[s_iota])
-    return ChangedAlgebra(base, iota, opens, algebra, strong, i_comb, nu)
+    return _Change(st, iota, opens, to_sub, algebra, strong, i_comb, nu)
+
+
+def _imp_invariant(st: ImplicativeStructure, table) -> bool:
+    """Whether iota(a) -> b = a -> b for every a and b, iota given by its
+    table.  Each side reads its first argument x only through its row
+    b -> (x -> b), so the row of iota(a) is compared with the row of a, one
+    comparison per element instead of one implication per pair."""
+    rows = st.rows
+    return all(rows[x] == rows[a] for a, x in enumerate(table))
 
 
 def density_certificates(base: ImplicativeAlgebra, iota: InteriorOperator):
     """The two computationally dense maps around the algebra changed along
     ``iota``; see :meth:`ChangedAlgebra.density_certificates`.  The changed
-    algebra is built but not verified: that report is
-    :func:`change_implication`'s."""
+    algebra is the one :func:`change_implication` builds, and is not
+    verified here: that report is :func:`change_implication`'s."""
     return _changed_algebra(base, iota).density_certificates()

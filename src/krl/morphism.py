@@ -7,7 +7,8 @@ density realizer.  Applicativity has one checker, whose clauses differ
 by kind.  Where the adjunction between application and implication
 allows, the realizers are read off a bound instead of trying candidates:
 a structure map into a powerset algebra A(Y) takes the least separator
-element below the meet of every f(s) -> f(a) -> f(sa) (into other
+element below the meet of every f(s) -> f(a) -> f(sa), computed once
+per map, which also decides whether a given r is uniform (into other
 algebras each candidate is tried), and a carrier map intersects one
 perp_left per perp class of its targets, not one per pair of source
 subsets.  Density has one verifier and one search for both kinds:
@@ -25,11 +26,12 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 from . import aks as aksmod
 from .aks import AbstractKrivineStructure
 from .errors import ComposabilityError, KrlError, SearchBudgetExceeded, VerificationFailed
+from .lazy import lazy
 from .order import PowersetLattice, bits, unpreserved_meet
 from .report import Report
 
@@ -60,11 +62,31 @@ class MorphismSpec:
         # checks; none until then (see verify_certificate)
         object.__setattr__(self, "uniform_realizers", frozenset())
 
-    @cached_property
+    @lazy
     def verdict(self) -> Report:
         """The report of :func:`check_applicative`, computed once per map.
         Read it, do not change it: the checkers hand out copies."""
         return (_applicative_ia if self.kind == "ia" else _applicative_aks)(self)
+
+    @lazy
+    def uniform_bound(self) -> int | None:
+        """On a structure map into a powerset algebra A(Y), the meet M of
+        every f(s) -> f(a) -> f(sa), s in the source separator; None on any
+        other map.  Application on A(Y) is left adjoint to implication
+        (``PowersetStructure.adjoint``), so r f(s) f(a) <= f(sa) exactly
+        when r <= f(s) -> f(a) -> f(sa): r is uniform exactly when r <= M.
+        Each term reads a only through the application column x -> x a of
+        the source and the row of f(a) in the target, so a runs over one
+        representative per pair of classes."""
+        A, B, c = self.source, self.target, self.carrier
+        if not (self.kind == "ia" and isinstance(B.lattice, PowersetLattice)
+                and B.structure.verdict.ok and B.structure.adjoint):
+            return None
+        reps = {}
+        for a in A.lattice.elements():
+            reps.setdefault((A.structure.classes[a], B.structure.classes[c[a]]), a)
+        return B.lattice.meet({B.imp(c[s], B.imp(c[a], c[A.application(s, a)]))
+                               for s in A.separator for a in reps.values()})
 
     def __call__(self, x: int) -> int:
         return self.carrier[x]
@@ -72,7 +94,7 @@ class MorphismSpec:
     def image_mask(self, mask: int) -> int:
         return self.images[mask]
 
-    @cached_property
+    @lazy
     def images(self) -> tuple[int, ...]:
         """The image of every source mask of a carrier map, each one union
         away from the mask without its lowest point."""
@@ -140,27 +162,16 @@ def _applicative_ia(f: MorphismSpec) -> Report:
 
 
 def _applicative_realizer(f: MorphismSpec) -> int | None:
-    """Least r in the target separator with r f(s) f(a) <= f(sa).
-
-    Where the target's application is left adjoint to its implication,
-    r x y <= z exactly when r <= x -> y -> z, so r works exactly when it
-    lies below the meet M of every f(s) -> f(a) -> f(sa), and the least r
-    below M is the answer.  Each term reads a only through the application
-    column x -> x a of the source and the row of f(a) in the target, so a
-    runs over one representative per pair of classes.  This is asked on a
-    powerset target only, where the structure is implicative and
-    application the adjoint by construction (``PowersetStructure``); on
-    other targets each candidate r is tried against every (s, a)."""
+    """Least r in the target separator with r f(s) f(a) <= f(sa).  Into a
+    powerset algebra that is the least r below f's uniform bound
+    (``MorphismSpec.uniform_bound``); into other algebras each candidate r
+    is tried against every (s, a)."""
     A, B = f.source, f.target
     lb = B.lattice
-    c = f.carrier
-    if isinstance(lb, PowersetLattice) and B.structure.verdict.ok and B.structure.adjoint:
-        reps = {}
-        for a in A.lattice.elements():
-            reps.setdefault((A.structure.classes[a], B.structure.classes[c[a]]), a)
-        bound = lb.meet({B.imp(c[s], B.imp(c[a], c[A.application(s, a)]))
-                         for s in A.separator for a in reps.values()})
+    bound = f.uniform_bound
+    if bound is not None:
         return next((r for r in sorted(B.separator) if lb.leq(r, bound)), None)
+    c = f.carrier
     pairs = [(c[s], c[a], c[A.application(s, a)])
              for s in sorted(A.separator) for a in A.lattice.elements()]
     for r in sorted(B.separator):
@@ -175,10 +186,10 @@ def _applicative_realizer(f: MorphismSpec) -> int | None:
 def _family_keys(f: MorphismSpec) -> dict[tuple[int, int], int]:
     """The least P' of each key (perp_left(P'), perp_left(f P')), by key,
     in the order of those P'."""
-    A, B, images = f.source, f.target, f.images
+    lefts_b, images = f.target.perp_lefts, f.images
     keys: dict[tuple[int, int], int] = {}
-    for p2 in range(1 << A.pi_size):
-        keys.setdefault((aksmod.perp_left(A, p2), aksmod.perp_left(B, images[p2])), p2)
+    for p2, left in enumerate(f.source.perp_lefts):
+        keys.setdefault((left, lefts_b[images[p2]]), p2)
     return keys
 
 
@@ -205,7 +216,7 @@ def _uniform_family(f: MorphismSpec):
                 continue
             tgt = aksmod.imp_sets(
                 B, f.image_mask(src_imp), aksmod.imp_sets(B, fp2, f.image_mask(p)))
-            yield p2, p, aksmod.perp_left(B, tgt)
+            yield p2, p, B.perp_lefts[tgt]
 
 
 def _uniform_fold(f: MorphismSpec) -> tuple[int, bool]:
@@ -238,14 +249,15 @@ def _uniform_fold(f: MorphismSpec) -> tuple[int, bool]:
             e = src[p] = src[rest] | src_points[i]
             inner[p] = inner[rest] | inner_points[carrier[i]]
             inner_by_src[e] = inner_by_src.get(e, 0) | inner[p]
+    lefts_b = B.perp_lefts
     inner_by_class: dict[int, int] = {}
     for e, z in inner_by_src.items():
         if e in sep_a:
-            c = aksmod.perp_left(B, images[e])
+            c = lefts_b[images[e]]
             inner_by_class[c] = inner_by_class.get(c, 0) | z
     acc = B.qp
     for c, z in inner_by_class.items():
-        acc &= aksmod.perp_left(B, aksmod.union_over(aksmod.class_table(B, c), z))
+        acc &= lefts_b[aksmod.union_over(aksmod.class_table(B, c), z)]
     # P = {} gives P' -> P = {}, in the separator when QP is nonempty, and
     # realized by every term
     return acc, 0 in sep_a or bool(inner_by_class)
@@ -287,8 +299,10 @@ def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
     been computed and shows r uniform: on a structure map r is the least
     realizer it found, which passed the same test on every (s, a); on a
     carrier map r lies in the intersection it folded over the whole
-    family, so r realizes every member.  Otherwise the scan decides and
-    names the first failure."""
+    family, so r realizes every member.  Otherwise, on a structure map into
+    a powerset algebra, r is uniform exactly when it lies below f's bound
+    (``MorphismSpec.uniform_bound``); elsewhere the scan decides.  The scan
+    runs to name the first failure."""
     d = _density(f)
     lt, ls = d.target, d.source
     rep = Report(f"certificate({f.name})")
@@ -396,6 +410,10 @@ def _density(f: MorphismSpec) -> _Density:
             return lt.leq(B.application(t, f(s)), b)
 
         def uniform_failures(r):
+            # r below the bound is uniform; the scan runs only to name a failure
+            bound = f.uniform_bound
+            if bound is not None and lt.leq(r, bound):
+                return iter(())
             return (f"(s={ls.name(s)}, a={ls.name(a)})"
                     for s in sorted(A.separator) for a in ls.elements()
                     if not lt.leq(B.apply_chain(r, f(s), f(a)), f(A.application(s, a))))
@@ -403,7 +421,7 @@ def _density(f: MorphismSpec) -> _Density:
                         dense, "in-separator", lt.name, lt.name_set, uniform_failures)
 
     def dense(t, s, b):
-        return aksmod.perp_left(B, aksmod.imp_sets(B, f.image_mask(s), b)) >> t & 1
+        return B.perp_lefts[aksmod.imp_sets(B, f.image_mask(s), b)] >> t & 1
 
     def uniform_failures(r):
         return (f"(P'={ls.name(p2)}, P={ls.name(p)})"

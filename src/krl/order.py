@@ -10,9 +10,9 @@ scanning lower bounds.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 
 from .errors import LatticeError
+from .lazy import lazy
 from .report import Report
 
 
@@ -61,14 +61,14 @@ class FiniteLattice:
     def join2(self, a: int, b: int) -> int:
         return self.join((a, b))
 
-    @cached_property
+    @lazy
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Every pair (a, b) where b covers a (b is above a, nothing lies
         strictly between), grouped by a in ascending order.  On a finite
         order, <= is the reflexive-transitive closure of these steps."""
         raise NotImplementedError
 
-    @cached_property
+    @lazy
     def lower_covers(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Each element but the bottom with the elements it covers, along
         a linear extension: an element comes after every element below it."""
@@ -86,19 +86,19 @@ class FiniteLattice:
                     order.append(u)
         return tuple((a, tuple(lower[a])) for a in order if lower[a])
 
-    @cached_property
+    @lazy
     def verdict(self) -> Report:
         """The report of :func:`validate_lattice`, computed once per lattice
         object.  Read it, do not change it: the validator hands out copies."""
         return _lattice_report(self)
 
-    @cached_property
+    @lazy
     def order_failures(self) -> tuple:
         """The failed clauses of :func:`validate_lattice`: every validator
         that needs the order reads this verdict."""
         return tuple(validate_lattice(self).failures())
 
-    @cached_property
+    @lazy
     def meet_irreducibles(self) -> tuple[int, ...]:
         """The elements with exactly one upper cover, ascending.  On a
         finite lattice every element but the top is the meet of those
@@ -156,7 +156,7 @@ class ExplicitLattice(FiniteLattice):
     def _full(self) -> int:
         return (1 << self.size) - 1
 
-    @cached_property
+    @lazy
     def down(self) -> tuple[int, ...]:
         down = [0] * self.size
         for a in range(self.size):
@@ -195,7 +195,7 @@ class ExplicitLattice(FiniteLattice):
         """All (a, b) with a <= b and a != b, in ascending order."""
         return [(a, b) for a in range(self.size) for b in bits(self.up[a]) if a != b]
 
-    @cached_property
+    @lazy
     def covers(self) -> tuple[tuple[int, int], ...]:
         # b in above(a) is a cover unless some other c in above(a) has b
         # strictly above it, so the covers are above(a) minus every above(c)
@@ -213,7 +213,7 @@ class ExplicitLattice(FiniteLattice):
         """Whether the order check has run and passed; asking runs no check."""
         return self._greatest_of_down_set is not None
 
-    @cached_property
+    @lazy
     def least_of_up_set(self) -> dict[int, int]:
         """Each principal up-set ``up[m]``, mapped to its least element m.
         On an order that passed its checks the masks are distinct, by
@@ -308,7 +308,7 @@ class ExplicitLattice(FiniteLattice):
     def name(self, a: int) -> str:
         return self.names[a]
 
-    @cached_property
+    @lazy
     def _positions(self) -> dict[str, int]:
         return positions_of(self.names)
 
@@ -362,7 +362,7 @@ class PowersetLattice(FiniteLattice):
     def meet2(self, a: int, b: int) -> int:
         return a | b
 
-    @cached_property
+    @lazy
     def covers(self) -> tuple[tuple[int, int], ...]:
         # a step up removes one element of the subset
         return tuple((a, a & ~(1 << i)) for a in range(self.size) for i in bits(a))
@@ -385,13 +385,17 @@ class PowersetLattice(FiniteLattice):
         text = name.strip()
         if not (text.startswith("{") and text.endswith("}")):
             raise LatticeError(f"'{name}' is not a subset name")
-        mask = 0
+        positions, mask = self._positions, 0
         for part in text[1:-1].replace(",", " ").split():
-            try:
-                mask |= 1 << self.base_names.index(part)
-            except ValueError:
-                raise LatticeError(f"unknown base element '{part}' in '{name}'") from None
+            got = positions.get(part)
+            if got is None:
+                raise LatticeError(f"unknown base element '{part}' in '{name}'")
+            mask |= 1 << got
         return mask
+
+    @lazy
+    def _positions(self) -> dict[str, int]:
+        return positions_of(self.base_names)
 
     def __eq__(self, other):
         return isinstance(other, PowersetLattice) and self.base_names == other.base_names

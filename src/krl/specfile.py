@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 
 from .aks import AbstractKrivineStructure
@@ -30,6 +29,7 @@ from .bridge import PowersetStructure, functor_A_obj
 from .errors import IncompleteTable, KrlError, ParseError, SpecFileError, UnknownElement
 from .implicative import ImplicativeAlgebra, ImplicativeStructure
 from .interior import InteriorOperator
+from .lazy import lazy
 from .morphism import DensityCertificate, MorphismSpec, table_lattices
 from .order import ExplicitLattice, PowersetLattice, bits
 
@@ -89,7 +89,7 @@ class SpecDocument:
     source_name: str | None = None
     target_name: str | None = None
 
-    @cached_property
+    @lazy
     def sections(self) -> tuple:
         """The canonical form: ((key, (entry, ...)), ...), entry = token
         tuple, the entries of every section but a carrier's sorted."""
@@ -101,7 +101,7 @@ class SpecDocument:
             out.append((key, tuple(entries)))
         return tuple(out)
 
-    @cached_property
+    @lazy
     def ids(self) -> dict:
         """The sections of a structure document with its names as ids (see
         :func:`_read_ids`).  On a fault, the first one in canonical order is

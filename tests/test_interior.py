@@ -1,6 +1,8 @@
 """Interior operators, the open-set correspondence, approximation, and
 implication change."""
 
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -8,12 +10,12 @@ import pytest
 from krl import interior
 from krl.aks import bar_closure
 from krl.bridge import functor_A_obj
-from krl.enumerators import enumerate_interiors, enumerate_lattices
+from krl.enumerators import enumerate_implications, enumerate_interiors, enumerate_lattices
 from krl.errors import HypothesisFailed, InvalidClosedPart, NotAlexandroff
 from krl.fixtures import (aks3, bar_interior, diamond, diamond_open_x_interior,
                           double_diamond, hat_interior, heyting3,
                           identity_interior, l2, polarity3)
-from krl.implicative import combinator_i
+from krl.implicative import ImplicativeStructure, combinator_i
 from krl.interior import (ClosedPart, InteriorOperator, al_approx,
                           change_implication, closure_from_interior,
                           density_certificates, is_alexandroff, is_topological,
@@ -25,6 +27,7 @@ from krl.order import PowersetLattice, bits
 from interior_oracles import (alexandroff_interiors, interior_tables,
                               oracle_lattices, scan_join_interior,
                               subset_scan_interiors)
+from powerset_oracles import scanned_imp_invariance
 
 
 def test_identity_operator_is_alexandroff():
@@ -275,6 +278,28 @@ def test_interior_invariance_lemma_consequences():
         assert L.leq(hat.table[a], a)
         for b in L.elements():
             assert st.application(a, hat.table[b]) == st.application(a, b)
+
+
+def test_imp_invariance_by_rows_matches_the_scan():
+    # every operator on every lattice of at most 4 elements, under every
+    # implication of the lattices up to 3 elements and a drawn sample of
+    # those of 4
+    rng = random.Random(7)
+    verdicts = Counter()
+    for n in range(1, 5):
+        for L in enumerate_lattices(n):
+            imps = list(enumerate_implications(L))
+            if n == 4:
+                imps = rng.sample(imps, 2000)
+            ops = list(enumerate_interiors(L))
+            for table in imps:
+                st = ImplicativeStructure(L, table)
+                for op in ops:
+                    got = interior._imp_invariant(st, op.table)
+                    assert got == scanned_imp_invariance(st, op), (L.up, table, op.table)
+                    verdicts[got, op.table == tuple(L.elements())] += 1
+    # the identity always, other operators both ways
+    assert set(verdicts) == {(True, True), (True, False), (False, False)}
 
 
 def test_density_certificates_identity_interior():

@@ -1,6 +1,7 @@
 """Morphism checkers, certificate search, composition, and 2-cells."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,14 +10,16 @@ from krl import aks as aksmod
 from krl import morphism
 from krl.aks import full_polarity_aks
 from krl.bridge import functor_A_mor, powerset_algebra
-from krl.errors import ComposabilityError, SearchBudgetExceeded
-from krl.fixtures import (aks2, aks3, diamond, heyting3, l2, mined_corpus,
-                          singleton_algebra)
+from krl.errors import ComposabilityError, HypothesisFailed, SearchBudgetExceeded
+from krl.fixtures import (aks2, aks3, bar_interior, diamond, hat_interior, heyting3,
+                          identity_interior, l2, mined_corpus, singleton_algebra)
+from krl.interior import density_certificates
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
                           check_comp_dense, compose, identity_morphism,
                           two_cell_leq, verify_certificate)
 
 from condition2_oracles import check_condition2_equiv
+from powerset_oracles import mined_by_algebra, scanned_uniform_failures
 from test_powerset import random_structures
 
 
@@ -340,6 +343,37 @@ def test_the_realizer_bound_into_a_powerset_matches_the_candidate_scan():
     # realizers found and missing, on applicative maps and on others
     assert None in found[28:] and any(r is not None for r in found[28:])
     assert 0 < sum(check_applicative(f).ok for f in drawn) < len(drawn)
+
+
+def inclusion_maps(structures):
+    """The inclusion of the changed algebra of A(X) along the bar, hat and
+    identity operators of each X, where the change succeeds."""
+    for aks in structures:
+        A = powerset_algebra(aks)
+        for op in (bar_interior(aks), hat_interior(aks), identity_interior(A.lattice)):
+            try:
+                yield density_certificates(A, op)[0][0]
+            except HypothesisFailed:
+                pass
+
+
+def test_the_uniform_bound_decides_r_uniform_as_the_scan():
+    aks = aks3()
+    images = [functor_A_mor(f) for f in (MorphismSpec("aks", aks, aks, carrier)
+                                         for carrier in product(range(3), repeat=3))
+              if check_applicative(f).ok]
+    inclusions = list(inclusion_maps(mined_corpus() + mined_by_algebra()))
+    assert (len(images), len(inclusions)) == (12, 199)
+    verdicts = Counter()
+    for f in images + inclusions:
+        assert f.uniform_bound is not None
+        failures = morphism._density(f).uniform_failures
+        for r in sorted(f.target.separator):
+            scanned = scanned_uniform_failures(f, r)
+            assert next(failures(r), None) == (scanned[0] if scanned else None)
+            verdicts[not scanned] += 1
+    # uniform and not uniform r, by the bound alone
+    assert verdicts[True] and verdicts[False]
 
 
 def test_compose_refuses_tables_that_do_not_compose():

@@ -102,6 +102,20 @@ def test_powerset_meet_is_union():
     assert P.name(got) == "{a b}"
 
 
+def test_powerset_names_read_by_positions():
+    # the first of a repeated base name wins, as with tuple.index
+    P = PowersetLattice(("a", "b", "a", "c"))
+    assert P.index_of("{a}") == 0b0001 and P.index_of("{c, a b}") == 0b1011
+    assert P.index_of(" { } ") == 0
+    for name, message in (("{a zz}", "unknown base element 'zz' in '{a zz}'"),
+                          ("{A}", "unknown base element 'A' in '{A}'"),
+                          ("a", "'a' is not a subset name"),
+                          ("{a", "'{a' is not a subset name")):
+        with pytest.raises(LatticeError) as exc:
+            P.index_of(name)
+        assert str(exc.value) == message
+
+
 def test_powerset_join_is_intersection_by_oracle():
     P = PowersetLattice(("a", "b"))
     sub = (P.index_of("{a}"), P.index_of("{b}"))

@@ -5,14 +5,19 @@ import random
 from collections import Counter
 from functools import partial
 
-from krl import implicative
+from itertools import product
+
+from krl import implicative, morphism
 from krl.aks import (AbstractKrivineStructure, app_sets, full_polarity_aks, imp_sets,
                      mine_aks, perp_left, validate_aks)
 from krl.bridge import PowersetStructure, powerset_algebra
 from krl.fixtures import AKS3_PERP, aks3, mined_corpus, polarity3
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, check_adjunction,
                              validate_algebra, validate_structure)
+from krl.morphism import MorphismSpec
 from krl.order import PowersetLattice, bits
+
+from powerset_oracles import scanned_perp_lefts
 
 
 def loop_imp_sets(aks, p, q):
@@ -101,6 +106,33 @@ def test_reports_on_the_class_structure_match_the_plain_structure():
         outcomes[validate_aks(aks).ok, ok] += 1
     # valid and invalid structures, algebras that pass and fail
     assert outcomes[True, True] and outcomes[False, False] and outcomes[False, True]
+
+
+def test_perp_lefts_match_perp_left_on_every_mask():
+    structures = (mined_corpus() + mine_aks(3, AKS3_PERP, max_results=10 ** 9)
+                  + [full_polarity_aks(m) for m in range(1, 7)] + [polarity3()]
+                  + list(random_structures(100, random.Random(13))))
+    assert len(structures) == 3 + 8338 + 6 + 1 + 100
+    for aks in structures:
+        assert aks.perp_lefts == scanned_perp_lefts(aks), aks
+
+
+def test_the_loops_over_every_mask_read_the_table(count_calls):
+    # separator_masks, the classes of A(X), the family keys and the uniform
+    # fold of a carrier map ask perp_left of no mask
+    maps = [MorphismSpec("aks", A, B, carrier)
+            for A, B in product(mined_corpus() + [polarity3()], repeat=2)
+            for carrier in product(range(B.pi_size), repeat=A.pi_size)]
+    counts = count_calls(perp_left)
+    for f in maps:
+        assert f.target.separator_masks == tuple(
+            m for m in range(1 << f.target.pi_size) if perp_left(f.target, m) & f.target.qp)
+        counts.clear()
+        PowersetStructure(f.source).classes
+        morphism._family_keys(f)
+        morphism._uniform_fold(f)
+        assert not counts
+    assert len(maps) == 158
 
 
 def test_one_representative_per_perp_class():

@@ -9,29 +9,34 @@ object, whichever question comes first.
 
 import dataclasses
 import gc
+import sys
+from collections import Counter
+from functools import cached_property
 from dataclasses import FrozenInstanceError
 from itertools import product
 
 import pytest
 
 from krl import aks as aks_module
-from krl import implicative, morphism, order
+from krl import implicative, interior, morphism, order
 from krl.aks import full_polarity_aks, validate_aks
 from krl.bridge import (PowersetStructure, check_adjunction_instance, composite_AK_check,
                         composite_KA_check, functor_A_mor, functor_A_obj, functor_K_obj,
                         transport_density_A)
-from krl.errors import VerificationFailed
-from krl.fixtures import (aks2, aks3, diamond, hat_interior, heyting3, identity_interior, l2,
-                          mined_corpus, singleton_algebra)
+from krl.errors import HypothesisFailed, VerificationFailed
+from krl.fixtures import (aks2, aks3, bar_interior, diamond, hat_interior, heyting3,
+                          identity_interior, l2, mined_corpus, singleton_algebra)
 from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, check_adjunction,
                              combinator_cc, combinator_i, combinator_k, combinator_nu,
                              combinator_s, separator_closure, validate_algebra,
                              validate_structure)
 from krl.interior import change_implication, density_certificates
+from krl.lazy import lazy
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
                           check_comp_dense, identity_morphism, verify_certificate)
 from krl.order import ExplicitLattice, PowersetLattice, validate_lattice
 
+from powerset_oracles import mined_by_algebra
 from test_implicative import law_algebras, principal_algebras
 
 BODIES = (order._lattice_report, implicative._structure_report,
@@ -287,6 +292,61 @@ def test_map_answers_do_not_depend_on_what_was_asked_before():
     assert (asked, reused) == (60, 72)
 
 
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HypothesisFailed as exc:
+        return str(exc)
+
+
+def change_answers(A, iota, change_first, verify_first):
+    """change_implication, density_certificates and, on each dense map they
+    return, check_applicative and verify_certificate, asked on A in the
+    given orders."""
+    def change():
+        got = outcome(change_implication, A, iota)
+        return got if isinstance(got, str) else (got.opens, got.closure, as_data(got.report))
+
+    def certs():
+        return outcome(density_certificates, A, iota)
+    first, second = (change, certs) if change_first else (certs, change)
+    answers = {first: first(), second: second()}
+    found = answers[certs]
+    if isinstance(found, str):
+        return answers[change], found
+    maps = []
+    for f, cert in found:
+        questions = [lambda: as_data(check_applicative(f)),
+                     lambda: as_data(verify_certificate(f, cert))]
+        got = [q() for q in (questions[::-1] if verify_first else questions)]
+        maps.append((f.carrier, f.name, cert, *(got[::-1] if verify_first else got)))
+    return answers[change], maps
+
+
+def test_change_answers_do_not_depend_on_the_order(count_calls):
+    # on fresh objects built from the bar, hat and identity operators of
+    # every structure of three points the miner finds, aks3 among them
+    structures = mined_by_algebra()
+    assert len(structures) == 96 and aks3() in structures
+    counts = count_calls(interior._build_change)
+    outcomes = Counter()
+    for aks in structures:
+        for iota in (bar_interior(aks), hat_interior(aks),
+                     identity_interior(PowersetLattice(aks.names))):
+            answers = []
+            for orders in product((True, False), repeat=2):
+                A = functor_A_obj(dataclasses.replace(aks)).algebra
+                answers.append(change_answers(A, iota, *orders))
+                # the changed algebra is built once per algebra and operator
+                built = not isinstance(answers[-1][0], str)
+                assert len(A.changes) == built
+                assert not built or counts.per_object["_build_change", id(A)] == 1
+            assert all(got == answers[0] for got in answers)
+            outcomes[built, isinstance(answers[0][1], str)] += 1
+    # changes, each with its dense maps, and refused changes
+    assert set(outcomes) == {(True, False), (False, True)}, outcomes
+
+
 # ------------------------------------------------ (c) callers get copies
 
 
@@ -364,6 +424,24 @@ def test_a_validated_lattice_and_structure_cannot_be_reassigned():
         with pytest.raises(AttributeError):
             setattr(powerset, field, value)
     assert powerset.aks.names == aks3().names and validate_structure(powerset).ok
+
+
+def test_every_cached_field_is_lazy():
+    # stored with object.__setattr__, past the read-only guards and frozen
+    # dataclasses, once per object; functools.cached_property is gone
+    classes = {v for key, m in sys.modules.items() if key.startswith("krl.")
+               for v in vars(m).values() if isinstance(v, type) and v.__module__ == key}
+    fields = {(cls.__name__, attr) for cls in classes for attr, v in vars(cls).items()
+              if isinstance(v, lazy)}
+    assert not any(isinstance(v, cached_property) for cls in classes
+                   for v in vars(cls).values())
+    assert len(fields) == 42 and {("AbstractKrivineStructure", "perp_lefts"),
+                                  ("MorphismSpec", "uniform_bound"),
+                                  ("ImplicativeAlgebra", "changes")} <= fields
+    X = dataclasses.replace(aks3())
+    assert X.perp_lefts is X.perp_lefts and X.perp_lefts == (7, 7, 2, 2, 0, 0, 0, 0)
+    L = ExplicitLattice.chain(3)
+    assert L.covers is L.covers and L.covers == ((0, 1), (1, 2))
 
 
 def test_a_certificate_search_leaves_no_reference_cycle():
