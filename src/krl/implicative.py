@@ -13,13 +13,13 @@ from __future__ import annotations
 from itertools import product
 
 from .errors import VerificationFailed
-from .lazy import lazy
+from .lazy import ReadOnly, lazy
 from .order import (ExplicitLattice, FiniteLattice, unpreserved_pair, up_preimages,
                     upward_closure)
 from .report import Report
 
 
-class ImplicativeStructure:
+class ImplicativeStructure(ReadOnly):
     """A lattice together with an implication map.
 
     ``imp`` may be a full table (tuple of rows) or any callable; an
@@ -41,15 +41,9 @@ class ImplicativeStructure:
         # the whole table (app_rows), once a scan that reads every cell asks
         self._app_rows = None
 
-    # read-only, so that the verdict cannot describe a structure since changed
-    _read_only = ("lattice",)
+    _fields = ("lattice",)
     # a table given to __init__, which rows reads as it is
     _table = None
-
-    def __setattr__(self, attr, value):
-        if attr in self._read_only:
-            raise AttributeError(f"{type(self).__name__}.{attr} is read-only")
-        object.__setattr__(self, attr, value)
 
     def imp(self, a: int, b: int) -> int:
         key = (a, b)
@@ -232,24 +226,20 @@ class _CellRow:
         return self._application(self._a, b)
 
 
-class ImplicativeAlgebra:
+class ImplicativeAlgebra(ReadOnly):
     """An implicative structure with a separator and designated k, s.
 
     The stored combinators need not be the canonical meets; validation
     only requires them to sit below the respective bounds.
     """
 
-    def __init__(self, structure: ImplicativeStructure, separator, k: int, s: int):
-        self._structure = structure
-        self._separator = frozenset(separator)
-        self._k = k
-        self._s = s
+    _fields = ("structure", "separator", "k", "s")
 
-    # read-only, so that the verdict cannot describe an algebra since changed
-    structure = property(lambda self: self._structure)
-    separator = property(lambda self: self._separator)
-    k = property(lambda self: self._k)
-    s = property(lambda self: self._s)
+    def __init__(self, structure: ImplicativeStructure, separator, k: int, s: int):
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "separator", frozenset(separator))
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
 
     @lazy
     def verdict(self) -> Report:

@@ -18,7 +18,7 @@ from .errors import (HypothesisFailed, InvalidClosedPart, NotAlexandroff,
                      VerificationFailed)
 from .implicative import (ImplicativeAlgebra, ImplicativeStructure,
                           combinator_i, combinator_nu, validate_algebra)
-from .lazy import lazy
+from .lazy import ReadOnly, lazy
 from .morphism import DensityCertificate, MorphismSpec
 from .order import (ExplicitLattice, FiniteLattice, PowersetLattice, bits,
                     first_failing_pair, unpreserved_meet)
@@ -240,31 +240,41 @@ def _al_approx_general(op: InteriorOperator) -> InteriorOperator:
     return _join_interior(L, members)
 
 
-class _Change:
-    """The change of an algebra along a compatible operator, built once per
-    algebra and operator (by value) and kept on the algebra
-    (``ImplicativeAlgebra.changes``).  It holds the base's structure but not
-    the base itself, so that the base keeps no reference back to itself;
-    :class:`ChangedAlgebra` adds the base."""
+class ChangedAlgebra(ReadOnly):
+    """An algebra on the open elements of a compatible operator, built once
+    per base algebra and operator (by value) and kept on the base
+    (``ImplicativeAlgebra.changes``), so every caller shares one changed
+    algebra and one report.
+
+    ``opens`` lists the open elements by their base ids and ``to_sub`` maps
+    each to its position there; ``algebra`` is the induced algebra on the
+    re-indexed open carrier.  ``i_comb`` and ``nu`` are the base algebra's identity and
+    composition combinators.  It holds the base's structure but not the
+    base itself, so that the base keeps no reference back to itself.
+    """
+
+    _fields = ("structure", "iota", "opens", "to_sub", "algebra", "strong_imp_condition",
+               "i_comb", "nu")
 
     def __init__(self, structure: ImplicativeStructure, iota: InteriorOperator,
                  opens: tuple[int, ...], to_sub: dict[int, int], algebra: ImplicativeAlgebra,
                  strong_imp_condition: bool, i_comb: int, nu: int):
-        self.structure = structure
-        self.iota = iota
-        self.opens = opens
-        self.to_sub = to_sub
-        self.algebra = algebra
-        self.strong_imp_condition = strong_imp_condition
-        self.i_comb = i_comb
-        self.nu = nu
+        for field, value in zip(self._fields, (structure, iota, opens, to_sub, algebra,
+                                               strong_imp_condition, i_comb, nu)):
+            object.__setattr__(self, field, value)
 
     @lazy
     def closure(self) -> tuple[int, ...]:
+        """The closure whose fixed points are the opens
+        (:func:`closure_from_interior`)."""
         return _alexandroff_closure(self.iota)
 
     @lazy
     def report(self) -> Report:
+        """The verification of the change: the changed algebra validates,
+        and its application is the closure of the base application on every
+        open pair.  :func:`change_implication` computes it before it
+        returns."""
         st, opens, to_sub = self.structure, self.opens, self.to_sub
         L, closure, algebra = st.lattice, self.closure, self.algebra
         report = validate_algebra(algebra)
@@ -275,44 +285,6 @@ class _Change:
         report.check("change.application-is-closure", witness is None, witness)
         report.flag("imp-invariance", self.strong_imp_condition)
         return report
-
-
-class ChangedAlgebra:
-    """An algebra on the open elements of a compatible operator.
-
-    ``opens`` lists the open elements by their base ids; ``algebra`` is
-    the induced algebra on the re-indexed open carrier.  ``i_comb`` and
-    ``nu`` are the base algebra's identity and composition combinators.
-    Everything but ``base`` is read off the change kept on the base
-    (``_Change``), so every ChangedAlgebra of one base and operator shares
-    one changed algebra and one report.
-    """
-
-    def __init__(self, base: ImplicativeAlgebra, change: _Change):
-        self.base = base
-        self._change = change
-
-    iota = property(lambda self: self._change.iota)
-    opens = property(lambda self: self._change.opens)
-    algebra = property(lambda self: self._change.algebra)
-    strong_imp_condition = property(lambda self: self._change.strong_imp_condition)
-    i_comb = property(lambda self: self._change.i_comb)
-    nu = property(lambda self: self._change.nu)
-    to_sub = property(lambda self: self._change.to_sub)
-
-    @property
-    def closure(self) -> tuple[int, ...]:
-        """The closure whose fixed points are the opens
-        (:func:`closure_from_interior`)."""
-        return self._change.closure
-
-    @property
-    def report(self) -> Report:
-        """The verification of the change: the changed algebra validates,
-        and its application is the closure of the base application on every
-        open pair.  :func:`change_implication` computes it before it
-        returns."""
-        return self._change.report
 
     @property
     def k_iota(self) -> int:
@@ -325,35 +297,6 @@ class ChangedAlgebra:
     def imp_iota(self, a: int, b: int) -> int:
         """The changed implication on base element ids."""
         return self.opens[self.algebra.imp(self.to_sub[a], self.to_sub[b])]
-
-    def density_certificates(self):
-        """The two computationally dense maps around the changed algebra.
-
-        Returns ``((inclusion, cert), (corestriction, cert))`` with the
-        literal witnesses: the inclusion uses the identity combinator as
-        both realizers and the operator itself as the section; the
-        corestricted map uses the interiors of the identity combinator and
-        of the composition-combinator square.
-        """
-        if not self.strong_imp_condition:
-            raise HypothesisFailed("imp-invariance",
-                                   "interior does not leave implications unchanged")
-        base, iota, to_sub = self.base, self.iota, self.to_sub
-        st = base.structure
-        i_comb = self.i_comb
-        inclusion = MorphismSpec("ia", self.algebra, base, self.opens, "inclusion")
-        inc_h = {b: to_sub[iota.table[b]] for b in base.separator}
-        inc_cert = DensityCertificate.make(i_comb, inc_h, i_comb)
-
-        corestriction = MorphismSpec(
-            "ia", base, self.algebra,
-            tuple(to_sub[iota.table[a]] for a in base.lattice.elements()), "interior-map")
-        nu_i = st.application(self.nu, i_comb)
-        r_elem = iota.table[st.application(nu_i, nu_i)]
-        cor_h = {i: self.opens[i] for i in self.algebra.separator}
-        cor_cert = DensityCertificate.make(
-            to_sub[iota.table[i_comb]], cor_h, to_sub[r_elem])
-        return (inclusion, inc_cert), (corestriction, cor_cert)
 
 
 def change_implication(base: ImplicativeAlgebra, iota: InteriorOperator) -> ChangedAlgebra:
@@ -375,13 +318,13 @@ def _changed_algebra(base: ImplicativeAlgebra, iota: InteriorOperator) -> Change
     """:func:`change_implication` without the verification.  The change is
     built once per base and operator (``_build_change``), whichever of
     :func:`change_implication` and :func:`density_certificates` asks first."""
-    change = base.changes.get(iota)
-    if change is None:
-        change = base.changes[iota] = _build_change(base, iota)
-    return ChangedAlgebra(base, change)
+    changed = base.changes.get(iota)
+    if changed is None:
+        changed = base.changes[iota] = _build_change(base, iota)
+    return changed
 
 
-def _build_change(base: ImplicativeAlgebra, iota: InteriorOperator) -> _Change:
+def _build_change(base: ImplicativeAlgebra, iota: InteriorOperator) -> ChangedAlgebra:
     """Check the three hypotheses and build the changed algebra, whose
     implication is the interior of the base rows at the opens."""
     L = base.lattice
@@ -417,7 +360,7 @@ def _build_change(base: ImplicativeAlgebra, iota: InteriorOperator) -> _Change:
     s_iota = t[st.apply_chain(nu, st.application(nu_i, nu_i), base.s)]
     algebra = ImplicativeAlgebra(sub_structure, sub_separator,
                                  to_sub[k_iota], to_sub[s_iota])
-    return _Change(st, iota, opens, to_sub, algebra, strong, i_comb, nu)
+    return ChangedAlgebra(st, iota, opens, to_sub, algebra, strong, i_comb, nu)
 
 
 def _imp_invariant(st: ImplicativeStructure, table) -> bool:
@@ -431,7 +374,29 @@ def _imp_invariant(st: ImplicativeStructure, table) -> bool:
 
 def density_certificates(base: ImplicativeAlgebra, iota: InteriorOperator):
     """The two computationally dense maps around the algebra changed along
-    ``iota``; see :meth:`ChangedAlgebra.density_certificates`.  The changed
-    algebra is the one :func:`change_implication` builds, and is not
-    verified here: that report is :func:`change_implication`'s."""
-    return _changed_algebra(base, iota).density_certificates()
+    ``iota``, the one :func:`change_implication` builds; it is not verified
+    here, as that report is :func:`change_implication`'s.
+
+    Returns ``((inclusion, cert), (corestriction, cert))`` with the literal
+    witnesses: the inclusion uses the identity combinator as both realizers
+    and the operator itself as the section; the corestricted map uses the
+    interiors of the identity combinator and of the composition-combinator
+    square.
+    """
+    changed = _changed_algebra(base, iota)
+    if not changed.strong_imp_condition:
+        raise HypothesisFailed("imp-invariance",
+                               "interior does not leave implications unchanged")
+    st, t, to_sub, opens = base.structure, iota.table, changed.to_sub, changed.opens
+    i_comb, sub = changed.i_comb, changed.algebra
+    inclusion = MorphismSpec("ia", sub, base, opens, "inclusion")
+    inc_cert = DensityCertificate.make(i_comb, {b: to_sub[t[b]] for b in base.separator},
+                                       i_comb)
+
+    corestriction = MorphismSpec("ia", base, sub,
+                                 tuple(to_sub[t[a]] for a in base.lattice.elements()),
+                                 "interior-map")
+    nu_i = st.application(changed.nu, i_comb)
+    cor_cert = DensityCertificate.make(to_sub[t[i_comb]], {i: opens[i] for i in sub.separator},
+                                       to_sub[t[st.application(nu_i, nu_i)]])
+    return (inclusion, inc_cert), (corestriction, cor_cert)

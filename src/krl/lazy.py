@@ -1,4 +1,14 @@
-"""Fields computed on first read.
+"""Read-only fields and fields computed on first read.
+
+krl computes each check once and keeps it on the object it describes,
+which is sound only while that object cannot change.  One rule keeps it
+so: assigning or deleting a declared field raises
+``dataclasses.FrozenInstanceError``.  Lattices, structures, algebras and
+changed algebras inherit :class:`ReadOnly`, which refuses the names in
+their ``_fields``; Krivine structures, maps, interior operators and
+certificates are frozen dataclasses, which refuse every field the same
+way.  ``__init__`` and :class:`lazy` write past the guard with
+``object.__setattr__``.
 
 :class:`lazy` is what every cached value in krl uses instead of
 ``functools.cached_property``.  That one stores through the instance
@@ -10,13 +20,32 @@ first read.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
+
+class ReadOnly:
+    """Refuses assignment to and deletion of the names in ``_fields``.
+    Any other attribute, such as a private cache, is stored as usual."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        if name in self._fields:
+            raise FrozenInstanceError(f"cannot assign to field '{name}'")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in self._fields:
+            raise FrozenInstanceError(f"cannot delete field '{name}'")
+        object.__delattr__(self, name)
+
 
 class lazy:
     """A field computed by the decorated method on first read, then stored
     on the instance under the same name with ``object.__setattr__``.  The
     descriptor defines no ``__set__``, so the stored value is found before
-    it on every later read.  The store passes the read-only guards and
-    frozen dataclasses, as a cached value is not a reassignment."""
+    it on every later read.  The store passes :class:`ReadOnly` and frozen
+    dataclasses, as a cached value is not a reassignment."""
 
     def __init__(self, fn):
         self.fn = fn

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .errors import LatticeError
-from .lazy import lazy
+from .lazy import ReadOnly, lazy
 from .report import Report
 
 
@@ -24,27 +24,16 @@ def bits(mask: int):
         mask ^= low
 
 
-_store = object.__setattr__  # a store past the lattices' guards
-
-
 def positions_of(names) -> dict[str, int]:
     """Each name's position in ``names``; the first of a repeated name
     wins, as with ``tuple.index``."""
     return dict(zip(reversed(names), range(len(names) - 1, -1, -1)))
 
 
-class FiniteLattice:
+class FiniteLattice(ReadOnly):
     """Interface shared by the explicit and powerset backends."""
 
     size: int
-    # read-only, so that the verdict cannot describe a lattice since changed;
-    # each backend stores its fields past the guard in __init__
-    _read_only: tuple[str, ...] = ()
-
-    def __setattr__(self, attr, value):
-        if attr in self._read_only:
-            raise AttributeError(f"{type(self).__name__}.{attr} is read-only")
-        _store(self, attr, value)
 
     def leq(self, a: int, b: int) -> bool:
         raise NotImplementedError
@@ -54,12 +43,6 @@ class FiniteLattice:
 
     def join(self, subset) -> int:
         raise NotImplementedError
-
-    def meet2(self, a: int, b: int) -> int:
-        return self.meet((a, b))
-
-    def join2(self, a: int, b: int) -> int:
-        return self.join((a, b))
 
     @lazy
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -139,18 +122,18 @@ class ExplicitLattice(FiniteLattice):
     # build lattices by the ten thousand: __init__ stores past it, and the
     # extrema and the full mask are found when first asked for.
     _top = _bottom = None
-    _read_only = ("names", "up", "size")
+    _fields = ("names", "up", "size")
     # each principal down-set mapped to its greatest element, kept by the
     # order check once it passes: then a meet is one lookup (see meet2)
     _greatest_of_down_set = None
 
     def __init__(self, names, up_masks):
         names = tuple(names)
-        _store(self, "names", names)
-        _store(self, "up", tuple(up_masks))
-        _store(self, "size", len(names))
-        _store(self, "_meet2", {})
-        _store(self, "_join2", {})
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "up", tuple(up_masks))
+        object.__setattr__(self, "size", len(names))
+        object.__setattr__(self, "_meet2", {})
+        object.__setattr__(self, "_join2", {})
 
     @property
     def _full(self) -> int:
@@ -174,7 +157,7 @@ class ExplicitLattice(FiniteLattice):
             up[a] |= 1 << b
             down[b] |= 1 << a
         lattice = cls(names, up)
-        _store(lattice, "down", tuple(down))
+        lattice.down = tuple(down)
         return lattice
 
     @classmethod
@@ -336,13 +319,13 @@ class PowersetLattice(FiniteLattice):
 
     def __init__(self, base_names):
         base_names = tuple(base_names)
-        _store(self, "base_names", base_names)
-        _store(self, "base_size", len(base_names))
-        _store(self, "size", 1 << len(base_names))
-        _store(self, "_full", self.size - 1)
+        object.__setattr__(self, "base_names", base_names)
+        object.__setattr__(self, "base_size", len(base_names))
+        object.__setattr__(self, "size", 1 << len(base_names))
+        object.__setattr__(self, "_full", self.size - 1)
 
     order_failures = ()  # reverse inclusion is a complete lattice by construction
-    _read_only = ("base_names", "base_size", "size")
+    _fields = ("base_names", "base_size", "size")
 
     def leq(self, a: int, b: int) -> bool:
         return b & a == b
@@ -555,5 +538,5 @@ def _lattice_report(lattice: FiniteLattice) -> Report:
         witness = "{} (no top element)"
     rep.check("order.complete", witness is None, witness)
     if rep.ok:
-        _store(lattice, "_greatest_of_down_set", principal)
+        lattice._greatest_of_down_set = principal
     return rep

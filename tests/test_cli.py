@@ -14,7 +14,10 @@ import pytest
 from krl import aks, bridge, implicative, interior, morphism, order
 from krl.cli import run_cli
 from krl.fixtures import aks2, aks3
+from krl.interior import change_implication
 from krl.specfile import Workspace, document_for, emit_spec
+
+from test_interior import non_invariant_change
 
 ROOT = Path(__file__).resolve().parent.parent
 FIX = ROOT / "fixtures"
@@ -107,6 +110,39 @@ def test_interior_change_aks3_hat_passes(capsys, tmp_path):
     assert "PASS change.application-is-closure" in out
     assert "PASS cert.density" in out
     code, out, _ = run(capsys, "validate", out_path)
+    assert code == 0
+
+
+def test_interior_change_without_imp_invariance_passes(capsys, tmp_path):
+    # the change verifies, so its report alone is printed, the density
+    # certificates (which need imp-invariance) are not, and -o writes it
+    base, iota = non_invariant_change()
+    (tmp_path / "base.krl").write_text(emit_spec(document_for(base, "base")))
+    (tmp_path / "iota.kop").write_text(emit_spec(document_for(iota, "base", op_name="iota")))
+    out_path = tmp_path / "changed.krl"
+    files = (tmp_path / "base.krl", tmp_path / "iota.kop", "-o", out_path)
+    code, out, err = run(capsys, "interior", "change", *files)
+    assert (code, err) == (0, "")
+    clauses = ("imp.variance", "imp.meet-commutation", "separator.upward-closed",
+               "separator.modus-ponens", "separator.has-k", "separator.has-s", "k.bound",
+               "s.bound", "law.k-applied", "law.s-applied", "change.application-is-closure")
+    flags = {"quasi-implicative": False, "classical": True, "consistent": True,
+             "imp-invariance": False}
+    assert out == "".join(
+        ["report changed-algebra: PASS\n"] + [f"PASS {c}\n" for c in clauses]
+        + [f"FLAG {f}={'yes' if v else 'no'}\n" for f, v in flags.items()]
+        + [f"wrote {out_path}\n"])
+    written = out_path.read_text()
+    assert written == emit_spec(document_for(change_implication(base, iota).algebra,
+                                             "changed(base)"))
+    out_path.unlink()
+    code, out, err = run(capsys, "--json", "interior", "change", *files)
+    assert (code, err) == (0, f"wrote {out_path}\n")
+    [report] = json.loads(out)
+    assert (report["name"], report["ok"], report["flags"]) == ("changed-algebra", True, flags)
+    assert [(c["clause"], c["passed"]) for c in report["checks"]] == [(c, True) for c in clauses]
+    assert out_path.read_text() == written
+    code, _, _ = run(capsys, "validate", out_path)
     assert code == 0
 
 

@@ -15,14 +15,15 @@ from krl.errors import HypothesisFailed, InvalidClosedPart, NotAlexandroff
 from krl.fixtures import (aks3, bar_interior, diamond, diamond_open_x_interior,
                           double_diamond, hat_interior, heyting3,
                           identity_interior, l2, polarity3)
-from krl.implicative import ImplicativeStructure, combinator_i
+from krl.implicative import (ImplicativeAlgebra, ImplicativeStructure, combinator_i,
+                             combinator_k, combinator_s)
 from krl.interior import (ClosedPart, InteriorOperator, al_approx,
                           change_implication, closure_from_interior,
                           density_certificates, is_alexandroff, is_topological,
                           operator_leq, theta, theta_inv, validate_interior,
                           _al_approx_general)
 from krl.morphism import verify_certificate, compose
-from krl.order import PowersetLattice, bits
+from krl.order import ExplicitLattice, PowersetLattice, bits
 
 from interior_oracles import (alexandroff_interiors, interior_tables,
                               oracle_lattices, scan_join_interior,
@@ -300,6 +301,27 @@ def test_imp_invariance_by_rows_matches_the_scan():
                     verdicts[got, op.table == tuple(L.elements())] += 1
     # the identity always, other operators both ways
     assert set(verdicts) == {(True, True), (True, False), (False, False)}
+
+
+def non_invariant_change():
+    """An algebra on the Boolean 4-element lattice and an operator that meets
+    the three hypotheses of the change but not implication invariance:
+    iota(e2) = e0, and e0 -> e2 = e3 differs from e2 -> e2 = e1."""
+    L = ExplicitLattice(("e0", "e1", "e2", "e3"), (15, 10, 12, 8))
+    st = ImplicativeStructure(L, ((1, 1, 3, 3), (0, 1, 0, 3), (1, 1, 1, 3), (0, 1, 0, 3)))
+    return (ImplicativeAlgebra(st, {1, 3}, combinator_k(st), combinator_s(st)),
+            InteriorOperator(L, (0, 1, 0, 3)))
+
+
+def test_density_certificates_refuse_a_verified_change_without_imp_invariance():
+    base, iota = non_invariant_change()
+    changed = change_implication(base, iota)
+    assert changed.report.ok and not changed.strong_imp_condition
+    with pytest.raises(HypothesisFailed) as exc:
+        density_certificates(base, iota)
+    assert exc.value.clause == "imp-invariance"
+    # the refusal reads the kept change and builds no other
+    assert base.changes == {iota: changed} and change_implication(base, iota) is changed
 
 
 def test_density_certificates_identity_interior():

@@ -385,12 +385,37 @@ def test_changing_a_returned_report_leaves_the_next_one_alone(algebra, X):
 # --------------------------------------- what carries a verdict is frozen
 
 
+def assert_read_only(obj, changes):
+    """Assigning each field of ``changes`` its new value and deleting it
+    both raise, and leave the field as it was; ``changes`` names every
+    field the class declares."""
+    assert {field for field, _ in changes} == set(type(obj)._fields)
+    for field, value in changes:
+        before = getattr(obj, field)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, field)
+        assert getattr(obj, field) is before
+
+
 def test_what_carries_a_verdict_cannot_be_reassigned():
     algebra = heyting3()
-    for field, value in (("separator", frozenset({0})), ("k", 0), ("s", 0),
-                         ("structure", l2().structure)):
-        with pytest.raises(AttributeError):
-            setattr(algebra, field, value)
+    assert_read_only(algebra, (("separator", frozenset({0})), ("k", 0), ("s", 0),
+                               ("structure", l2().structure)))
+    # no underscore store stands behind a field
+    structure = algebra.structure
+    for field in ("_separator", "_structure", "_k", "_s"):
+        setattr(algebra, field, frozenset({0}))
+    assert (algebra.structure, algebra.separator) == (structure, frozenset({2}))
+    assert (algebra.k, algebra.s) == (heyting3().k, heyting3().s)
+    base, iota = functor_A_obj(aks3()).algebra, hat_interior(aks3())
+    changed = change_implication(base, iota)
+    assert change_implication(base, iota) is changed
+    assert_read_only(changed, (("structure", l2().structure), ("iota", iota), ("opens", ()),
+                               ("to_sub", {}), ("algebra", l2()),
+                               ("strong_imp_condition", False), ("i_comb", 0), ("nu", 0)))
+    assert changed.report.ok
     f = identity_morphism(algebra, "ia")
     for field, value in (("kind", "aks"), ("source", l2()), ("target", l2()),
                          ("carrier", (0, 0, 0)), ("name", "g")):
@@ -402,32 +427,25 @@ def test_what_carries_a_verdict_cannot_be_reassigned():
 def test_a_validated_lattice_and_structure_cannot_be_reassigned():
     L = ExplicitLattice.chain(3)
     assert validate_lattice(L).ok
-    for field, value in (("up", (1, 2, 4)), ("names", ("x", "y", "z")), ("size", 5)):
-        with pytest.raises(AttributeError):
-            setattr(L, field, value)
+    assert_read_only(L, (("up", (1, 2, 4)), ("names", ("x", "y", "z")), ("size", 5)))
     assert (L.names, L.up, L.size) == (("e0", "e1", "e2"), ExplicitLattice.chain(3).up, 3)
     assert validate_lattice(L).ok
     structure = heyting3().structure
-    with pytest.raises(AttributeError):
-        structure.lattice = L
+    assert_read_only(structure, (("lattice", L),))
     assert validate_structure(structure).ok
     P = PowersetLattice(aks3().names)
     assert validate_lattice(P).ok
-    for field, value in (("base_names", ("x",)), ("base_size", 1), ("size", 2)):
-        with pytest.raises(AttributeError):
-            setattr(P, field, value)
+    assert_read_only(P, (("base_names", ("x",)), ("base_size", 1), ("size", 2)))
     assert (P.base_names, P.base_size, P.size) == (("a", "b", "c"), 3, 8)
     assert validate_lattice(P).ok
     powerset = PowersetStructure(aks3())
     assert validate_structure(powerset).ok
-    for field, value in (("aks", aks2()), ("lattice", L)):
-        with pytest.raises(AttributeError):
-            setattr(powerset, field, value)
+    assert_read_only(powerset, (("aks", aks2()), ("lattice", L)))
     assert powerset.aks.names == aks3().names and validate_structure(powerset).ok
 
 
 def test_every_cached_field_is_lazy():
-    # stored with object.__setattr__, past the read-only guards and frozen
+    # stored with object.__setattr__, past the read-only guard and frozen
     # dataclasses, once per object; functools.cached_property is gone
     classes = {v for key, m in sys.modules.items() if key.startswith("krl.")
                for v in vars(m).values() if isinstance(v, type) and v.__module__ == key}
@@ -452,6 +470,12 @@ def test_a_certificate_search_leaves_no_reference_cycle():
         for f in (identity_morphism(heyting3(), "ia"), identity_morphism(aks3(), "aks")):
             assert check_comp_dense(f) is not None
         del f
+        # a change is kept on its base, and each dense map around it verified
+        base, iota = functor_A_obj(aks3()).algebra, hat_interior(aks3())
+        assert change_implication(base, iota).report.ok
+        for f, cert in density_certificates(base, iota):
+            assert verify_certificate(f, cert).ok
+        del base, f, cert
         assert gc.collect() == 0
     finally:
         gc.enable()
