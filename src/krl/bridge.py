@@ -66,8 +66,6 @@ class PowersetStructure(ImplicativeStructure):
     perp_left(Q), so the subsets of one perp class share their row and
     their application column, and the least of them stands for the class."""
 
-    _fields = ("lattice", "aks")
-
     def __init__(self, aks: AbstractKrivineStructure):
         super().__init__(PowersetLattice(aks.names),
                          lambda p, q: aksmod.imp_sets(aks, p, q),

@@ -41,7 +41,6 @@ class ImplicativeStructure(ReadOnly):
         # the whole table (app_rows), once a scan that reads every cell asks
         self._app_rows = None
 
-    _fields = ("lattice",)
     # a table given to __init__, which rows reads as it is
     _table = None
 
@@ -65,9 +64,9 @@ class ImplicativeStructure(ReadOnly):
         return got
 
     def application_by_definition(self, a: int, b: int) -> int:
-        """The meet of every c with a <= b -> c, ignoring any closed form:
-        a single cell asked before any scan needs the table, or a cell on an
-        order whose check has not passed."""
+        """The meet of every c with a <= b -> c, ignoring any closed form: a
+        single cell asked before any scan needs the table.  Like every meet,
+        it needs a checked order."""
         L = self.lattice
         return L.meet([c for c in L.elements() if L.leq(a, self.imp(b, c))])
 
@@ -162,7 +161,7 @@ class ImplicativeStructure(ReadOnly):
         c lies in {c' : y -> c <= y -> c'}, so (y -> c) y <= c.  And x <= x'
         shrinks U, so x y <= x' y.  Those are the conditions that
         :func:`_application_is_adjoint` checks, so it runs only otherwise.
-        On a checked explicit lattice the whole table (:attr:`app_rows`) is
+        On an explicit lattice the whole table (:attr:`app_rows`) is
         read off the masks of the rows first, whichever way the verdict
         goes, so no cell is computed by definition.
         """
@@ -176,10 +175,9 @@ class ImplicativeStructure(ReadOnly):
 
     @property
     def _masked(self) -> bool:
-        """Whether the table is read off the masks: an explicit lattice whose
-        order passes its check, and no supplied application."""
-        L = self.lattice
-        return self._app is None and isinstance(L, ExplicitLattice) and not L.order_failures
+        """Whether the table is read off the masks: an explicit lattice and
+        no supplied application."""
+        return self._app is None and isinstance(self.lattice, ExplicitLattice)
 
     @property
     def app_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -187,15 +185,14 @@ class ImplicativeStructure(ReadOnly):
         then on :meth:`application` reads it.  The scans that read every cell
         index it.
 
-        On an explicit lattice whose order passes its check, with no
-        supplied application, b's column is read off the masks of b's row
-        (:func:`~krl.order.up_preimages`): with U_a the mask of the c with
-        a <= b -> c, a b is the meet of U_a.  That is the least element of
-        U_a when U_a is a principal up-set, the top when U_a is empty, and
-        otherwise one AND-fold of the down-sets of U_a
-        (:meth:`~krl.order.ExplicitLattice.meet_of_mask`, whose docstring
-        proves it).  A column depends on b only through its row, so it is
-        read once per distinct row.  Elsewhere the cells are computed one
+        On an explicit lattice, with no supplied application, b's column is
+        read off the masks of b's row (:func:`~krl.order.up_preimages`):
+        with U_a the mask of the c with a <= b -> c, a b is the meet of U_a.
+        That is the least element of U_a when U_a is a principal up-set, the
+        top when U_a is empty, and otherwise one AND-fold of the down-sets of
+        U_a (:attr:`~krl.order.ExplicitLattice.greatest_of_down_set`, whose
+        docstring proves it).  A column depends on b only through its row,
+        so it is read once per distinct row.  Elsewhere the cells are computed one
         by one, row by row, once per class representative b, whose column
         every member of its class shares."""
         rows = self._app_rows
@@ -216,24 +213,12 @@ class ImplicativeStructure(ReadOnly):
         return tuple(tuple(app(a, c) for c in classes) for a in L.elements())
 
 
-class _CellRow:
-    """Row a of the application table, each cell computed when read."""
-
-    def __init__(self, structure: ImplicativeStructure, a: int):
-        self._application, self._a = structure.application, a
-
-    def __getitem__(self, b: int) -> int:
-        return self._application(self._a, b)
-
-
 class ImplicativeAlgebra(ReadOnly):
     """An implicative structure with a separator and designated k, s.
 
     The stored combinators need not be the canonical meets; validation
     only requires them to sit below the respective bounds.
     """
-
-    _fields = ("structure", "separator", "k", "s")
 
     def __init__(self, structure: ImplicativeStructure, separator, k: int, s: int):
         object.__setattr__(self, "structure", structure)
@@ -248,9 +233,9 @@ class ImplicativeAlgebra(ReadOnly):
         return _algebra_report(self)
 
     @lazy
-    def changes(self) -> dict:
-        """The change of this algebra along each interior operator asked so
-        far, by operator; filled by ``interior._changed_algebra``."""
+    def _changes(self) -> dict:
+        # the change of this algebra along each interior operator asked so
+        # far, by operator; filled by interior._changed_algebra
         return {}
 
     @property
@@ -464,10 +449,7 @@ def combinator_nu(algebra: ImplicativeAlgebra) -> int:
             f"composition combinator {L.name(nu)} escaped the separator")
     if st.verdict.ok and _laws_follow(algebra, st.k_bound, st.s_bound):
         return nu
-    # an order that fails its check may lack meets: its cells are computed
-    # as the scan reads them, so that it meets them, and their errors, in order
-    leq, elems = L.leq, L.elements()
-    app = [_CellRow(st, x) for x in elems] if L.order_failures else st.app_rows
+    leq, elems, app = L.leq, L.elements(), st.app_rows
     for a in elems:
         a_row, nu_a_row = app[a], app[app[nu][a]]
         for b in elems:

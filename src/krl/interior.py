@@ -12,7 +12,9 @@ are both computationally dense, with explicit witnesses.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import (HypothesisFailed, InvalidClosedPart, NotAlexandroff,
                      VerificationFailed)
@@ -243,24 +245,22 @@ def _al_approx_general(op: InteriorOperator) -> InteriorOperator:
 class ChangedAlgebra(ReadOnly):
     """An algebra on the open elements of a compatible operator, built once
     per base algebra and operator (by value) and kept on the base
-    (``ImplicativeAlgebra.changes``), so every caller shares one changed
+    (``ImplicativeAlgebra._changes``), so every caller shares one changed
     algebra and one report.
 
-    ``opens`` lists the open elements by their base ids and ``to_sub`` maps
-    each to its position there; ``algebra`` is the induced algebra on the
-    re-indexed open carrier.  ``i_comb`` and ``nu`` are the base algebra's identity and
-    composition combinators.  It holds the base's structure but not the
+    ``opens`` lists the open elements by their base ids and ``to_sub``, a
+    read-only mapping, takes each to its position there; ``algebra`` is the
+    induced algebra on the re-indexed open carrier.  ``i_comb`` and ``nu``
+    are the base algebra's identity and composition combinators.  It holds the base's structure but not the
     base itself, so that the base keeps no reference back to itself.
     """
 
-    _fields = ("structure", "iota", "opens", "to_sub", "algebra", "strong_imp_condition",
-               "i_comb", "nu")
-
     def __init__(self, structure: ImplicativeStructure, iota: InteriorOperator,
-                 opens: tuple[int, ...], to_sub: dict[int, int], algebra: ImplicativeAlgebra,
+                 opens: tuple[int, ...], to_sub: Mapping[int, int], algebra: ImplicativeAlgebra,
                  strong_imp_condition: bool, i_comb: int, nu: int):
-        for field, value in zip(self._fields, (structure, iota, opens, to_sub, algebra,
-                                               strong_imp_condition, i_comb, nu)):
+        for field, value in dict(structure=structure, iota=iota, opens=opens, to_sub=to_sub,
+                                 algebra=algebra, strong_imp_condition=strong_imp_condition,
+                                 i_comb=i_comb, nu=nu).items():
             object.__setattr__(self, field, value)
 
     @lazy
@@ -318,9 +318,9 @@ def _changed_algebra(base: ImplicativeAlgebra, iota: InteriorOperator) -> Change
     """:func:`change_implication` without the verification.  The change is
     built once per base and operator (``_build_change``), whichever of
     :func:`change_implication` and :func:`density_certificates` asks first."""
-    changed = base.changes.get(iota)
+    changed = base._changes.get(iota)
     if changed is None:
-        changed = base.changes[iota] = _build_change(base, iota)
+        changed = base._changes[iota] = _build_change(base, iota)
     return changed
 
 
@@ -360,7 +360,8 @@ def _build_change(base: ImplicativeAlgebra, iota: InteriorOperator) -> ChangedAl
     s_iota = t[st.apply_chain(nu, st.application(nu_i, nu_i), base.s)]
     algebra = ImplicativeAlgebra(sub_structure, sub_separator,
                                  to_sub[k_iota], to_sub[s_iota])
-    return ChangedAlgebra(st, iota, opens, to_sub, algebra, strong, i_comb, nu)
+    return ChangedAlgebra(st, iota, opens, MappingProxyType(to_sub), algebra, strong,
+                          i_comb, nu)
 
 
 def _imp_invariant(st: ImplicativeStructure, table) -> bool:

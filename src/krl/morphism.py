@@ -58,15 +58,18 @@ class MorphismSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "carrier", tuple(self.carrier))
-        # the r that the applicativity verdict has shown uniform, kept by the
-        # checks; none until then (see verify_certificate)
+        # the r that the applicativity verdict has shown uniform, kept by
+        # verdict; none until then (see verify_certificate)
         object.__setattr__(self, "uniform_realizers", frozenset())
 
     @lazy
     def verdict(self) -> Report:
-        """The report of :func:`check_applicative`, computed once per map.
-        Read it, do not change it: the checkers hand out copies."""
-        return (_applicative_ia if self.kind == "ia" else _applicative_aks)(self)
+        """The report of :func:`check_applicative`, computed once per map,
+        which also keeps the realizers it shows uniform.  Read it, do not
+        change it: the checkers hand out copies."""
+        rep, realizers = (_applicative_ia if self.kind == "ia" else _applicative_aks)(self)
+        object.__setattr__(self, "uniform_realizers", realizers)
+        return rep
 
     @lazy
     def uniform_bound(self) -> int | None:
@@ -138,10 +141,25 @@ def identity_morphism(obj, kind: str, name: str = "id") -> MorphismSpec:
 # ---------------------------------------------------------------- IA side
 
 
-def _applicative_ia(f: MorphismSpec) -> Report:
-    """The body of :func:`check_applicative` on a structure map."""
+def _order_failures(source, target) -> tuple:
+    """The failed ``order.*`` clauses of the source and target lattices,
+    each lattice listed once.  A structure map between orders that fail
+    their check is reported by these alone, as
+    :func:`~krl.implicative.validate_algebra` does, since no meet exists
+    there."""
+    failures = source.order_failures
+    if target.order_failures and target != source:
+        failures += target.order_failures
+    return failures
+
+
+def _applicative_ia(f: MorphismSpec) -> tuple[Report, frozenset]:
+    """The body of :func:`check_applicative` on a structure map, and the
+    realizers it shows uniform."""
     A, B = f.source, f.target
-    rep = Report(f"applicative({f.name})")
+    rep = Report(f"applicative({f.name})", list(_order_failures(A.lattice, B.lattice)))
+    if rep.checks:
+        return rep, frozenset()
 
     witness = next((A.lattice.name(s) for s in sorted(A.separator)
                     if f(s) not in B.separator), None)
@@ -150,15 +168,13 @@ def _applicative_ia(f: MorphismSpec) -> Report:
     witness = unpreserved_meet(A.lattice, B.lattice, f.carrier)
     rep.check("morphism.meet-preservation", witness is None, witness)
 
-    realizer = None
-    if rep.ok:
-        realizer = _applicative_realizer(f)
-        rep.check("morphism.uniform-realizer", realizer is not None,
-                  None if realizer is not None else "no r in the target separator works")
-        rep.data["realizer"] = realizer
-        if realizer is not None:
-            object.__setattr__(f, "uniform_realizers", frozenset((realizer,)))
-    return rep
+    if not rep.ok:
+        return rep, frozenset()
+    realizer = _applicative_realizer(f)
+    rep.check("morphism.uniform-realizer", realizer is not None,
+              None if realizer is not None else "no r in the target separator works")
+    rep.data["realizer"] = realizer
+    return rep, frozenset(() if realizer is None else (realizer,))
 
 
 def _applicative_realizer(f: MorphismSpec) -> int | None:
@@ -263,9 +279,9 @@ def _uniform_fold(f: MorphismSpec) -> tuple[int, bool]:
     return acc, 0 in sep_a or bool(inner_by_class)
 
 
-def _applicative_aks(f: MorphismSpec) -> Report:
-    """The body of :func:`check_applicative` on a carrier map; the
-    realizers are folded per perp class (``_uniform_fold``)."""
+def _applicative_aks(f: MorphismSpec) -> tuple[Report, frozenset]:
+    """The body of :func:`check_applicative` on a carrier map, and the
+    realizers it shows uniform, folded per perp class (``_uniform_fold``)."""
     A: AbstractKrivineStructure = f.source
     B: AbstractKrivineStructure = f.target
     rep = Report(f"applicative({f.name})")
@@ -278,13 +294,12 @@ def _applicative_aks(f: MorphismSpec) -> Report:
     acc, indexed = _uniform_fold(f)
     rep.check("morphism.uniform-realizer", bool(acc),
               None if acc else "empty intersection")
-    object.__setattr__(f, "uniform_realizers", frozenset(bits(acc)))
     if not indexed:
         # no implication lands in the separator: the intersection is the
         # whole target carrier and the clause reduces to QP' nonempty
         rep.flag("empty-index-family", True)
     rep.data["realizer"] = min(bits(acc)) if acc else None
-    return rep
+    return rep, frozenset(bits(acc))
 
 
 # ------------------------------------------------------------- shared api
@@ -302,10 +317,13 @@ def verify_certificate(f: MorphismSpec, cert: DensityCertificate) -> Report:
     family, so r realizes every member.  Otherwise, on a structure map into
     a powerset algebra, r is uniform exactly when it lies below f's bound
     (``MorphismSpec.uniform_bound``); elsewhere the scan decides.  The scan
-    runs to name the first failure."""
+    runs to name the first failure.  Orders that fail their check get
+    only their failed ``order.*`` clauses, as in :func:`check_applicative`."""
     d = _density(f)
     lt, ls = d.target, d.source
-    rep = Report(f"certificate({f.name})")
+    rep = Report(f"certificate({f.name})", list(_order_failures(ls, lt)))
+    if rep.checks:
+        return rep
     h = cert.h_map
 
     ok = cert.t in d.realizers

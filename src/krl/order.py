@@ -5,6 +5,13 @@ stores the full order relation as bitmask rows.  The powerset backend
 represents subsets of a base set as bitmasks ordered by *reverse*
 inclusion, so arbitrary meets are bitwise unions and are never found by
 scanning lower bounds.
+
+Two rules hold throughout.  A meet needs a checked order: an explicit
+lattice finds its meets and joins only after its order has passed
+:func:`validate_lattice`, and raises :class:`~krl.errors.LatticeError`
+naming the first failed clause otherwise, while the validators report
+those clauses without asking for a meet.  Public names are read-only
+(:mod:`krl.lazy`).
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ class FiniteLattice(ReadOnly):
     @lazy
     def order_failures(self) -> tuple:
         """The failed clauses of :func:`validate_lattice`: every validator
-        that needs the order reads this verdict."""
+        that needs the order, and the first meet or join, read this verdict."""
         return tuple(validate_lattice(self).failures())
 
     @lazy
@@ -113,27 +120,23 @@ class ExplicitLattice(FiniteLattice):
     ``up[a]`` is the bitmask of elements above ``a`` (inclusive);
     ``down[b]`` the mask of elements below ``b``, built on first use
     unless :meth:`from_pairs` built it with ``up``.
-    Meets and joins scan the shared bound masks for their extremum, with
-    binary results cached; once the order check has passed, a meet is one
-    lookup among the principal down-sets instead.
+
+    A meet needs a checked order.  Each meet is one AND-fold of down-sets
+    and one lookup in :attr:`greatest_of_down_set`, each join one AND-fold
+    of up-sets and one lookup in :attr:`least_of_up_set`.  The first read
+    of either table runs the order check, and on an order that fails it
+    raises :class:`~krl.errors.LatticeError` naming the first failed
+    ``order.*`` clause and its witness.  Its public names are read-only,
+    the lazy ones included.
     """
 
     # The read-only guard makes each store a Python call, and the enumerators
-    # build lattices by the ten thousand: __init__ stores past it, and the
-    # extrema and the full mask are found when first asked for.
-    _top = _bottom = None
-    _fields = ("names", "up", "size")
-    # each principal down-set mapped to its greatest element, kept by the
-    # order check once it passes: then a meet is one lookup (see meet2)
-    _greatest_of_down_set = None
-
+    # build lattices by the ten thousand: __init__ stores past it.
     def __init__(self, names, up_masks):
         names = tuple(names)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "up", tuple(up_masks))
         object.__setattr__(self, "size", len(names))
-        object.__setattr__(self, "_meet2", {})
-        object.__setattr__(self, "_join2", {})
 
     @property
     def _full(self) -> int:
@@ -157,7 +160,7 @@ class ExplicitLattice(FiniteLattice):
             up[a] |= 1 << b
             down[b] |= 1 << a
         lattice = cls(names, up)
-        lattice.down = tuple(down)
+        object.__setattr__(lattice, "down", tuple(down))
         return lattice
 
     @classmethod
@@ -191,102 +194,55 @@ class ExplicitLattice(FiniteLattice):
             pairs.extend((a, b) for b in bits(above & ~beyond))
         return tuple(pairs)
 
-    @property
-    def checked(self) -> bool:
-        """Whether the order check has run and passed; asking runs no check."""
-        return self._greatest_of_down_set is not None
+    @lazy
+    def greatest_of_down_set(self) -> dict[int, int]:
+        """Each principal down-set ``down[m]``, mapped to m, on an order that
+        passed its check.  The AND-fold of the down-sets of a family is the
+        set of its common lower bounds; x lies below each member exactly
+        when it lies below their meet m, so that set is the down-set of m.
+        By antisymmetry the principal down-sets are distinct."""
+        _require_lattice(self)
+        return {mask: m for m, mask in enumerate(self.down)}
 
     @lazy
     def least_of_up_set(self) -> dict[int, int]:
-        """Each principal up-set ``up[m]``, mapped to its least element m.
-        On an order that passed its checks the masks are distinct, by
-        antisymmetry."""
+        """Each principal up-set ``up[m]``, mapped to m, on an order that
+        passed its check: the order dual of :attr:`greatest_of_down_set`,
+        which joins read."""
+        _require_lattice(self)
         return {mask: m for m, mask in enumerate(self.up)}
 
-    def meet_of_mask(self, mask: int) -> int:
-        """The meet of the elements of a nonempty ``mask``, on an order that
-        passed its check: one AND-fold of their down-sets, looked up among
-        the principal down-sets.  The fold is the set of common lower bounds
-        of the mask.  x lies below each member exactly when it lies below
-        their meet m, so that set is the down-set of m, and on a checked
-        order the principal down-sets are distinct and mapped to their
-        greatest elements."""
-        down, acc = self.down, self._full
-        for c in bits(mask):
-            acc &= down[c]
-        return self._greatest_of_down_set[acc]
-
     def _greatest(self, mask: int) -> int | None:
-        # greatest element of the mask, if the mask has one
+        # greatest element of the mask, if the mask has one: the scan that
+        # the order check keeps for a relation that is not a partial order
         for m in bits(mask):
             if mask & ~self.down[m] == 0:
                 return m
         return None
 
-    def _least(self, mask: int) -> int | None:
-        for m in bits(mask):
-            if mask & ~self.up[m] == 0:
-                return m
-        return None
-
     def meet(self, subset) -> int:
-        subset = tuple(subset)
-        if not subset:
-            if self._top is None:
-                top = self._greatest(self._full)
-                if top is None:
-                    raise LatticeError("no top element")
-                self._top = top
-            return self._top
-        acc = subset[0]
-        for c in subset[1:]:
-            acc = self.meet2(acc, c)
-        return acc
+        down, acc = self.down, self._full
+        for c in subset:
+            acc &= down[c]
+        return self.greatest_of_down_set[acc]
 
     def meet2(self, a: int, b: int) -> int:
-        principal = self._greatest_of_down_set
-        if principal is not None:
-            # on an order that passed its checks the common lower bounds are
-            # the down-set of the meet
-            down = self.down
-            return principal[down[a] & down[b]]
-        key = (a, b) if a <= b else (b, a)
-        got = self._meet2.get(key)
-        if got is None:
-            got = self._greatest(self.down[a] & self.down[b])
-            if got is None:
-                raise LatticeError(
-                    f"elements {self.names[a]}, {self.names[b]} have no meet"
-                )
-            self._meet2[key] = got
-        return got
+        down = self.down
+        return self.greatest_of_down_set[down[a] & down[b]]
+
+    def meet_of_mask(self, mask: int) -> int:
+        """The meet of the elements of ``mask``."""
+        return self.meet(bits(mask))
 
     def join(self, subset) -> int:
-        subset = tuple(subset)
-        if not subset:
-            if self._bottom is None:
-                bottom = self._least(self._full)
-                if bottom is None:
-                    raise LatticeError("no bottom element")
-                self._bottom = bottom
-            return self._bottom
-        acc = subset[0]
-        for c in subset[1:]:
-            acc = self.join2(acc, c)
-        return acc
+        up, acc = self.up, self._full
+        for c in subset:
+            acc &= up[c]
+        return self.least_of_up_set[acc]
 
     def join2(self, a: int, b: int) -> int:
-        key = (a, b) if a <= b else (b, a)
-        got = self._join2.get(key)
-        if got is None:
-            # least upper bound computed as the least common upper bound
-            got = self._least(self.up[a] & self.up[b])
-            if got is None:
-                raise LatticeError(
-                    f"elements {self.names[a]}, {self.names[b]} have no join"
-                )
-            self._join2[key] = got
-        return got
+        up = self.up
+        return self.least_of_up_set[up[a] & up[b]]
 
     def name(self, a: int) -> str:
         return self.names[a]
@@ -325,7 +281,6 @@ class PowersetLattice(FiniteLattice):
         object.__setattr__(self, "_full", self.size - 1)
 
     order_failures = ()  # reverse inclusion is a complete lattice by construction
-    _fields = ("base_names", "base_size", "size")
 
     def leq(self, a: int, b: int) -> bool:
         return b & a == b
@@ -426,7 +381,8 @@ def unpreserved_pair(source: FiniteLattice, target: FiniteLattice,
                      table) -> tuple[int, int] | None:
     """The first pair (x, y) of ``source`` elements, in the order of
     :func:`first_failing_pair`, whose meet the map x -> table[x] does not
-    carry to the meet of the images, or None.
+    carry to the meet of the images, or None.  Like every meet, it needs
+    both orders checked.
 
     Between two powersets, where meets are unions, a map preserves them
     exactly when table[b] = table[b minus its lowest point] | table[its
@@ -435,30 +391,28 @@ def unpreserved_pair(source: FiniteLattice, target: FiniteLattice,
     of b, so the value at a union of two sets is the union of their
     values.  That is n checks instead of n^2/2 pairs.
 
-    A map f from an explicit lattice to itself (or to an equal one) whose
-    order has passed its check preserves binary meets exactly when every
-    nonempty U_y = f^-1(up-set of y) of :func:`up_preimages` is the up-set
-    of some m, one lookup in ``least_of_up_set`` each.  If f preserves
-    binary meets it is monotone (x <= x' gives f(x) = f(x) meet f(x') <=
-    f(x')), so U_y is an up-set; y <= f(x) and y <= f(x') give y <= f(x)
-    meet f(x') = f(x meet x'), so U_y is closed under binary meets, and a
-    nonempty finite one holds its meet m, so U_y is the up-set of m.
-    Conversely, if each nonempty U_y is principal, x <= x' puts x' in
-    U_{f(x)}, which is an up-set holding x, so f is monotone and f(x meet x')
-    <= y = f(x) meet f(x'); and x, x' in U_y, the up-set of some m, give
-    m <= x meet x', so y <= f(x meet x').  The rule never runs the order
-    check itself, and maps between two different lattices keep the scan:
-    on the small maps that meet an unchecked order, the check costs more
-    than the scan.
+    A map f between two explicit lattices preserves binary meets exactly
+    when every nonempty U_y = f^-1(up-set of y) of :func:`up_preimages`
+    (on the target) is the up-set of some m in the source, one lookup in
+    the source's ``least_of_up_set`` each.  If f preserves binary meets it
+    is monotone (x <= x' gives f(x) = f(x) meet f(x') <= f(x')), so U_y is
+    an up-set; y <= f(x) and y <= f(x') give y <= f(x) meet f(x') =
+    f(x meet x'), so U_y is closed under binary meets, and a nonempty
+    finite one holds its meet m, so U_y is the up-set of m.  Conversely,
+    if each nonempty U_y is principal, x <= x' puts x' in U_{f(x)}, which
+    is an up-set holding x, so f is monotone and f(x meet x') <= y =
+    f(x) meet f(x'); and x, x' in U_y, the up-set of some m, give
+    m <= x meet x', so y <= f(x meet x').
 
     Either rule decides; the pair scan runs only to name a failure.
     """
     if isinstance(source, PowersetLattice) and isinstance(target, PowersetLattice):
         if all(table[b] == table[b & (b - 1)] | table[b & -b] for b in range(1, source.size)):
             return None
-    elif isinstance(source, ExplicitLattice) and source.checked and source == target:
+    elif isinstance(source, ExplicitLattice) and isinstance(target, ExplicitLattice):
         least = source.least_of_up_set
-        if all(not u or u in least for u in up_preimages(source, table)):
+        _require_lattice(target)  # up_preimages reads <= off the target's covers
+        if all(not u or u in least for u in up_preimages(target, table)):
             return None
     meet_s, meet_t = source.meet2, target.meet2
     return first_failing_pair(list(source.elements()),
@@ -523,8 +477,7 @@ def _lattice_report(lattice: FiniteLattice) -> Report:
     # the down-set of m: m lies in it and bounds it, and by transitivity
     # everything below m lies below what bounds the set.  So one lookup
     # among the principal down-sets decides each pair; any other relation
-    # keeps the scan for a greatest element.  A lattice keeps the lookup
-    # for its meets.
+    # keeps the scan for a greatest element.
     principal = {mask: m for m, mask in enumerate(down)} if rep.ok else None
 
     def has_greatest(mask):
@@ -537,6 +490,11 @@ def _lattice_report(lattice: FiniteLattice) -> Report:
     if witness is None and not has_greatest(lattice._full):
         witness = "{} (no top element)"
     rep.check("order.complete", witness is None, witness)
-    if rep.ok:
-        lattice._greatest_of_down_set = principal
     return rep
+
+
+def _require_lattice(lattice: FiniteLattice) -> None:
+    """Raise :class:`LatticeError` naming the first failed ``order.*``
+    clause of the lattice and its witness, if its order check fails."""
+    for failed in lattice.order_failures:
+        raise LatticeError(f"not a complete lattice: {failed.clause} fails at {failed.witness}")

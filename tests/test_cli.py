@@ -422,6 +422,56 @@ def test_interior_on_an_order_without_top_fails_cleanly(capsys, tmp_path, subcom
     assert "interior.deflationary" not in out
 
 
+# the identity of each order that fails its check, its first failed clause
+# with its witness, and a hint over its separator
+NON_LATTICES = {
+    "bad-nontransitive.krl": ("nontransitive", 5, "order.transitive", "(e1, e2, e3)", "e4"),
+    "bad-no-top.krl": ("notop", 3, "order.complete", "{} (no top element)", "e1"),
+}
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["unhinted", "hinted"])
+@pytest.mark.parametrize("data", sorted(NON_LATTICES))
+def test_dense_check_of_a_map_on_a_non_lattice_fails_its_order(capsys, tmp_path, data,
+                                                               hinted):
+    # the reports stop at the failed order clause, each lattice listed once
+    name, n, clause, witness, top = NON_LATTICES[data]
+    points = " ; ".join(f"e{i} -> e{i}" for i in range(n))
+    hints = f"hint-h: {top} -> {top}\nhint-t: {top}\nhint-r: {top}\n" if hinted else ""
+    kmap = _write(tmp_path, "idnt.kmap", f'morphism ia "idnt" from "{name}" to "{name}"\n'
+                  f"map: {points}\n{hints}")
+    failure = "hinted certificate fails verification" if hinted else "no certificate found"
+    code, out, err = run(capsys, "morphism", "check", "--dense", kmap, DATA / data)
+    assert (code, err) == (1, "")
+    assert out == (f"report applicative(idnt): FAIL\nFAIL {clause} witness={witness}\n"
+                   f"report dense(idnt): FAIL\n"
+                   f"FAIL morphism.computationally-dense witness={failure}\n"
+                   + (f"FAIL {clause} witness={witness}\n" if hinted else ""))
+    code, out, err = run(capsys, "--json", "morphism", "check", "--dense", kmap, DATA / data)
+    order = {"clause": clause, "passed": False, "witness": witness, "note": None}
+    dense = {"clause": "morphism.computationally-dense", "passed": False,
+             "witness": failure, "note": None}
+    assert (code, err) == (1, "")
+    assert json.loads(out) == [
+        {"name": "applicative(idnt)", "ok": False, "checks": [order], "flags": {}},
+        {"name": "dense(idnt)", "ok": False, "checks": [dense] + [order] * hinted,
+         "flags": {}}]
+
+
+def test_a_map_between_two_non_lattices_lists_each_order(capsys, tmp_path):
+    kmap = _write(tmp_path, "m.kmap", 'morphism ia "m" from "nontransitive" to "notop"\n'
+                  "map: e0 -> e0 ; e1 -> e1 ; e2 -> e1 ; e3 -> e1 ; e4 -> e1\n")
+    code, out, err = run(capsys, "morphism", "check", "--dense", kmap,
+                         DATA / "bad-nontransitive.krl", DATA / "bad-no-top.krl")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[:3] == ["report applicative(m): FAIL",
+                                    "FAIL order.transitive witness=(e1, e2, e3)",
+                                    "FAIL order.complete witness={} (no top element)"]
+    code, out, err = run(capsys, "validate", kmap,
+                         DATA / "bad-nontransitive.krl", DATA / "bad-no-top.krl")
+    assert code == 1 and "report m:applicative(m): FAIL\nFAIL order.transitive" in out
+
+
 def test_json_report_of_an_invalid_source(capsys):
     code, out, err = run(capsys, "--json", "combinators", DATA / "bad-nontransitive.krl")
     assert (code, err) == (1, "")

@@ -726,7 +726,7 @@ def table_structures():
 def test_the_table_is_the_defining_meet_on_every_cell():
     folded = structures = 0
     for L, table in table_structures():
-        assert validate_lattice(L).ok and L.checked
+        assert validate_lattice(L).ok
         st = ImplicativeStructure(L, table)
         E = L.elements()
         assert st.app_rows == tuple(tuple(st.application_by_definition(a, b) for b in E)
@@ -801,8 +801,10 @@ def test_the_six_element_tle_algebras_build_one_table_by_the_masks(count_calls):
     assert 0 < failed < 39
 
 
-def test_orders_that_fail_their_check_meet_the_cells_in_scan_order():
-    # a meet that is missing raises where the per-cell scan meets it first
+def test_orders_that_fail_their_check_raise_their_first_failed_clause():
+    # nu and K(A) ask for meets: on an order that fails its check both raise
+    # LatticeError naming its first failed clause, and on a lattice they give
+    # what the per-cell oracles give
     rng = random.Random(5)
     outcomes = Counter()
 
@@ -831,6 +833,10 @@ def test_orders_that_fail_their_check_meet_the_cells_in_scan_order():
             got = outcome(by_table, fresh())
             assert got == outcome(by_cells, fresh())
             lattice_error = isinstance(got, tuple) and got[0] == "LatticeError"
+            first = next(iter(fresh().lattice.order_failures), None)
+            assert lattice_error == (first is not None)
+            assert not lattice_error or got[1] == (
+                f"not a complete lattice: {first.clause} fails at {first.witness}")
             outcomes["LatticeError" if lattice_error else type(got).__name__] += 1
     # LatticeError, the message of a failing nu, a value of nu, a table
     assert outcomes.keys() == {"LatticeError", "str", "int", "tuple"}

@@ -321,7 +321,7 @@ def test_density_certificates_refuse_a_verified_change_without_imp_invariance():
         density_certificates(base, iota)
     assert exc.value.clause == "imp-invariance"
     # the refusal reads the kept change and builds no other
-    assert base.changes == {iota: changed} and change_implication(base, iota) is changed
+    assert base._changes == {iota: changed} and change_implication(base, iota) is changed
 
 
 def test_density_certificates_identity_interior():

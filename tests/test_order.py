@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from functools import cache
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +28,7 @@ from krl.morphism import MorphismSpec, check_applicative
 from krl.order import (ExplicitLattice, PowersetLattice, bits, first_failing_pair,
                        unpreserved_meet, unpreserved_pair, up_preimages, upward_closure,
                        validate_lattice)
+from krl.specfile import Workspace
 
 from interior_oracles import oracle_lattices
 
@@ -142,14 +144,15 @@ def test_meet_is_greatest_lower_bound_on_all_subsets(lattice):
 
 
 def test_meets_by_down_set_lookup_match_the_scan():
-    # once its order check passes, a lattice finds each meet by one lookup
+    # the first meet runs the order check; each meet is then one lookup
     for L in (L for L in oracle_lattices() if isinstance(L, ExplicitLattice)):
-        unchecked = ExplicitLattice(L.names, L.up)
-        E = L.elements()
-        scanned = [[unchecked.meet2(a, b) for b in E] for a in E]
-        assert validate_lattice(L).ok and L.checked and not unchecked.checked
-        assert [[L.meet2(a, b) for b in E] for a in E] == scanned == [
-            [oracle_glb(L, (a, b)) for b in E] for a in E]
+        fresh = ExplicitLattice(L.names, L.up)
+        E = fresh.elements()
+        assert "order_failures" not in vars(fresh)
+        looked_up = [[fresh.meet2(a, b) for b in E] for a in E]
+        assert vars(fresh)["order_failures"] == ()
+        scanned = [[fresh._greatest(fresh.down[a] & fresh.down[b]) for b in E] for a in E]
+        assert looked_up == scanned == [[oracle_glb(L, (a, b)) for b in E] for a in E]
 
 
 @pytest.mark.parametrize("base", [1, 2, 3, 4])
@@ -214,6 +217,49 @@ def test_meet_raises_on_incomplete_input():
         ("a", "b", "x", "y"), (0b1101, 0b1110, 0b0100, 0b1000))
     with pytest.raises(LatticeError):
         fence.meet((2, 3))
+
+
+def test_meets_and_joins_of_every_subset_match_the_oracles_up_to_five():
+    for L in lattices_up_to(5):
+        E = L.elements()
+        for mask in range(1 << L.size):
+            subset = list(bits(mask))
+            assert L.meet(subset) == L.meet_of_mask(mask) == oracle_glb(L, subset)
+            assert L.join(subset) == oracle_lub(L, subset)
+        assert [[L.meet2(a, b), L.join2(a, b)] for a in E for b in E] == [
+            [oracle_glb(L, (a, b)), oracle_lub(L, (a, b))] for a in E for b in E]
+        assert (L.top, L.bottom) == (oracle_glb(L, ()), oracle_lub(L, ()))
+
+
+def data_lattice(name):
+    ws = Workspace()
+    ws.add_path(Path(__file__).resolve().parent / "data" / name)
+    ws.resolve()
+    obj = next(iter(ws.objects.values()))
+    return obj if isinstance(obj, ExplicitLattice) else obj.lattice
+
+
+@pytest.mark.parametrize("make", [
+    lambda: data_lattice("bad-antisym.krl"), lambda: data_lattice("bad-no-top.krl"),
+    lambda: data_lattice("bad-nontransitive.krl"),
+    lambda: ExplicitLattice(("a", "b", "x", "y"), (0b1101, 0b1110, 0b0100, 0b1000))],
+    ids=["antisym", "no-top", "nontransitive", "fence"])
+def test_orders_that_fail_their_check_have_no_meet_and_no_join(make):
+    # each call on a fresh copy, so that each is the first to run the check
+    L = make()
+    first = validate_lattice(L).failures()[0]
+    message = f"not a complete lattice: {first.clause} fails at {first.witness}"
+    E = L.elements()
+    asks = ([lambda: L.top, lambda: L.bottom, lambda: L.meet(E), lambda: L.join(E),
+             lambda: L.meet_of_mask(L._full)]
+            + [lambda a=a, b=b: L.meet2(a, b) for a in E for b in E]
+            + [lambda a=a, b=b: L.join2(a, b) for a in E for b in E])
+    for ask in asks:
+        L = make()
+        with pytest.raises(LatticeError) as exc:
+            ask()
+        assert str(exc.value) == message
+    assert validate_lattice(L).failures()[0] == first
 
 
 def test_upward_closure_examples():
@@ -376,11 +422,11 @@ def scanned_pair(source, target, table):
         table[source.meet2(x, y)] == target.meet2(table[x], table[y])))
 
 
-def mask_rule(lattice, table):
-    """The explicit rule alone: every nonempty preimage of an up-set is the
-    up-set of some element."""
-    least = lattice.least_of_up_set
-    return all(not u or u in least for u in up_preimages(lattice, table))
+def mask_rule(source, target, table):
+    """The explicit rule alone: every nonempty preimage of an up-set of the
+    target is the up-set of some element of the source."""
+    least = source.least_of_up_set
+    return all(not u or u in least for u in up_preimages(target, table))
 
 
 def naive_up_preimages(lattice, table):
@@ -388,12 +434,14 @@ def naive_up_preimages(lattice, table):
             for y in lattice.elements()]
 
 
-def assert_mask_rule_matches_the_pair_scan(lattice, table):
-    assert not lattice.order_failures and lattice.checked
-    pair = scanned_pair(lattice, lattice, table)
-    assert up_preimages(lattice, table) == naive_up_preimages(lattice, table)
-    assert mask_rule(lattice, table) == (pair is None)
-    assert unpreserved_pair(lattice, lattice, table) == pair
+def assert_mask_rule_matches_the_pair_scan(lattice, table, target=None):
+    """On a map from ``lattice`` into ``target`` (itself by default)."""
+    target = lattice if target is None else target
+    assert not lattice.order_failures and not target.order_failures
+    pair = scanned_pair(lattice, target, table)
+    assert up_preimages(target, table) == naive_up_preimages(target, table)
+    assert mask_rule(lattice, target, table) == (pair is None)
+    assert unpreserved_pair(lattice, target, table) == pair
     return pair is None
 
 
@@ -412,6 +460,16 @@ def test_the_mask_rule_matches_the_pair_scan_on_every_enumerated_row_up_to_three
     assert verdicts[True] > 538 and verdicts[False]
 
 
+def test_the_mask_rule_matches_the_pair_scan_on_every_map_up_to_four():
+    # every map between two lattices of at most four elements, the same
+    # lattice or two different ones
+    lattices = lattices_up_to(4)
+    verdicts = Counter(assert_mask_rule_matches_the_pair_scan(S, table, T)
+                       for S in lattices for T in lattices
+                       for table in product(T.elements(), repeat=S.size))
+    assert verdicts == {True: 250, False: 1194}  # 1,444 maps
+
+
 # the fixtures' lattices, then every six-element lattice labelled along its
 # order, reversed and shuffled
 MASK_LATTICES = ([A.lattice for A in (singleton_algebra(), l2(), heyting3(), diamond())]
@@ -420,22 +478,26 @@ MASK_LATTICES = ([A.lattice for A in (singleton_algebra(), l2(), heyting3(), dia
                     if isinstance(L, ExplicitLattice) and L.size == 6])
 
 
-def step_row(L, steps):
-    """x -> the meet of the d with c not below x, over the pairs (c, d):
-    each step preserves every meet, and so does their meet."""
-    return tuple(L.meet([d for c, d in steps if not L.leq(c, x)]) for x in L.elements())
+def step_row(L, steps, target=None):
+    """x -> the meet in ``target`` (``L`` by default) of the d with c not
+    below x, over the pairs (c, d): each step preserves every meet, and so
+    does their meet."""
+    T = L if target is None else target
+    return tuple(T.meet([d for c, d in steps if not L.leq(c, x)]) for x in L.elements())
 
 
 @st.composite
-def mask_tables(draw, L):
-    """A table into ``L``: arbitrary, or a meet of steps that preserves
-    every meet, sometimes with one entry changed."""
-    value = st.sampled_from(L.elements())
+def mask_tables(draw, L, target=None):
+    """A table from ``L`` into ``target`` (``L`` by default): arbitrary, or
+    a meet of steps that preserves every meet, sometimes with one entry
+    changed."""
+    T = L if target is None else target
+    point, value = st.sampled_from(L.elements()), st.sampled_from(T.elements())
     if draw(st.booleans()):
         return tuple(draw(value) for _ in L.elements())
-    table = list(step_row(L, draw(st.lists(st.tuples(value, value), max_size=3))))
-    if L.size > 1 and draw(st.booleans()):
-        x = draw(value)
+    table = list(step_row(L, draw(st.lists(st.tuples(point, value), max_size=3)), T))
+    if T.size > 1 and draw(st.booleans()):
+        x = draw(point)
         table[x] = draw(value.filter(lambda v: v != table[x]))
     return tuple(table)
 
@@ -459,31 +521,32 @@ def explicit_maps(draw):
     source = draw(st.sampled_from(MASK_LATTICES))
     target = draw(st.sampled_from((source, ExplicitLattice(source.names, source.up),
                                    draw(st.sampled_from(MASK_LATTICES)))))
-    if target == source:
-        return source, target, draw(mask_tables(source))
-    value = st.sampled_from(target.elements())
-    return source, target, tuple(draw(value) for _ in source.elements())
+    return source, target, draw(mask_tables(source, target))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(explicit_maps())
 def test_unpreserved_meet_matches_the_scans_on_maps_between_explicit_lattices(carrier_map):
     source, target, table = carrier_map
-    assert not source.order_failures  # checked, so that the rule can run
+    assert_mask_rule_matches_the_pair_scan(source, table, target)
     assert_meet_matches_the_scans(source, target, table,
                                   unpreserved_meet(source, target, table))
 
 
-def test_the_mask_rule_runs_no_order_check(count_calls):
-    # on an order not yet checked the pair scan decides; once it is, the rule
-    L = ExplicitLattice(DIAMOND.names, DIAMOND.up)
+def test_the_mask_rule_runs_each_order_check_once(count_calls):
+    # the rule decides every map between two explicit lattices, checked or
+    # not: its lookups run each order check once, and the pair scan runs
+    # only to name a failure
+    S, T = ExplicitLattice(DIAMOND.names, DIAMOND.up), ExplicitLattice(L2.names, L2.up)
     counts = count_calls(order._lattice_report, order.first_failing_pair)
-    identity = tuple(L.elements())
-    assert unpreserved_meet(L, L, identity) is None
-    assert counts == {"first_failing_pair": 1} and not L.checked
-    assert validate_lattice(L).ok and L.checked
+    assert unpreserved_meet(S, T, (0, 1, 0, 1)) is None
+    assert counts == {"_lattice_report": 2}
+    assert counts.per_object["_lattice_report", id(S)] == 1
     counts.clear()
-    assert unpreserved_meet(L, L, identity) is None and counts == {}
+    assert unpreserved_meet(S, T, (0, 1, 1, 1)) == "{x, y}"
+    assert counts == {"first_failing_pair": 1}
+    counts.clear()
+    assert unpreserved_meet(S, S, tuple(S.elements())) is None and counts == {}
 
 
 def scanned_interior_flags(op):

@@ -339,7 +339,7 @@ def test_change_answers_do_not_depend_on_the_order(count_calls):
                 answers.append(change_answers(A, iota, *orders))
                 # the changed algebra is built once per algebra and operator
                 built = not isinstance(answers[-1][0], str)
-                assert len(A.changes) == built
+                assert len(A._changes) == built
                 assert not built or counts.per_object["_build_change", id(A)] == 1
             assert all(got == answers[0] for got in answers)
             outcomes[built, isinstance(answers[0][1], str)] += 1
@@ -388,8 +388,11 @@ def test_changing_a_returned_report_leaves_the_next_one_alone(algebra, X):
 def assert_read_only(obj, changes):
     """Assigning each field of ``changes`` its new value and deleting it
     both raise, and leave the field as it was; ``changes`` names every
-    field the class declares."""
-    assert {field for field, _ in changes} == set(type(obj)._fields)
+    public field the object holds that is not lazy."""
+    lazy_fields = {attr for cls in type(obj).__mro__ for attr, v in vars(cls).items()
+                   if isinstance(v, lazy)}
+    assert {field for field, _ in changes} == {
+        field for field in vars(obj) if not field.startswith("_")} - lazy_fields
     for field, value in changes:
         before = getattr(obj, field)
         with pytest.raises(FrozenInstanceError):
@@ -444,6 +447,39 @@ def test_a_validated_lattice_and_structure_cannot_be_reassigned():
     assert powerset.aks.names == aks3().names and validate_structure(powerset).ok
 
 
+def test_lazy_fields_and_kept_values_are_read_only():
+    # a public name is read-only whether __init__ set it or lazy computed it
+    L = ExplicitLattice.chain(3)
+    assert validate_lattice(L).ok and L.meet2(1, 2) == 1
+    algebra = heyting3()
+    assert validate_algebra(algebra).ok
+    st = algebra.structure
+    rows, verdict = st.rows, algebra.verdict
+    for store in (lambda: setattr(L, "down", (7, 7, 7)),
+                  lambda: setattr(L, "greatest_of_down_set", {}),
+                  lambda: setattr(L, "least_of_up_set", {}),
+                  lambda: setattr(st, "rows", ((0, 0, 0),) * 3),
+                  lambda: setattr(algebra, "verdict", None),
+                  lambda: delattr(algebra, "verdict"),
+                  lambda: delattr(L, "down")):
+        with pytest.raises(FrozenInstanceError):
+            store()
+    assert L.down == (1, 3, 7) and L.meet2(1, 2) == 1 and validate_lattice(L).ok
+    assert st.rows is rows and algebra.verdict is verdict
+    # a lazy field may be stored by from_pairs before its first read
+    fork = ExplicitLattice.from_pairs(["e0", "e1", "e2"], [(0, 1), (0, 2)])
+    assert fork.down == (1, 3, 5)
+    with pytest.raises(FrozenInstanceError):
+        fork.down = (1, 1, 1)
+    # a kept change hands out a read-only index of its opens
+    base, iota = functor_A_obj(aks3()).algebra, hat_interior(aks3())
+    changed = change_implication(base, iota)
+    opens = changed.opens
+    with pytest.raises(TypeError):
+        changed.to_sub[opens[0]] = 1
+    assert [changed.to_sub[b] for b in opens] == list(range(len(opens)))
+
+
 def test_every_cached_field_is_lazy():
     # stored with object.__setattr__, past the read-only guard and frozen
     # dataclasses, once per object; functools.cached_property is gone
@@ -453,9 +489,10 @@ def test_every_cached_field_is_lazy():
               if isinstance(v, lazy)}
     assert not any(isinstance(v, cached_property) for cls in classes
                    for v in vars(cls).values())
-    assert len(fields) == 42 and {("AbstractKrivineStructure", "perp_lefts"),
+    assert len(fields) == 43 and {("AbstractKrivineStructure", "perp_lefts"),
                                   ("MorphismSpec", "uniform_bound"),
-                                  ("ImplicativeAlgebra", "changes")} <= fields
+                                  ("ImplicativeAlgebra", "_changes"),
+                                  ("ExplicitLattice", "greatest_of_down_set")} <= fields
     X = dataclasses.replace(aks3())
     assert X.perp_lefts is X.perp_lefts and X.perp_lefts == (7, 7, 2, 2, 0, 0, 0, 0)
     L = ExplicitLattice.chain(3)
