@@ -16,7 +16,7 @@ from itertools import product
 
 from .errors import UnknownElement
 from .lazy import lazy
-from .order import bits, positions_of
+from .order import PowersetLattice, bits, positions_of
 from .report import Report
 
 
@@ -41,6 +41,13 @@ class AbstractKrivineStructure:
             for pi in bits(row):
                 cols[pi] |= 1 << t
         return tuple(cols)
+
+    @lazy
+    def powerset(self) -> PowersetLattice:
+        """The subsets of the carrier under reverse inclusion: the lattice of
+        A(X), of operators on it and of a carrier map's density tables.  One
+        per structure, so its covers and meet-irreducibles are built once."""
+        return PowersetLattice(self.names)
 
     @lazy
     def full(self) -> int:

@@ -23,7 +23,7 @@ from .implicative import (ImplicativeAlgebra, ImplicativeStructure, _algebra_rep
                           _valid_algebra_report, combinator_i, validate_algebra)
 from .lazy import lazy
 from .morphism import DensityCertificate, MorphismSpec, check_applicative
-from .order import PowersetLattice, bits, unpreserved_meet, upward_closure
+from .order import bits, unpreserved_meet, upward_closure
 from .report import Report
 
 MAX_POWERSET_BASE = 10
@@ -67,7 +67,7 @@ class PowersetStructure(ImplicativeStructure):
     their application column, and the least of them stands for the class."""
 
     def __init__(self, aks: AbstractKrivineStructure):
-        super().__init__(PowersetLattice(aks.names),
+        super().__init__(aks.powerset,
                          lambda p, q: aksmod.imp_sets(aks, p, q),
                          app=lambda p, q: aksmod.app_sets(aks, p, q))
         object.__setattr__(self, "aks", aks)

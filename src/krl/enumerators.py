@@ -16,8 +16,15 @@ scan and the brute-force table filter as cross-checks.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .interior import InteriorOperator, _join_tables
 from .order import ExplicitLattice, FiniteLattice, bits
+
+# a row of enumerate_lattices lists the subsets of at most this many of
+# its free elements and counts through the rest, so a row's memory stays
+# bounded at any size
+LISTED_BITS = 8
 
 
 def enumerate_lattices(n: int):
@@ -41,15 +48,7 @@ def enumerate_lattices(n: int):
     top = 1 << (n - 1)
     up = [(1 << n) - 1] + [top] * (n - 1)
     down = [1] * n
-    subsets = {0: [0]}
-
-    def ordered_subsets(free):
-        # the subsets of free in the lexicographic order of their lowest bits
-        if free not in subsets:
-            low = free & -free
-            rest = ordered_subsets(free ^ low)
-            subsets[free] = rest + [s | low for s in rest]
-        return subsets[free]
+    split = lru_cache(maxsize=1024)(_split_digits)
 
     def rows(r):
         if r >= n - 1:  # row n-1 is the top's alone, and meets with the top hold
@@ -66,11 +65,44 @@ def enumerate_lattices(n: int):
             if down[both.bit_length() - 1] != both:
                 return
         down[r] = below
-        for row in ordered_subsets(allowed & ~(bit | top)):
-            up[r] = row | bit | top
-            yield from rows(r + 1)
+        # the subsets of the free elements in listed order: the slow
+        # digits are counted in place, the next count setting the highest
+        # unset one and clearing the set ones above it
+        fixed = bit | top
+        slow, inner = split(allowed & ~fixed)
+        prefix = fixed
+        while True:
+            for row in inner:
+                up[r] = prefix | row
+                yield from rows(r + 1)
+            unset = slow & ~prefix
+            if not unset:
+                break
+            h = 1 << (unset.bit_length() - 1)
+            prefix = (prefix & (h - 1)) | h | fixed
 
     yield from rows(1)
+
+
+def _listed_subsets(free: int) -> tuple[int, ...]:
+    """The subsets of free in the lexicographic order of their lowest
+    bits: binary counting with the lowest bit of free as the most
+    significant digit."""
+    if not free:
+        return (0,)
+    low = free & -free
+    rest = _listed_subsets(free ^ low)
+    return rest + tuple(s | low for s in rest)
+
+
+def _split_digits(free: int) -> tuple[int, tuple[int, ...]]:
+    """The slow digits of free, counted in place, and the listed subsets
+    of its highest ``LISTED_BITS`` elements, the fastest digits of the
+    count."""
+    fast = 0
+    for _ in range(min(LISTED_BITS, free.bit_count())):
+        fast |= 1 << ((free & ~fast).bit_length() - 1)
+    return free ^ fast, _listed_subsets(fast)
 
 
 def monotone_selfmaps(lattice: FiniteLattice):

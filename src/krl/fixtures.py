@@ -11,7 +11,7 @@ from __future__ import annotations
 from .aks import AbstractKrivineStructure, bar_closure, full_polarity_aks, hat_closure
 from .implicative import ImplicativeAlgebra, ImplicativeStructure
 from .interior import InteriorOperator
-from .order import ExplicitLattice, PowersetLattice
+from .order import ExplicitLattice
 
 
 def l2() -> ImplicativeAlgebra:
@@ -114,12 +114,12 @@ def diamond_open_x_interior() -> InteriorOperator:
 
 
 def bar_interior(aks: AbstractKrivineStructure) -> InteriorOperator:
-    lattice = PowersetLattice(aks.names)
+    lattice = aks.powerset
     return InteriorOperator(
         lattice, tuple(bar_closure(aks, m) for m in range(lattice.size)))
 
 
 def hat_interior(aks: AbstractKrivineStructure) -> InteriorOperator:
-    lattice = PowersetLattice(aks.names)
+    lattice = aks.powerset
     return InteriorOperator(
         lattice, tuple(hat_closure(aks, m) for m in range(lattice.size)))

@@ -15,10 +15,12 @@ subsets.  Density has one verifier and one search for both kinds:
 each reads the kind-specific data from ``_density`` (the separators,
 the lattices of the table, what a realizer must be and how witnesses
 are named), so a certificate is checked search-free by the same seven
-clauses for structure maps and for carrier maps.  The monotone-table
-search runs greedily along a linear extension with backtracking, so a
-missing certificate is a definitive negative while an exhausted budget
-is reported as its own outcome.
+clauses for structure maps and for carrier maps.  The separators, in
+ascending order, are plain data built once per map
+(``MorphismSpec.separators``); no cached value holds a closure over its
+map.  The monotone-table search runs greedily along a linear extension
+with backtracking, so a missing certificate is a definitive negative
+while an exhausted budget is reported as its own outcome.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ class MorphismSpec:
             reps.setdefault((A.structure.classes[a], B.structure.classes[c[a]]), a)
         return B.lattice.meet({B.imp(c[s], B.imp(c[a], c[A.application(s, a)]))
                                for s in A.separator for a in reps.values()})
+
+    @lazy
+    def separators(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The target and source separators on which a density table lives
+        (``table_lattices``), in ascending order: elements for a structure
+        map, masks for a carrier map."""
+        if self.kind == "ia":
+            return tuple(sorted(self.target.separator)), tuple(sorted(self.source.separator))
+        return self.target.separator_masks, self.source.separator_masks
 
     def __call__(self, x: int) -> int:
         return self.carrier[x]
@@ -373,7 +384,7 @@ def check_comp_dense(f: MorphismSpec, hint: DensityCertificate | None = None,
         return hint if verify_certificate(f, hint).ok else None
     # read first: a bad budget is an error also on a map that is not applicative
     budget = budget if budget is not None else search_budget()
-    rep = check_applicative(f)
+    rep = f.verdict
     return search_certificate(f, rep.data["realizer"], budget) if rep.ok else None
 
 
@@ -401,7 +412,7 @@ def table_lattices(f: MorphismSpec):
     sets of subsets."""
     if f.kind == "ia":
         return f.target.lattice, f.source.lattice
-    return PowersetLattice(f.target.names), PowersetLattice(f.source.names)
+    return f.target.powerset, f.source.powerset
 
 
 # the lattices of the table (``table_lattices``), the target and source
@@ -423,6 +434,7 @@ def _density(f: MorphismSpec) -> _Density:
     f(S) -> B."""
     A, B = f.source, f.target
     lt, ls = table_lattices(f)
+    sep_b, sep_a = f.separators
     if f.kind == "ia":
         def dense(t, s, b):
             return lt.leq(B.application(t, f(s)), b)
@@ -435,7 +447,7 @@ def _density(f: MorphismSpec) -> _Density:
             return (f"(s={ls.name(s)}, a={ls.name(a)})"
                     for s in sorted(A.separator) for a in ls.elements()
                     if not lt.leq(B.apply_chain(r, f(s), f(a)), f(A.application(s, a))))
-        return _Density(lt, ls, sorted(B.separator), sorted(A.separator), B.separator,
+        return _Density(lt, ls, sep_b, sep_a, B.separator,
                         dense, "in-separator", lt.name, lt.name_set, uniform_failures)
 
     def dense(t, s, b):
@@ -444,7 +456,7 @@ def _density(f: MorphismSpec) -> _Density:
     def uniform_failures(r):
         return (f"(P'={ls.name(p2)}, P={ls.name(p)})"
                 for p2, p, realizers in _uniform_family(f) if not realizers >> r & 1)
-    return _Density(lt, ls, list(B.separator_masks), list(A.separator_masks),
+    return _Density(lt, ls, sep_b, sep_a,
                     frozenset(bits(B.qp)), dense, "is-quasi-proof", B.name,
                     lambda masks: lt.name(masks[0]), uniform_failures)
 

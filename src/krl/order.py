@@ -476,18 +476,24 @@ def _lattice_report(lattice: FiniteLattice) -> Report:
     # a partial order a set has a greatest element m exactly when it is
     # the down-set of m: m lies in it and bounds it, and by transitivity
     # everything below m lies below what bounds the set.  So one lookup
-    # among the principal down-sets decides each pair; any other relation
-    # keeps the scan for a greatest element.
-    principal = {mask: m for m, mask in enumerate(down)} if rep.ok else None
-
-    def has_greatest(mask):
-        if principal is not None:
-            return mask in principal
-        return lattice._greatest(mask) is not None
-    witness = next((lattice.name_set((a, b))
-                    for a in elems for b in range(a + 1, lattice.size)
-                    if not has_greatest(down[a] & down[b])), None)
-    if witness is None and not has_greatest(lattice._full):
+    # among the principal down-sets decides each pair, and a comparable
+    # pair meets at its lower member: only the pairs b > a outside
+    # up[a] | down[a] can fail, and the first of them to fail is the
+    # scan's.  Any other relation keeps the scan for a greatest element.
+    full = lattice._full
+    if rep.ok:
+        principal = {mask: m for m, mask in enumerate(down)}
+        witness = next((lattice.name_set((a, b)) for a in elems
+                        for b in bits(full & ~(up[a] | down[a]) & -(2 << a))
+                        if (down[a] & down[b]) not in principal), None)
+        has_top = full in principal
+    else:
+        greatest = lattice._greatest
+        witness = next((lattice.name_set((a, b))
+                        for a in elems for b in range(a + 1, lattice.size)
+                        if greatest(down[a] & down[b]) is None), None)
+        has_top = greatest(full) is not None
+    if witness is None and not has_top:
         witness = "{} (no top element)"
     rep.check("order.complete", witness is None, witness)
     return rep

@@ -3,11 +3,17 @@
 A report is a flat list of named clause checks.  Failures carry a
 concrete witness; descriptive properties (classical, consistent,
 alexandroff, ...) are recorded as flags and never fail a report.
+
+A passing clause with no witness and no note is one shared
+:class:`CheckResult` per clause name, taken from a bounded cache, so a
+pass costs one lookup; every other clause is built afresh.  Results are
+frozen and compare by value, so the sharing cannot be observed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -16,6 +22,11 @@ class CheckResult:
     passed: bool
     witness: str | None = None
     note: str | None = None
+
+
+@lru_cache(maxsize=1024)
+def _passed(clause: str) -> CheckResult:
+    return CheckResult(clause, True)
 
 
 @dataclass
@@ -33,6 +44,9 @@ class Report:
         return [c for c in self.checks if not c.passed]
 
     def check(self, clause: str, passed: bool, witness=None, note=None) -> bool:
+        if passed and witness is None and note is None:
+            self.checks.append(_passed(clause))
+            return True
         if witness is not None and not isinstance(witness, str):
             witness = str(witness)
         self.checks.append(CheckResult(clause, bool(passed), witness, note))

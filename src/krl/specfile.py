@@ -534,7 +534,7 @@ def build_interior(doc: SpecDocument, base_obj) -> InteriorOperator:
     """An operator on a lattice, on the lattice of an algebra, or on the
     powerset of a Krivine structure's carrier."""
     if isinstance(base_obj, AbstractKrivineStructure):
-        lattice = PowersetLattice(base_obj.names)
+        lattice = base_obj.powerset
     elif isinstance(base_obj, ImplicativeAlgebra):
         lattice = base_obj.lattice
     else:
@@ -643,7 +643,12 @@ class Workspace:
 
     def add_path(self, path) -> SpecDocument:
         with open(path, encoding="utf-8") as fh:
-            return self.add_text(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise SpecFileError(f"{path} is not UTF-8 text: {exc.reason} "
+                                    f"at byte {exc.start}") from None
+        return self.add_text(text)
 
     def resolve(self) -> None:
         for key, doc in self.documents.items():

@@ -191,6 +191,18 @@ def test_the_density_certificates_verify_as_the_oracle_says(base, iota):
         assert verify_certificate(f, cert).ok
 
 
+def test_the_separators_kept_on_each_map_are_the_per_call_ones():
+    maps = [*carrier_maps("ia", [l2(), heyting3(), diamond()] + chain3_algebras()),
+            *carrier_maps("aks", [aks1(), aks2(), aks3()]),
+            *(f for base, iota in density_inputs() for f, _ in density_certificates(base, iota)),
+            *(f for f, _, _ in hinted_maps())]
+    for f in maps:
+        sep_b, sep_a = separators(f)
+        assert f.separators == (tuple(sep_b), tuple(sep_a))
+        assert f.separators is f.separators
+    assert len(maps) > 1800
+
+
 def hinted_maps():
     """Every self-map of aks3 and every map from H3 to L2, with the names
     of its source and target and the fixtures that define them."""

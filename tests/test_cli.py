@@ -369,6 +369,30 @@ def test_missing_morphism_rows_are_named(capsys, tmp_path):
     assert code == 2 and "missing entries for: e1" in err
 
 
+def test_a_file_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    # UTF-16 text: its byte order mark is no UTF-8 sequence
+    path = tmp_path / "bin.krl"
+    path.write_bytes(b"\xff\xfe" + (FIX / "l2.krl").read_text().encode("utf-16-le"))
+    message = f"error: {path} is not UTF-8 text: invalid start byte at byte 0\n"
+    assert run(capsys, "validate", path) == (2, "", message)
+    assert run(capsys, "--json", "validate", FIX / "l2.krl", path) == (2, "", message)
+    assert run(capsys, "apply", path, "e0", "e1") == (2, "", message)
+
+
+def test_a_map_whose_document_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    # the structure a .kmap references, cut inside a two-byte character
+    text = (FIX / "l2.krl").read_bytes()
+    path = tmp_path / "l2.krl"
+    path.write_bytes(text + "\u00e9".encode()[:1])
+    code, out, err = run(capsys, "morphism", "check", "--dense", FIX / "id-l2.kmap", path)
+    assert (code, out, err) == (
+        2, "", f"error: {path} is not UTF-8 text: unexpected end of data at byte {len(text)}\n")
+    path.write_bytes(text[:10] + b"\xe9" + text[10:])
+    code, out, err = run(capsys, "morphism", "check", FIX / "id-l2.kmap", path)
+    assert (code, out, err) == (
+        2, "", f"error: {path} is not UTF-8 text: invalid continuation byte at byte 10\n")
+
+
 def test_non_integer_search_budget_is_a_usage_error(capsys, monkeypatch, tmp_path):
     kmap = _write(tmp_path, "search.kmap",
                   'morphism ia "collapse" from "H3" to "L2-classical"\n'

@@ -1,7 +1,11 @@
 """Small-model enumeration cross-checked against raw table filtering."""
 
+import tracemalloc
 from itertools import product
 
+import pytest
+
+from krl import enumerators
 from krl.enumerators import (enumerate_implications, enumerate_interiors,
                              enumerate_lattices, monotone_maps, monotone_selfmaps)
 from krl.interior import ClosedPart, is_alexandroff
@@ -85,6 +89,78 @@ def brute_force_lattices(n):
 def test_lattice_generation_matches_the_filter_in_order_up_to_six():
     for n in range(7):
         assert list(enumerate_lattices(n)) == brute_force_lattices(n)
+
+
+def memoized_lattices(n):
+    """The generator before rows streamed their subsets: every row's
+    subsets listed and kept, by the set of free elements."""
+    if n == 0:
+        return
+    names = tuple(f"e{i}" for i in range(n))
+    top = 1 << (n - 1)
+    up = [(1 << n) - 1] + [top] * (n - 1)
+    down = [1] * n
+    subsets = {0: [0]}
+
+    def ordered_subsets(free):
+        if free not in subsets:
+            low = free & -free
+            rest = ordered_subsets(free ^ low)
+            subsets[free] = rest + [s | low for s in rest]
+        return subsets[free]
+
+    def rows(r):
+        if r >= n - 1:
+            yield ExplicitLattice(names, tuple(up))
+            return
+        bit = 1 << r
+        allowed, below = ~(bit - 1), bit
+        for i in range(r):
+            if up[i] & bit:
+                allowed &= up[i]
+                below |= 1 << i
+        for a in range(1, r):
+            both = below & down[a]
+            if down[both.bit_length() - 1] != both:
+                return
+        down[r] = below
+        for row in ordered_subsets(allowed & ~(bit | top)):
+            up[r] = row | bit | top
+            yield from rows(r + 1)
+
+    yield from rows(1)
+
+
+@pytest.mark.parametrize("listed_bits", [0, 1, 2, 3, enumerators.LISTED_BITS])
+def test_streamed_rows_match_the_memoized_generator_up_to_eight(monkeypatch, listed_bits):
+    # below the default, the rows of these sizes count through slow digits too
+    monkeypatch.setattr(enumerators, "LISTED_BITS", listed_bits)
+    for n in range(9):
+        assert list(enumerate_lattices(n)) == list(memoized_lattices(n))
+
+
+@pytest.mark.parametrize("listed_bits", [0, 1, 3, enumerators.LISTED_BITS])
+def test_a_row_lists_only_its_fastest_digits(monkeypatch, listed_bits):
+    monkeypatch.setattr(enumerators, "LISTED_BITS", listed_bits)
+    for free in range(1 << 10):
+        slow, inner = enumerators._split_digits(free)
+        fast = free ^ slow
+        # the highest elements, the least significant digits of the count
+        assert slow & fast == 0 and fast.bit_count() == min(listed_bits, free.bit_count())
+        assert not fast or slow < fast & -fast
+        assert inner == enumerators._listed_subsets(fast)
+
+
+def test_the_first_lattice_of_a_large_size_comes_at_once():
+    tracemalloc.start()
+    try:
+        first = next(enumerate_lattices(40))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every row empty: the bottom, 38 atoms and the top
+    assert first.up == ((1 << 40) - 1,) + tuple(1 << r | 1 << 39 for r in range(1, 40))
+    assert peak < 4 << 20
 
 
 def test_lattice_enumeration_reaches_both_four_element_shapes():

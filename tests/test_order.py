@@ -869,6 +869,18 @@ def test_completeness_by_down_sets_matches_the_scan_on_every_relation_on_three()
     assert verdicts[True] and verdicts[False]
 
 
+def test_completeness_by_incomparable_pairs_matches_the_scan_on_lattices_up_to_five():
+    # each enumerated lattice, and the order left when its bottom e0 is
+    # taken away, where two elements may have no common lower bound
+    verdicts = Counter()
+    for n in range(1, 6):
+        for L in enumerate_lattices(n):
+            assert assert_completeness_matches_the_scan(L)
+            rest = ExplicitLattice(L.names[1:], [u >> 1 for u in L.up[1:]])
+            verdicts[assert_completeness_matches_the_scan(rest)] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_completeness_by_down_sets_matches_the_scan_on_random_relations_up_to_seven():
     rng = random.Random(17)
     lattices = orders = 0

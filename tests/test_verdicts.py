@@ -18,7 +18,7 @@ from itertools import product
 import pytest
 
 from krl import aks as aks_module
-from krl import implicative, interior, morphism, order
+from krl import implicative, interior, morphism, order, report
 from krl.aks import full_polarity_aks, validate_aks
 from krl.bridge import (PowersetStructure, check_adjunction_instance, composite_AK_check,
                         composite_KA_check, functor_A_mor, functor_A_obj, functor_K_obj,
@@ -35,6 +35,7 @@ from krl.lazy import lazy
 from krl.morphism import (DensityCertificate, MorphismSpec, check_applicative,
                           check_comp_dense, identity_morphism, verify_certificate)
 from krl.order import ExplicitLattice, PowersetLattice, validate_lattice
+from krl.report import CheckResult, Report
 
 from powerset_oracles import mined_by_algebra
 from test_implicative import law_algebras, principal_algebras
@@ -489,12 +490,15 @@ def test_every_cached_field_is_lazy():
               if isinstance(v, lazy)}
     assert not any(isinstance(v, cached_property) for cls in classes
                    for v in vars(cls).values())
-    assert len(fields) == 43 and {("AbstractKrivineStructure", "perp_lefts"),
+    assert len(fields) == 45 and {("AbstractKrivineStructure", "perp_lefts"),
+                                  ("AbstractKrivineStructure", "powerset"),
                                   ("MorphismSpec", "uniform_bound"),
+                                  ("MorphismSpec", "separators"),
                                   ("ImplicativeAlgebra", "_changes"),
                                   ("ExplicitLattice", "greatest_of_down_set")} <= fields
     X = dataclasses.replace(aks3())
     assert X.perp_lefts is X.perp_lefts and X.perp_lefts == (7, 7, 2, 2, 0, 0, 0, 0)
+    assert X.powerset is X.powerset and X.powerset == PowersetLattice(X.names)
     L = ExplicitLattice.chain(3)
     assert L.covers is L.covers and L.covers == ((0, 1), (1, 2))
 
@@ -512,7 +516,44 @@ def test_a_certificate_search_leaves_no_reference_cycle():
         assert change_implication(base, iota).report.ok
         for f, cert in density_certificates(base, iota):
             assert verify_certificate(f, cert).ok
-        del base, f, cert
+        # a carrier map searched, verified and carried to A, each reading
+        # the separators kept on the map
+        f = next(MorphismSpec("aks", aks2(), aks3(), t, "g") for t in product(range(3), repeat=2)
+                 if check_applicative(MorphismSpec("aks", aks2(), aks3(), t)).ok)
+        cert = check_comp_dense(f)
+        assert cert is not None and verify_certificate(f, cert).ok
+        image = functor_A_mor(f)
+        assert f.separators and image.separators
+        del base, f, cert, image
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ------------------------------------------- a passing clause is shared
+
+
+def test_a_passing_clause_without_witness_or_note_is_one_shared_result():
+    first, second = Report("first"), Report("second")
+    for rep in (first, second):
+        assert rep.check("shared.pass", True)
+        assert rep.check("shared.truthy", 1)
+        assert not rep.check("shared.fail", False)
+        assert rep.check("shared.noted", True, note="kept")
+        assert rep.check("shared.witnessed", True, witness=3)
+        assert not rep.check("shared.fail-witnessed", 0, "w")
+    assert first.checks == second.checks == [
+        CheckResult("shared.pass", True), CheckResult("shared.truthy", True),
+        CheckResult("shared.fail", False), CheckResult("shared.noted", True, None, "kept"),
+        CheckResult("shared.witnessed", True, "3"),
+        CheckResult("shared.fail-witnessed", False, "w")]
+    same = [a is b for a, b in zip(first.checks, second.checks)]
+    assert same == [True, True, False, False, False, False]
+    assert second.to_json() == {**first.to_json(), "name": "second"}
+
+
+def test_the_shared_results_stay_at_their_bound():
+    for i in range(5000):
+        assert Report("many").check(f"shared.clause-{i}", True)
+    info = report._passed.cache_info()
+    assert info.currsize == info.maxsize == 1024
