@@ -142,17 +142,17 @@ def functor_K_obj(algebra: ImplicativeAlgebra, *, validate=True) -> FunctorImage
 
 
 def krivine_structure(algebra: ImplicativeAlgebra) -> AbstractKrivineStructure:
-    """K(L), unchecked: order as polarity, implication as push,
-    application as application, separator as quasi-proofs."""
+    """K(L), unchecked: order as polarity, the structure's implication and
+    application tables (``rows``, ``app_rows``) as push and application,
+    separator as quasi-proofs."""
     L = algebra.lattice
     n = L.size
     names = tuple(L.name(a) for a in L.elements())
     perp_rows = tuple(
         sum(1 << pi for pi in range(n) if L.leq(t, pi)) for t in range(n))
-    push = tuple(tuple(algebra.imp(s, pi) for pi in range(n)) for s in range(n))
     qp = sum(1 << x for x in algebra.separator)
-    return AbstractKrivineStructure(names, perp_rows, push, algebra.structure.app_rows, qp,
-                                    algebra.k, algebra.s)
+    return AbstractKrivineStructure(names, perp_rows, algebra.structure.rows,
+                                    algebra.structure.app_rows, qp, algebra.k, algebra.s)
 
 
 def functor_A_mor(f: MorphismSpec) -> MorphismSpec:

@@ -22,10 +22,12 @@ from .report import Report
 class ImplicativeStructure(ReadOnly):
     """A lattice together with an implication map.
 
-    ``imp`` may be a full table (tuple of rows) or any callable; an
-    optional closed-form application can be supplied for backends where
-    the adjoint has a direct formula (AKS powersets), otherwise the
-    defining meet is enumerated and cached.
+    ``imp`` may be a full table (tuple of rows) or any callable.  Each
+    :meth:`imp` asks it afresh; the scans read the table kept once in
+    :attr:`rows`.  An optional closed-form application can be supplied for
+    backends where the adjoint has a direct formula (AKS powersets),
+    otherwise the defining meet is enumerated; a cell of application is
+    kept once asked.
     """
 
     def __init__(self, lattice: FiniteLattice, imp, app=None):
@@ -36,7 +38,6 @@ class ImplicativeStructure(ReadOnly):
             table = self._table = tuple(tuple(row) for row in imp)
             self._imp = lambda a, b: table[a][b]
         self._app = app
-        self._imp_cache: dict[tuple[int, int], int] = {}
         self._app_cache: dict[tuple[int, int], int] = {}
         # the whole table (app_rows), once a scan that reads every cell asks
         self._app_rows = None
@@ -45,12 +46,7 @@ class ImplicativeStructure(ReadOnly):
     _table = None
 
     def imp(self, a: int, b: int) -> int:
-        key = (a, b)
-        got = self._imp_cache.get(key)
-        if got is None:
-            got = self._imp(a, b)
-            self._imp_cache[key] = got
-        return got
+        return self._imp(a, b)
 
     def application(self, a: int, b: int) -> int:
         rows = self._app_rows
@@ -94,7 +90,8 @@ class ImplicativeStructure(ReadOnly):
     @lazy
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The row b -> a->b of every a: the table given to ``__init__``, whose
-        classes are the identity, or else computed once per representative."""
+        classes are the identity, or else asked of the implication once per
+        representative."""
         if self._table is not None:
             return self._table
         elems = self.lattice.elements()
@@ -266,7 +263,15 @@ def validate_structure(structure: ImplicativeStructure) -> Report:
 
 
 def _structure_report(structure: ImplicativeStructure) -> Report:
-    """The body of :func:`validate_structure`."""
+    """The body of :func:`validate_structure`.
+
+    Variance is checked antitone in a, then monotone in b, each along the
+    cover steps lo < hi of the order: transitivity gives a' <= a, b <= b'
+    => a->b <= a'->b'.  A row that preserves binary meets is monotone, so
+    the b half can fail only where meet-commutation does.  When it holds,
+    every imp(., x) with x below the top is the meet of the imp(., g) over
+    the meet-irreducibles g above x, so the a half is decided on those g
+    and the top; the full scan runs only to name a failure."""
     L = structure.lattice
     nm = L.name
     rep = Report("implicative-structure")
@@ -289,13 +294,6 @@ def _structure_report(structure: ImplicativeStructure) -> Report:
             break
     binary = witness is None
 
-    # antitone in a, then monotone in b, each along the cover steps lo < hi
-    # of the order: transitivity gives a' <= a, b <= b' => a->b <= a'->b'.
-    # A row that preserves binary meets is monotone, so the b half can fail
-    # only where meet-commutation does.  When it holds, every imp(., x) with
-    # x below the top is the meet of the imp(., g) over the meet-irreducibles
-    # g above x, so the a half is decided on those g and the top; the full
-    # scan runs only to name a failure.
     covers, elems, variance = L.covers, L.elements(), None
     if not binary or any(not leq(rows[hi][x], rows[lo][x])
                          for (lo, hi), x in product(covers, (*L.meet_irreducibles, top))):

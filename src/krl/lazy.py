@@ -14,6 +14,13 @@ lookup tables of an explicit lattice's meets are lazy fields that run its
 order check on first read (:mod:`krl.order`), and nothing can replace
 them or the order under them.
 
+Each computed value has one store: the object it describes keeps it once,
+in a lazy field or in a table built there (an implicative structure's
+``rows`` and ``app_rows``, a Krivine structure's ``perp_lefts``), and
+every reader indexes that store instead of keeping a copy in front of it.
+A few values asked one by one before, or instead of, their whole table
+are kept by cell (application cells, the point tables of perp classes).
+
 :class:`lazy` is what every cached value in krl uses instead of
 ``functools.cached_property``.  That one stores through the instance
 ``__dict__``, whose first use on CPython 3.11 turns the object's inline

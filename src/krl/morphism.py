@@ -26,7 +26,7 @@ while an exhausted budget is reported as its own outcome.
 from __future__ import annotations
 
 import os
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 from functools import partial
 
@@ -82,16 +82,33 @@ class MorphismSpec:
         when r <= f(s) -> f(a) -> f(sa): r is uniform exactly when r <= M.
         Each term reads a only through the application column x -> x a of
         the source and the row of f(a) in the target, so a runs over one
-        representative per pair of classes."""
+        representative per pair of classes.
+
+        An implication reads its first argument only through its row, so
+        through its class, whose representative stands for it.  The guard's
+        passing verdict holds ``imp.meet-commutation``: each row u -> .
+        commutes with every meet, on A(Y) a union.  So the terms with f(a)
+        in one class x and f(s) in one class u meet to u -> (x -> W), W the
+        union of their f(sa), and the terms with f(s) in u to u -> Z, Z the
+        union of those x -> W: one implication per pair of classes (u, x)
+        and one per u, however many s and a share them."""
         A, B, c = self.source, self.target, self.carrier
         if not (self.kind == "ia" and isinstance(B.lattice, PowersetLattice)
                 and B.structure.verdict.ok and B.structure.adjoint):
             return None
+        classes = B.structure.classes
         reps = {}
         for a in A.lattice.elements():
-            reps.setdefault((A.structure.classes[a], B.structure.classes[c[a]]), a)
-        return B.lattice.meet({B.imp(c[s], B.imp(c[a], c[A.application(s, a)]))
-                               for s in A.separator for a in reps.values()})
+            reps.setdefault((A.structure.classes[a], classes[c[a]]), a)
+        # the class of f(s), to the class of f(a), to the union of the f(sa)
+        inner = defaultdict(partial(defaultdict, int))
+        for s in A.separator:
+            group = inner[classes[c[s]]]
+            for a in reps.values():
+                group[classes[c[a]]] |= c[A.application(s, a)]
+        meet = B.lattice.meet
+        return meet([B.imp(u, meet([B.imp(x, y) for x, y in group.items()]))
+                     for u, group in inner.items()])
 
     @lazy
     def separators(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -86,7 +86,7 @@ class FiniteLattice(ReadOnly):
     def order_failures(self) -> tuple:
         """The failed clauses of :func:`validate_lattice`: every validator
         that needs the order, and the first meet or join, read this verdict."""
-        return tuple(validate_lattice(self).failures())
+        return tuple(self.verdict.failures())
 
     @lazy
     def meet_irreducibles(self) -> tuple[int, ...]:
@@ -422,7 +422,8 @@ def unpreserved_pair(source: FiniteLattice, target: FiniteLattice,
 def unpreserved_meet(source: FiniteLattice, target: FiniteLattice, table) -> str | None:
     """The name of the first family whose meet the map x -> table[x] does
     not carry to the meet of its images, or None: the empty family, then
-    the pairs of :func:`unpreserved_pair`."""
+    the pairs of :func:`unpreserved_pair`.  On a finite lattice every
+    nonempty meet is a fold of binary meets, so these decide every family."""
     family = () if table[source.top] != target.top else unpreserved_pair(source, target, table)
     return None if family is None else source.name_set(family)
 
@@ -449,7 +450,17 @@ def validate_lattice(lattice: FiniteLattice) -> Report:
 
 
 def _lattice_report(lattice: FiniteLattice) -> Report:
-    """The body of :func:`validate_lattice`."""
+    """The body of :func:`validate_lattice`.
+
+    For completeness, all binary meets plus a greatest element suffice on
+    a finite carrier (the empty meet is the top, folds give the rest).  On
+    a partial order a set has a greatest element m exactly when it is the
+    down-set of m: m lies in it and bounds it, and by transitivity
+    everything below m lies below what bounds the set.  So one lookup
+    among the principal down-sets decides each pair, and a comparable
+    pair meets at its lower member: only the pairs b > a outside
+    up[a] | down[a] can fail, and the first of them to fail is the
+    scan's.  Any other relation keeps the scan for a greatest element."""
     rep = Report("lattice")
     if isinstance(lattice, PowersetLattice):
         for clause in ("order.reflexive", "order.antisymmetric", "order.transitive",
@@ -471,15 +482,6 @@ def _lattice_report(lattice: FiniteLattice) -> Report:
                     if (skipped := up[b] & ~up[a])), None)
     rep.check("order.transitive", witness is None, witness)
 
-    # completeness: all binary meets plus a greatest element suffice on a
-    # finite carrier (the empty meet is the top, folds give the rest).  On
-    # a partial order a set has a greatest element m exactly when it is
-    # the down-set of m: m lies in it and bounds it, and by transitivity
-    # everything below m lies below what bounds the set.  So one lookup
-    # among the principal down-sets decides each pair, and a comparable
-    # pair meets at its lower member: only the pairs b > a outside
-    # up[a] | down[a] can fail, and the first of them to fail is the
-    # scan's.  Any other relation keeps the scan for a greatest element.
     full = lattice._full
     if rep.ok:
         principal = {mask: m for m, mask in enumerate(down)}

@@ -14,7 +14,8 @@ from krl.aks import AbstractKrivineStructure, full_polarity_aks, mine_aks, valid
 from krl.bridge import (AdjunctionData, check_adjunction_instance,
                         composite_AK_check, composite_KA_check, counit_certificate,
                         functor_A_mor, functor_A_obj, functor_K_mor, functor_K_obj,
-                        transport_density_A, transport_density_K, unit_certificate)
+                        krivine_structure, transport_density_A, transport_density_K,
+                        unit_certificate)
 from krl.enumerators import enumerate_implications
 from krl.errors import InvalidSource, SizeLimitExceeded
 from krl.fixtures import (AKS3_PERP, aks1, aks2, aks3, diamond, heyting3, l2, mined_corpus,
@@ -88,6 +89,11 @@ def test_functor_K_on_heyting3():
     aks = functor_K_obj(heyting3()).aks
     assert aks.qp == 0b100
     assert validate_aks(aks).ok
+
+
+@pytest.mark.parametrize("algebra", [heyting3(), l2()], ids=["callable", "table"])
+def test_K_pushes_by_the_structure_rows(algebra):
+    assert krivine_structure(algebra).push is algebra.structure.rows
 
 
 def test_functor_K_size_guard():
@@ -497,6 +503,14 @@ def test_unit_witness_is_perp_row_of_skk():
 def test_adjunction_instance(algebra, aks):
     rep = check_adjunction_instance(algebra, aks)
     assert rep.ok, rep.render()
+
+
+def test_adjunction_instance_on_a_large_K_lists_no_subsets():
+    # perp_lefts would hold all 2^48 subsets of K(H48)'s carrier
+    h48 = heyting_chain(48)
+    X = krivine_structure(h48)
+    assert check_adjunction_instance(h48, X).ok
+    assert "perp_lefts" not in vars(X)
 
 
 def test_adjunction_triangles_build_no_powerset_lattice(monkeypatch):

@@ -262,20 +262,20 @@ def test_interior_change_builds_the_changed_algebra_once(capsys, count_calls):
     # and combinator_nu read it); the changed algebra's is checked once
     counts = count_calls(interior.change_implication, implicative.validate_algebra,
                          implicative.combinator_nu, interior.is_alexandroff,
-                         order.validate_lattice)
+                         order._lattice_report)
     code, out, _ = run(capsys, "interior", "change",
                        FIX / "aks3.krl", FIX / "aks3-hat.kop")
     assert code == 0 and "report changed-algebra: PASS" in out
     assert counts == {"change_implication": 1, "validate_algebra": 1,
-                      "combinator_nu": 1, "is_alexandroff": 2, "validate_lattice": 1}
+                      "combinator_nu": 1, "is_alexandroff": 2, "_lattice_report": 1}
 
 
 def test_interior_change_checks_the_base_order_once(capsys, count_calls):
-    counts = count_calls(order.validate_lattice)
+    counts = count_calls(order._lattice_report)
     code, _, _ = run(capsys, "interior", "change",
                      FIX / "diamond.krl", FIX / "diamond-open-x.kop")
     assert code == 1
-    assert counts == {"validate_lattice": 1}
+    assert counts == {"_lattice_report": 1}
 
 
 def test_each_order_is_checked_once_on_an_explicit_base(capsys, count_calls, tmp_path):
@@ -283,14 +283,14 @@ def test_each_order_is_checked_once_on_an_explicit_base(capsys, count_calls, tmp
     # the changed algebra's; `combinators` reads it in _as_algebra and nu
     kop = tmp_path / "h3-id.kop"
     kop.write_text('interior on "H3"\nmap: e0 -> e0 ; m -> m ; e1 -> e1\n')
-    counts = count_calls(order.validate_lattice, implicative.combinator_nu)
+    counts = count_calls(order._lattice_report, implicative.combinator_nu)
     code, out, _ = run(capsys, "interior", "change", FIX / "heyting3.krl", kop)
     assert code == 0 and "report changed-algebra: PASS" in out
-    assert counts == {"validate_lattice": 2, "combinator_nu": 1}
+    assert counts == {"_lattice_report": 2, "combinator_nu": 1}
     counts.clear()
     code, out, _ = run(capsys, "combinators", FIX / "heyting3.krl")
     assert code == 0 and "nu = e1" in out
-    assert counts == {"validate_lattice": 1, "combinator_nu": 1}
+    assert counts == {"_lattice_report": 1, "combinator_nu": 1}
 
 
 def test_adjunction_builds_the_functor_images_it_reads(capsys, count_calls):

@@ -3,9 +3,6 @@
 import tracemalloc
 from itertools import product
 
-import pytest
-
-from krl import enumerators
 from krl.enumerators import (enumerate_implications, enumerate_interiors,
                              enumerate_lattices, monotone_maps, monotone_selfmaps)
 from krl.interior import ClosedPart, is_alexandroff
@@ -131,24 +128,9 @@ def memoized_lattices(n):
     yield from rows(1)
 
 
-@pytest.mark.parametrize("listed_bits", [0, 1, 2, 3, enumerators.LISTED_BITS])
-def test_streamed_rows_match_the_memoized_generator_up_to_eight(monkeypatch, listed_bits):
-    # below the default, the rows of these sizes count through slow digits too
-    monkeypatch.setattr(enumerators, "LISTED_BITS", listed_bits)
+def test_streamed_rows_match_the_memoized_generator_up_to_eight():
     for n in range(9):
         assert list(enumerate_lattices(n)) == list(memoized_lattices(n))
-
-
-@pytest.mark.parametrize("listed_bits", [0, 1, 3, enumerators.LISTED_BITS])
-def test_a_row_lists_only_its_fastest_digits(monkeypatch, listed_bits):
-    monkeypatch.setattr(enumerators, "LISTED_BITS", listed_bits)
-    for free in range(1 << 10):
-        slow, inner = enumerators._split_digits(free)
-        fast = free ^ slow
-        # the highest elements, the least significant digits of the count
-        assert slow & fast == 0 and fast.bit_count() == min(listed_bits, free.bit_count())
-        assert not fast or slow < fast & -fast
-        assert inner == enumerators._listed_subsets(fast)
 
 
 def test_the_first_lattice_of_a_large_size_comes_at_once():

@@ -28,6 +28,7 @@ from krl.morphism import MorphismSpec, check_applicative
 from krl.order import (ExplicitLattice, PowersetLattice, bits, first_failing_pair,
                        unpreserved_meet, unpreserved_pair, up_preimages, upward_closure,
                        validate_lattice)
+from krl.report import Report
 from krl.specfile import Workspace
 
 from interior_oracles import oracle_lattices
@@ -806,8 +807,8 @@ def test_index_of_takes_the_first_name_as_tuple_index_does():
 
 
 def test_the_order_verdict_is_read_once_per_lattice(count_calls):
-    # counted where krl calls it, not in this module
-    counts = count_calls(validate_lattice)
+    # the order check runs on the first read, here validate_lattice
+    counts = count_calls(order._lattice_report)
     names = ("x", "y", "z")
     for up in product(range(8), repeat=3):
         L = ExplicitLattice(names, up)
@@ -818,13 +819,22 @@ def test_the_order_verdict_is_read_once_per_lattice(count_calls):
         if not failures:
             check_adjunction(st)
             validate_interior(interior.InteriorOperator(L, tuple(L.elements())))
-        assert L.order_failures == failures and counts == {"validate_lattice": 1}
+        assert L.order_failures == failures and counts == {"_lattice_report": 1}
     P = PowersetLattice("ab")
     counts.clear()
     st = ImplicativeStructure(P, lambda a, b: b)
     validate_structure(st), check_adjunction(st)
     assert P.order_failures == () and not counts
 
+
+def test_the_first_read_of_the_order_failures_copies_no_report(monkeypatch):
+    copies = []
+    copy = Report.copy
+    monkeypatch.setattr(Report, "copy", lambda rep: copies.append(rep) or copy(rep))
+    # the 2-chain, and two elements each below the other only
+    for L, failing in ((ExplicitLattice.chain(2), 0), (ExplicitLattice("xy", (0b11, 0b11)), 1)):
+        assert len(L.order_failures) == failing and not copies
+        assert L.order_failures == tuple(L.verdict.failures())
 
 
 def scanned_completeness_witness(lattice):
